@@ -40,7 +40,28 @@ _TYPE_KEYWORDS = {
 
 _STORAGE_KEYWORDS = {"static", "extern", "register", "volatile", "inline"}
 
+_POSTFIX_OPS = {"[", "(", ".", "->", "++", "--"}
+
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
+
+# Binary operator -> precedence level, loosest first; every level is
+# left-associative.  Only punct tokens can carry these texts.
+_BINARY_LEVELS = {
+    op: level
+    for level, ops in enumerate([
+        ["||"],
+        ["&&"],
+        ["|"],
+        ["^"],
+        ["&"],
+        ["==", "!="],
+        ["<", ">", "<=", ">="],
+        ["<<", ">>"],
+        ["+", "-"],
+        ["*", "/", "%"],
+    ])
+    for op in ops
+}
 
 
 class ParseError(Exception):
@@ -76,8 +97,10 @@ class Parser:
     # ------------------------------------------------------------ utilities
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if not offset:
+            # _advance never moves past the eof token.
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _at(self, text: str, offset: int = 0) -> bool:
         tok = self._peek(offset)
@@ -104,6 +127,22 @@ class Parser:
     def _loc(self, offset: int = 0) -> A.Loc:
         tok = self._peek(offset)
         return A.Loc(tok.line, tok.col, self.filename)
+
+    # A literal the lexer accepts by shape but that has no value (``09``,
+    # ``0x``, ``''``) is a syntax error at that token, so recovery can
+    # report it and carry on.
+
+    def _int_value(self, tok: Token) -> int:
+        try:
+            return tok.int_value
+        except ValueError:
+            raise ParseError("malformed integer constant", tok) from None
+
+    def _char_value(self, tok: Token) -> int:
+        try:
+            return tok.char_value
+        except ValueError:
+            raise ParseError("malformed character constant", tok) from None
 
     # ---------------------------------------------------------- entry point
 
@@ -315,8 +354,7 @@ class Parser:
                 size_tok = self._peek()
                 if size_tok.kind != "int":
                     raise ParseError("expected constant array size", size_tok)
-                self._advance()
-                size = size_tok.int_value
+                size = self._int_value(self._advance())
             self._expect("]")
             ctype = ArrayType(elem=ctype, size=size)
         return ctype
@@ -527,9 +565,9 @@ class Parser:
                     sign = -1
                 value_tok = self._peek()
                 if value_tok.kind == "int":
-                    value = sign * self._advance().int_value
+                    value = sign * self._int_value(self._advance())
                 elif value_tok.kind == "char":
-                    value = sign * self._advance().char_value
+                    value = sign * self._char_value(self._advance())
                 else:
                     raise ParseError("expected constant case label", value_tok)
                 self._expect(":")
@@ -600,31 +638,20 @@ class Parser:
             return A.Conditional(cond=cond, then=then, otherwise=otherwise, loc=loc)
         return cond
 
-    _BINARY_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["|"],
-        ["^"],
-        ["&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["<<", ">>"],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
-    def _parse_binary(self, level: int) -> A.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind == "punct" and self._peek().text in ops:
-            tok = self._advance()
+    def _parse_binary(self, min_level: int) -> A.Expr:
+        """Precedence climbing: fold operators of level >= ``min_level``
+        into ``left``; each right operand takes only tighter ones."""
+        left = self._parse_unary()
+        while True:
+            tok = self.tokens[self.pos]
+            level = _BINARY_LEVELS.get(tok.text, -1)
+            if level < min_level:
+                return left
+            self.pos += 1
             right = self._parse_binary(level + 1)
             left = A.Binary(
                 op=tok.text, left=left, right=right, loc=A.Loc(tok.line, tok.col, self.filename)
             )
-        return left
 
     def _parse_unary(self) -> A.Expr:
         tok = self._peek()
@@ -664,13 +691,15 @@ class Parser:
         expr = self._parse_primary()
         while True:
             tok = self._peek()
+            if tok.text not in _POSTFIX_OPS:
+                return expr
             loc = A.Loc(tok.line, tok.col, self.filename)
-            if self._at("["):
+            if tok.text == "[":
                 self._advance()
                 index = self._parse_expr()
                 self._expect("]")
                 expr = A.Index(base=expr, index=index, loc=loc)
-            elif self._at("(") and isinstance(expr, A.Name):
+            elif tok.text == "(" and isinstance(expr, A.Name):
                 self._advance()
                 args: List[A.Expr] = []
                 if not self._at(")"):
@@ -680,17 +709,15 @@ class Parser:
                         args.append(self._parse_assignment_expr())
                 self._expect(")")
                 expr = A.Call(func=expr.ident, args=args, loc=expr.loc)
-            elif self._at("."):
+            elif tok.text == "." or tok.text == "->":
                 self._advance()
                 fieldname = self._expect_id().text
-                expr = A.Member(base=expr, fieldname=fieldname, arrow=False, loc=loc)
-            elif self._at("->"):
+                expr = A.Member(
+                    base=expr, fieldname=fieldname, arrow=tok.text == "->", loc=loc
+                )
+            elif tok.text == "++" or tok.text == "--":
                 self._advance()
-                fieldname = self._expect_id().text
-                expr = A.Member(base=expr, fieldname=fieldname, arrow=True, loc=loc)
-            elif self._at("++") or self._at("--"):
-                op = self._advance().text
-                expr = A.IncDec(op=op, target=expr, prefix=False, loc=loc)
+                expr = A.IncDec(op=tok.text, target=expr, prefix=False, loc=loc)
             else:
                 return expr
 
@@ -699,10 +726,10 @@ class Parser:
         loc = A.Loc(tok.line, tok.col, self.filename)
         if tok.kind == "int":
             self._advance()
-            return A.IntLit(value=tok.int_value, loc=loc)
+            return A.IntLit(value=self._int_value(tok), loc=loc)
         if tok.kind == "char":
             self._advance()
-            return A.CharLit(value=tok.char_value, loc=loc)
+            return A.CharLit(value=self._char_value(tok), loc=loc)
         if tok.kind == "string":
             self._advance()
             # Adjacent string literals concatenate, as in C.

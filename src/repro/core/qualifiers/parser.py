@@ -37,8 +37,10 @@ class _QualParser:
     # ------------------------------------------------------------- helpers
 
     def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if not offset:
+            # _advance never moves past the eof token.
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _at(self, text: str, offset: int = 0) -> bool:
         return self._peek(offset).text == text
@@ -60,6 +62,12 @@ class _QualParser:
         if tok.kind != "id":
             raise QualParseError("expected identifier", tok)
         return self._advance()
+
+    def _int_value(self, tok: Token) -> int:
+        try:
+            return tok.int_value
+        except ValueError:
+            raise QualParseError("malformed integer constant", tok) from None
 
     def _at_def_start(self) -> bool:
         return self._peek().text in ("value", "ref") and self._at("qualifier", 1)
@@ -378,12 +386,16 @@ class _QualParser:
         tok = self._peek()
         if tok.kind == "int":
             self._advance()
-            return Q.ANum(tok.int_value)
+            return Q.ANum(self._int_value(tok))
         if tok.text == "NULL":
             self._advance()
             return Q.ANull()
         if tok.text == "-":
             self._advance()
+            if self._peek().kind == "int":
+                # Fold ``-k`` into one number: ``0 - k`` reaches the
+                # prover as a subtraction term, which refuted ``C != -1``.
+                return Q.ANum(-self._int_value(self._advance()))
             inner = self._parse_afactor()
             return Q.ABin("-", Q.ANum(0), inner)
         if tok.text == "(":
@@ -505,11 +517,10 @@ class _QualParser:
             return Q.INull()
         if tok.kind == "int":
             self._advance()
-            return Q.INum(tok.int_value)
+            return Q.INum(self._int_value(tok))
         if tok.text == "-" and self._peek(1).kind == "int":
             self._advance()
-            num = self._advance()
-            return Q.INum(-num.int_value)
+            return Q.INum(-self._int_value(self._advance()))
         if tok.kind == "id":
             self._advance()
             return Q.IVar(tok.text)

@@ -345,10 +345,12 @@ class Prover:
         attempts = 0
         for attempt in retry.attempts(deadline):
             attempts = attempt
+            # The first attempt runs the budgets exactly as given (0
+            # rounds means no instantiation at all); retries scale them.
             scale = retry.budget_scale(attempt)
             attempt_prover = self._spawn(
-                max_rounds=max(1, int(self.max_rounds * scale)),
-                max_conflicts=max(1, int(self.max_conflicts * scale)),
+                max_rounds=int(self.max_rounds * scale),
+                max_conflicts=int(self.max_conflicts * scale),
                 time_limit=deadline.remaining(),
             )
             result = attempt_prover.prove(goal, extra_axioms, deadline=deadline)

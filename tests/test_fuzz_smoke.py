@@ -21,6 +21,9 @@ from repro.harness.watchdog import recursion_guard
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples", "*.c")
 MUTANTS = 200
 PUNCT = "{}();*&=+-<>,![]\"'%/"
+# Literals that lex but have no value: recovery must report them as
+# parse diagnostics, not crash.
+MALFORMED_LITERALS = ["09", "08", "0x", "''"]
 
 
 def _seed_sources():
@@ -37,7 +40,7 @@ def _mutate(rng: random.Random, src: str) -> str:
     for _ in range(rng.randint(1, 4)):
         if not src:
             break
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         i = rng.randrange(len(src))
         j = min(len(src), i + rng.randint(1, 12))
         if op == 0:
@@ -48,6 +51,11 @@ def _mutate(rng: random.Random, src: str) -> str:
             src = src[:i] + rng.choice(PUNCT) + src[i:]  # insert punct
         elif op == 3:
             src = src[:i] + src[i:j][::-1] + src[j:]  # reverse a span
+        elif op == 4:
+            # add a malformed literal operand to the next statement
+            k = src.find(";", i)
+            if k >= 0:
+                src = src[:k] + " + " + rng.choice(MALFORMED_LITERALS) + src[k:]
         else:
             src = src[: rng.randrange(len(src) + 1)]  # truncate
     return src

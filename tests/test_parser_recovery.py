@@ -83,3 +83,37 @@ def test_recovery_never_loops_on_stray_close_brace():
     unit = parse_c("} } } int f() { return 0; }", recover=True)
     assert [f.name for f in unit.functions] == ["f"]
     assert unit.errors
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("09", "malformed integer constant"),
+        ("08", "malformed integer constant"),
+        ("0x", "malformed integer constant"),
+        ("''", "malformed character constant"),
+    ],
+)
+def test_malformed_literal_is_a_recovered_diagnostic(literal, message):
+    unit = parse_c(
+        f"void f() {{\n  int x = {literal};\n  y = ;\n}}\n"
+        f"int g() {{ return {literal}; }}\n"
+        "int ok() { return 1; }",
+        recover=True,
+    )
+    first, second, third = unit.errors
+    assert (first.token.line, first.token.col) == (2, 11)
+    assert str(first).startswith(f"{message} at line 2, column 11")
+    # Later errors in the same body and in later functions still count.
+    assert second.token.line == 3
+    assert (third.token.line, third.token.col) == (5, 18)
+    assert [f.name for f in unit.functions] == ["f", "g", "ok"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["int a[09];", "void f(int v) { switch (v) { case 0x: ; } }", "int c = '';"],
+)
+def test_malformed_literal_raises_parse_error_in_strict_mode(source):
+    with pytest.raises(ParseError):
+        parse_c(source)

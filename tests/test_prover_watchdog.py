@@ -120,6 +120,30 @@ class TestRetryPolicy:
         assert retried.verdict == PROVED
         assert retried.attempts >= 2
 
+    def test_zero_round_budget_is_honoured(self):
+        # With no instantiation rounds the chained goal cannot be proved.
+        prover, goal = self._chained_goal_prover(max_rounds=0)
+        result = prover.prove_with_retry(goal)
+        assert result.verdict == GAVE_UP
+        assert result.rounds == 0
+
+    def test_retries_scale_the_requested_budgets(self, monkeypatch):
+        budgets = []
+        spawn = Prover._spawn
+
+        def recording_spawn(self, max_rounds, max_conflicts, time_limit):
+            budgets.append((max_rounds, max_conflicts))
+            return spawn(self, max_rounds, max_conflicts, time_limit)
+
+        monkeypatch.setattr(Prover, "_spawn", recording_spawn)
+        prover, goal = self._chained_goal_prover(max_rounds=0)
+        prover.max_conflicts = 3
+        result = prover.prove_with_retry(
+            goal, retry=RetryPolicy(max_attempts=3, backoff=0.001)
+        )
+        assert result.verdict == GAVE_UP
+        assert budgets == [(0, 3), (0, 6), (0, 12)]
+
     def test_no_retry_when_first_attempt_settles(self):
         prover, goal = self._chained_goal_prover(max_rounds=6)
         result = prover.prove_with_retry(

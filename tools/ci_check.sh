@@ -20,6 +20,12 @@ python -m pytest -x -q tests/
 echo "== worklist engine matches legacy structured-walk verdicts"
 python benchmarks/bench_flow_ablation.py --smoke
 
+echo "== prover ablations: budgets mean what they say (max_rounds=0 included)"
+python -m pytest -q benchmarks/bench_prover_ablation.py
+
+echo "== repo benchmark smoke run: all four workloads, zero failures"
+python3 benchmarks/e2e/run.py --smoke
+
 echo "== batch check over examples/ (expect exit 0, JSON report)"
 python -m repro check examples/*.c --keep-going --format json \
     | python -c '
