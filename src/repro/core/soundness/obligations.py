@@ -48,6 +48,7 @@ from repro.prover.terms import (
     Lt,
     Not,
     Or,
+    TInt,
     TRUE,
     TVar,
     Term,
@@ -139,7 +140,7 @@ def _translate_inv(
             # '+', '-', '*' are interpreted by the prover; '/' and '%'
             # are uninterpreted symbols constrained by the Euclidean
             # division lemmas the prover instantiates per ground term.
-            return fn(t.op, term(t.left), term(t.right))
+            return _arith(t.op, term(t.left), term(t.right))
         raise ObligationError(f"unknown invariant term {t!r}")
 
     def formula(g: Q.IFormula) -> Formula:
@@ -304,8 +305,22 @@ def _aexpr_term(env: _SymbolEnv, aexpr: Q.AExpr) -> Term:
     if isinstance(aexpr, Q.AVar):
         return env.const_value(aexpr.name)
     if isinstance(aexpr, Q.ABin):
-        return fn(aexpr.op, _aexpr_term(env, aexpr.left), _aexpr_term(env, aexpr.right))
+        left = _aexpr_term(env, aexpr.left)
+        return _arith(aexpr.op, left, _aexpr_term(env, aexpr.right))
     raise ObligationError(f"unknown arithmetic operand {aexpr!r}")
+
+
+_FOLD = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+
+
+def _arith(op: str, left: Term, right: Term) -> Term:
+    """``op(left, right)``, folded to a number when both sides are
+    numbers: a ground ``0 - 1`` left as a term never meets the prover's
+    arithmetic, so ``C != 0 - 1`` would be refuted.  ``/`` and ``%``
+    stay symbolic (their C rounding is the division lemmas' business)."""
+    if op in _FOLD and isinstance(left, TInt) and isinstance(right, TInt):
+        return Int(_FOLD[op](left.value, right.value))
+    return fn(op, left, right)
 
 
 # ------------------------------------------------------------ value rules
