@@ -117,11 +117,12 @@ def test_concurrent_distinct_configs_speedup(benchmark):
             with open(path, "w") as handle:
                 handle.write(_unit_text(next(_fresh)))
             served = _strip_volatile(_check(sock, path, **config))
-            local = _strip_volatile(
-                api.Session(**config)
-                .check(api.CheckRequest(files=(path,)))
-                .to_dict()
-            )
+            with api.Workspace(
+                api.SessionConfig(**config), incremental=False
+            ) as ws:
+                local = _strip_volatile(
+                    ws.check(api.CheckRequest(files=(path,))).to_dict()
+                )
             assert served == local, f"served report drifted for {path}"
 
         def single_round() -> None:
@@ -213,10 +214,10 @@ def test_single_request_transport_overhead(benchmark):
         for _ in range(rounds):
             with open(path, "w") as handle:
                 handle.write(_unit_text(next(_fresh)))
-            session = api.Session()
-            started = time.perf_counter()
-            session.check(api.CheckRequest(files=(path,)))
-            local_times.append(time.perf_counter() - started)
+            with api.Workspace(incremental=False) as ws:
+                started = time.perf_counter()
+                ws.check(api.CheckRequest(files=(path,)))
+                local_times.append(time.perf_counter() - started)
         local_ms = 1000.0 * min(local_times)
 
         benchmark.pedantic(served_round, iterations=1, rounds=rounds)

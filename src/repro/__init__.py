@@ -35,7 +35,6 @@ from repro.api import (
     CheckRequest,
     InferRequest,
     ProveRequest,
-    Session,
     SessionConfig,
     UnknownQualifierError,
     Workspace,
@@ -77,7 +76,7 @@ __all__ = [
     "__version__",
     # stable facade (the supported programmatic surface; repro.api.Report
     # is reached through the module to avoid shadowing the checker Report)
-    "api", "Session", "SessionConfig", "Workspace",
+    "api", "SessionConfig", "Workspace",
     "CheckRequest", "ProveRequest", "InferRequest",
     "UnknownQualifierError", "SCHEMA_VERSION", "ProofCache",
     # front end

@@ -425,7 +425,7 @@ def _insert_deref_casts(
             program, func, ref_quals=checker.ref_qual_names
         )
         checker._memo = {}
-        checker._facts = set()
+        checker._facts = frozenset()
         if flow_sensitive:
             checker._addr_taken = GuardAnalysis.address_taken(func)
             _rewrite_deref_bases_flow(
@@ -455,18 +455,16 @@ def _rewrite_deref_bases_flow(
     solution = solve_guard_facts(graph, guards, checker._addr_taken)
     for block in graph.blocks:
         for instr in block.instrs:
-            checker._facts = set(solution.point[id(instr)])
+            checker._facts = solution.point[id(instr)]
             _fix_instr(instr, fix_expr, fix_lvalue)
         term = block.terminator
         if term.stmt is not None:
-            checker._facts = set(
-                solution.point.get(id(term.stmt), frozenset())
-            )
+            checker._facts = solution.point.get(id(term.stmt), frozenset())
         if term.kind == BRANCH:
             term.stmt.cond = fix_expr(term.stmt.cond)
         elif term.kind == RETURN and term.stmt.expr is not None:
             term.stmt.expr = fix_expr(term.stmt.expr)
-    checker._facts = set()
+    checker._facts = frozenset()
 
 
 def _make_expr_fixers(fix):

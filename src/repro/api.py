@@ -29,13 +29,6 @@ schema of this module.  :func:`report_from_dict` reconstructs a
 :class:`Report` from such a payload (the ``repro serve`` client uses
 it so remote runs format identically to local ones).
 
-.. deprecated:: ``Session``
-   :class:`Session` — the original one-shot facade — is kept as a thin
-   alias that builds a fresh one-shot :class:`Workspace` per call, so
-   every existing caller keeps working unchanged.  New code should
-   construct a :class:`SessionConfig` and a :class:`Workspace`
-   directly; ``Session`` will not grow new capabilities.
-
 Example::
 
     from repro.api import ProveRequest, SessionConfig, Workspace
@@ -532,8 +525,8 @@ class Workspace:
 
     Incremental runs add an additive ``incremental`` block to each unit
     detail and to the report meta (``functions``/``rechecked``/
-    ``replayed``); one-shot runs (``incremental=False``, the
-    :class:`Session` path) produce byte-identical payloads to the
+    ``replayed``); one-shot runs (``incremental=False``, as every CLI
+    run without ``--server``) produce byte-identical payloads to the
     pre-workspace facade.  Incremental ``check`` executes in-process
     (``jobs`` is ignored for it) so the verdict store lives in one
     place; ``prove`` still fans out through the batch pool and shares
@@ -1610,90 +1603,6 @@ class Workspace:
             raise
         _finish_profile(prof, report)
         return report
-
-
-# ------------------------------------------------------------------ session
-
-
-@dataclass(frozen=True)
-class Session:
-    """The original one-shot facade, kept as a thin deprecated alias.
-
-    .. deprecated::
-       Every command builds a fresh one-shot :class:`Workspace` from
-       this session's fields and forwards to it, so existing callers
-       (and the golden payload tests) behave exactly as before.  New
-       code should use :class:`SessionConfig` + :class:`Workspace`,
-       which add resident caches and function-granularity incremental
-       re-checking; ``Session`` will not grow new capabilities.
-    """
-
-    quals: Tuple[str, ...] = ()
-    no_std: bool = False
-    trust_constants: bool = False
-
-    def config(self) -> SessionConfig:
-        """The immutable configuration equivalent of this session."""
-        return SessionConfig(
-            quals=self.quals,
-            no_std=self.no_std,
-            trust_constants=self.trust_constants,
-        )
-
-    def _workspace(self) -> Workspace:
-        return Workspace(self.config(), incremental=False)
-
-    # ------------------------------------------------------------ loading
-
-    def qualifier_set(self) -> QualifierSet:
-        """The composed qualifier set for this session."""
-        return self.config().qualifier_set()
-
-    def load_program(self, path: str, quals: Optional[QualifierSet] = None):
-        """Parse and lower one translation unit under this session."""
-        return self._workspace().load_program(path, quals)
-
-    # ----------------------------------------------------------- commands
-
-    def check(
-        self, request: CheckRequest, on_result=None, on_event=None
-    ) -> Report:
-        """Qualifier-check each file as an isolated batch unit."""
-        with self._workspace() as ws:
-            return ws.check(request, on_result=on_result, on_event=on_event)
-
-    def prove(
-        self, request: ProveRequest, on_result=None, on_event=None
-    ) -> Report:
-        """Soundness-check every qualifier defined in each ``.qual``
-        unit (see :meth:`Workspace.prove`)."""
-        with self._workspace() as ws:
-            return ws.prove(request, on_result=on_result, on_event=on_event)
-
-    def infer(
-        self, request: InferRequest, on_result=None, on_event=None
-    ) -> Report:
-        """Infer annotations for one qualifier over each file."""
-        with self._workspace() as ws:
-            return ws.infer(request, on_result=on_result, on_event=on_event)
-
-    def difftest(
-        self, request: DifftestRequest, on_result=None, on_event=None
-    ) -> Report:
-        """Differentially test the pipeline on generated cases."""
-        with self._workspace() as ws:
-            return ws.difftest(request, on_result=on_result, on_event=on_event)
-
-    def run(self, path: str, entry: str = "main", args=()) -> Tuple[int, List[str]]:
-        """Execute one translation unit with run-time qualifier checks;
-        returns ``(exit_value, printf_output)``."""
-        with self._workspace() as ws:
-            return ws.run(path, entry=entry, args=args)
-
-    def show_ir(self, path: str) -> str:
-        """The lowered CIL-style IR of one unit, rendered as C."""
-        with self._workspace() as ws:
-            return ws.show_ir(path)
 
 
 # -------------------------------------------------------- cache management

@@ -4,7 +4,8 @@ Every type node carries a frozenset of qualifier names (``quals``).  The
 paper's postfix notation ``int pos *`` parses to ``PointerType(IntType
 ({'pos'}))``: a qualifier qualifies the entire type written to its left.
 
-Types are immutable; helpers return fresh nodes.
+Types are immutable; helpers return new nodes, or the node itself when
+nothing changes.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ class CType:
 
     def without_quals(self, names=None) -> "CType":
         """Return this type with ``names`` (default: all) removed."""
-        if names is None:
-            return replace(self, quals=frozenset())
-        return replace(self, quals=self.quals - frozenset(names))
+        kept = frozenset() if names is None else self.quals - frozenset(names)
+        if kept == self.quals:
+            return self  # types are immutable: nothing to remove
+        return replace(self, quals=kept)
 
     def strip_quals(self) -> "CType":
         """The unqualified version of this type (top level only)."""

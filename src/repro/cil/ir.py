@@ -1,22 +1,49 @@
 """IR node definitions.
 
 Expression nodes are immutable and hashable so the qualifier checker can
-memoize judgments about them.  Statements and instructions are plain
-mutable dataclasses (instrumentation rewrites them in place).
+memoize judgments about them.  Each expression and l-value node computes
+its hash once, on first use, and keeps it: guard facts and memo keys
+hash the same deep trees over and over.  Statements and instructions
+are plain mutable dataclasses (instrumentation rewrites them in place).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.cfront.ast import Loc
 from repro.cfront.ctypes import CType, FuncType
 
 
+def _hash_once(cls):
+    """Cache the dataclass-generated hash of a frozen node on first use.
+
+    String hashes differ between interpreter runs, so the cached value
+    must not outlive the process: pickling and copying rebuild the node
+    through its constructor, and the copy hashes afresh."""
+    compute = cls.__hash__
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = compute(self)
+            return value
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
 # ------------------------------------------------------------------ l-values
 
 
+@_hash_once
 @dataclass(frozen=True)
 class VarHost:
     """The l-value host naming a variable directly."""
@@ -27,6 +54,7 @@ class VarHost:
         return self.name
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MemHost:
     """The l-value host dereferencing a pointer expression."""
@@ -37,12 +65,14 @@ class MemHost:
         return f"*({self.addr})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class NoOffset:
     def __str__(self) -> str:
         return ""
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FieldOff:
     fieldname: str
@@ -52,6 +82,7 @@ class FieldOff:
         return f".{self.fieldname}{self.rest}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IndexOff:
     index: "Expr"
@@ -65,6 +96,7 @@ Offset = NoOffset | FieldOff | IndexOff
 Host = VarHost | MemHost
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Lvalue:
     host: Host
@@ -103,6 +135,7 @@ class Expr:
     pass
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IntConst(Expr):
     value: int
@@ -111,6 +144,7 @@ class IntConst(Expr):
         return str(self.value)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class StrConst(Expr):
     value: str
@@ -119,12 +153,14 @@ class StrConst(Expr):
         return '"' + self.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
+@_hash_once
 @dataclass(frozen=True)
 class NullConst(Expr):
     def __str__(self) -> str:
         return "NULL"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Lval(Expr):
     """Reading an l-value (the l-value used in expression position)."""
@@ -135,6 +171,7 @@ class Lval(Expr):
         return str(self.lvalue)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class AddrOf(Expr):
     lvalue: Lvalue
@@ -143,6 +180,7 @@ class AddrOf(Expr):
         return f"&{self.lvalue}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class UnOp(Expr):
     op: str  # '-', '!', '~'
@@ -152,6 +190,7 @@ class UnOp(Expr):
         return f"{self.op}({self.operand})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # arithmetic/relational/logical; 'ptradd' for pointer indexing
@@ -164,6 +203,7 @@ class BinOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class CastE(Expr):
     to_type: CType
@@ -173,6 +213,7 @@ class CastE(Expr):
         return f"({self.to_type})({self.operand})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class CondE(Expr):
     """A side-effect-free conditional expression ``c ? a : b``.
@@ -189,6 +230,7 @@ class CondE(Expr):
         return f"({self.cond} ? {self.then} : {self.otherwise})"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class SizeOfE(Expr):
     of_type: Optional[CType] = None
@@ -392,20 +434,33 @@ def walk_instructions(stmts: List[Stmt]):
 def subexprs(expr: Expr):
     """Yield ``expr`` and all of its sub-expressions (pre-order),
     including expressions hidden inside l-value hosts and offsets."""
-    yield expr
-    if isinstance(expr, (Lval, AddrOf)):
-        yield from _lvalue_exprs(expr.lvalue)
-    elif isinstance(expr, UnOp):
-        yield from subexprs(expr.operand)
-    elif isinstance(expr, BinOp):
-        yield from subexprs(expr.left)
-        yield from subexprs(expr.right)
-    elif isinstance(expr, CastE):
-        yield from subexprs(expr.operand)
-    elif isinstance(expr, CondE):
-        yield from subexprs(expr.cond)
-        yield from subexprs(expr.then)
-        yield from subexprs(expr.otherwise)
+    # An explicit stack, children pushed last-first: a recursive
+    # generator would pass every node up through each enclosing level.
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Lval, AddrOf)):
+            lv = node.lvalue
+            off = lv.offset
+            if not isinstance(off, NoOffset):
+                indices = []
+                while not isinstance(off, NoOffset):
+                    if isinstance(off, IndexOff):
+                        indices.append(off.index)
+                    off = off.rest
+                stack.extend(reversed(indices))
+            if isinstance(lv.host, MemHost):
+                stack.append(lv.host.addr)
+        elif isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, (UnOp, CastE)):
+            stack.append(node.operand)
+        elif isinstance(node, CondE):
+            stack.append(node.otherwise)
+            stack.append(node.then)
+            stack.append(node.cond)
 
 
 def subexprs_postorder(expr: Expr):

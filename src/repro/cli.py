@@ -73,12 +73,14 @@ from repro.harness import batch
 from repro.semantics.csem import CRuntimeError
 
 
-def _session(args) -> api.Session:
-    return api.Session(
+def _workspace(args) -> api.Workspace:
+    """A one-shot workspace for the command's qualifier configuration."""
+    config = api.SessionConfig(
         quals=tuple(getattr(args, "quals", None) or ()),
         no_std=getattr(args, "no_std", False),
         trust_constants=getattr(args, "trust_constants", False),
     )
+    return api.Workspace(config, incremental=False)
 
 
 def _print_unit_header(path: str, many: bool) -> None:
@@ -230,16 +232,17 @@ def cmd_check(args) -> int:
         if code is not None:
             return code
     stream = _jsonl_unit_streamer("check") if args.format == "jsonl" else None
-    report = _session(args).check(
-        api.CheckRequest(
-            files=tuple(args.files),
-            flow_sensitive=args.flow_sensitive,
-            keep_going=args.keep_going,
-            jobs=args.jobs,
-            unit_timeout=args.unit_timeout,
-        ),
-        on_result=stream,
-    )
+    with _workspace(args) as ws:
+        report = ws.check(
+            api.CheckRequest(
+                files=tuple(args.files),
+                flow_sensitive=args.flow_sensitive,
+                keep_going=args.keep_going,
+                jobs=args.jobs,
+                unit_timeout=args.unit_timeout,
+            ),
+            on_result=stream,
+        )
     return _render_check(args, report)
 
 
@@ -282,25 +285,26 @@ def cmd_prove(args) -> int:
         code = _run_on_server(args, "prove")
         if code is not None:
             return code
-    report = _session(args).prove(
-        api.ProveRequest(
-            files=tuple(args.files),
-            qualifier=args.qualifier,
-            time_limit=args.time_limit,
-            retries=args.retries,
-            cache=args.cache,
-            cache_dir=args.cache_dir,
-            session=args.session,
-            shard=args.shard,
-            explain=args.explain,
-            keep_going=args.keep_going,
-            jobs=args.jobs,
-            unit_timeout=args.unit_timeout,
-        ),
-        on_result=(
-            _jsonl_unit_streamer("prove") if args.format == "jsonl" else None
-        ),
-    )
+    with _workspace(args) as ws:
+        report = ws.prove(
+            api.ProveRequest(
+                files=tuple(args.files),
+                qualifier=args.qualifier,
+                time_limit=args.time_limit,
+                retries=args.retries,
+                cache=args.cache,
+                cache_dir=args.cache_dir,
+                session=args.session,
+                shard=args.shard,
+                explain=args.explain,
+                keep_going=args.keep_going,
+                jobs=args.jobs,
+                unit_timeout=args.unit_timeout,
+            ),
+            on_result=(
+                _jsonl_unit_streamer("prove") if args.format == "jsonl" else None
+            ),
+        )
     return _render_prove(args, report)
 
 
@@ -338,9 +342,10 @@ def _render_prove(args, report: api.Report) -> int:
 
 def cmd_run(args) -> int:
     try:
-        value, output = _session(args).run(
-            args.file, entry=args.entry, args=list(args.args)
-        )
+        with _workspace(args) as ws:
+            value, output = ws.run(
+                args.file, entry=args.entry, args=list(args.args)
+            )
     except CRuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -350,7 +355,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_show_ir(args) -> int:
-    print(_session(args).show_ir(args.file))
+    with _workspace(args) as ws:
+        print(ws.show_ir(args.file))
     return 0
 
 
@@ -360,21 +366,22 @@ def cmd_infer(args) -> int:
         if code is not None:
             return code
     try:
-        report = _session(args).infer(
-            api.InferRequest(
-                files=tuple(args.files),
-                qualifier=args.qualifier,
-                flow_sensitive=args.flow_sensitive,
-                keep_going=args.keep_going,
-                jobs=args.jobs,
-                unit_timeout=args.unit_timeout,
-            ),
-            on_result=(
-                _jsonl_unit_streamer("infer")
-                if args.format == "jsonl"
-                else None
-            ),
-        )
+        with _workspace(args) as ws:
+            report = ws.infer(
+                api.InferRequest(
+                    files=tuple(args.files),
+                    qualifier=args.qualifier,
+                    flow_sensitive=args.flow_sensitive,
+                    keep_going=args.keep_going,
+                    jobs=args.jobs,
+                    unit_timeout=args.unit_timeout,
+                ),
+                on_result=(
+                    _jsonl_unit_streamer("infer")
+                    if args.format == "jsonl"
+                    else None
+                ),
+            )
     except api.UnknownQualifierError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -445,24 +452,25 @@ def cmd_serve(args) -> int:
 
 
 def cmd_difftest(args) -> int:
-    report = _session(args).difftest(
-        api.DifftestRequest(
-            seed=args.seed,
-            count=args.count,
-            budget=args.budget,
-            time_limit=args.time_limit,
-            out_dir=args.out_dir or "",
-            replay=tuple(args.replay),
-            keep_going=args.keep_going,
-            jobs=args.jobs,
-            unit_timeout=args.unit_timeout,
-        ),
-        on_result=(
-            _jsonl_unit_streamer("difftest")
-            if args.format == "jsonl"
-            else None
-        ),
-    )
+    with _workspace(args) as ws:
+        report = ws.difftest(
+            api.DifftestRequest(
+                seed=args.seed,
+                count=args.count,
+                budget=args.budget,
+                time_limit=args.time_limit,
+                out_dir=args.out_dir or "",
+                replay=tuple(args.replay),
+                keep_going=args.keep_going,
+                jobs=args.jobs,
+                unit_timeout=args.unit_timeout,
+            ),
+            on_result=(
+                _jsonl_unit_streamer("difftest")
+                if args.format == "jsonl"
+                else None
+            ),
+        )
     if args.format == "jsonl":
         _jsonl_summary(report)
         return report.exit_code

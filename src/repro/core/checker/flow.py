@@ -60,38 +60,38 @@ def _invariant_shape(qdef: Q.QualifierDef) -> Optional[_CmpShape]:
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
 
 
+#: (established op, target op) -> does ``v <est> b`` imply ``v <target> t``,
+#: as a test on ``(b, t)``.
+_IMPLICATIONS = {
+    (">", "!="): lambda b, t: b >= t,        # v > b, b >= t implies v != t
+    (">", ">"): lambda b, t: b >= t,
+    (">", ">="): lambda b, t: b >= t - 1,
+    ("<", "!="): lambda b, t: b <= t,
+    ("<", "<"): lambda b, t: b <= t,
+    ("<", "<="): lambda b, t: b <= t + 1,
+    (">=", ">"): lambda b, t: b > t,
+    (">=", ">="): lambda b, t: b >= t,
+    (">=", "!="): lambda b, t: b > t,
+    ("<=", "<"): lambda b, t: b < t,
+    ("<=", "<="): lambda b, t: b <= t,
+    ("<=", "!="): lambda b, t: b < t,
+    ("==", "!="): lambda b, t: b != t,
+    ("==", ">"): lambda b, t: b > t,
+    ("==", "<"): lambda b, t: b < t,
+    ("==", ">="): lambda b, t: b >= t,
+    ("==", "<="): lambda b, t: b <= t,
+}
+
+
 def _implies(established_op: str, established_bound: int, shape: _CmpShape) -> bool:
     """Does ``v <op> bound`` (known) imply ``v <shape.op> shape.bound``?
 
     Decided exactly over the integers for the handful of comparison
     pairs guards produce."""
-    op, b = established_op, established_bound
-    t_op, t_b = shape.op, shape.bound
-    # Normalize: express the established fact as a set description.
-    if op == t_op and b == t_b:
+    if established_op == shape.op and established_bound == shape.bound:
         return True
-    checks = {
-        # established -> candidate target checks
-        (">", "!="): lambda: b >= t_b,        # v > b, b >= t implies v != t
-        (">", ">"): lambda: b >= t_b,
-        (">", ">="): lambda: b >= t_b - 1,
-        ("<", "!="): lambda: b <= t_b,
-        ("<", "<"): lambda: b <= t_b,
-        ("<", "<="): lambda: b <= t_b + 1,
-        (">=", ">"): lambda: b > t_b,
-        (">=", ">="): lambda: b >= t_b,
-        (">=", "!="): lambda: b > t_b,
-        ("<=", "<"): lambda: b < t_b,
-        ("<=", "<="): lambda: b <= t_b,
-        ("<=", "!="): lambda: b < t_b,
-        ("==", "!="): lambda: b != t_b,
-        ("==", ">"): lambda: b > t_b,
-        ("==", "<"): lambda: b < t_b,
-        ("==", ">="): lambda: b >= t_b,
-        ("==", "<="): lambda: b <= t_b,
-    }
-    fn = checks.get((op, t_op))
-    return bool(fn and fn())
+    test = _IMPLICATIONS.get((established_op, shape.op))
+    return bool(test and test(established_bound, shape.bound))
 
 
 class GuardAnalysis:
@@ -167,34 +167,6 @@ class GuardAnalysis:
             if _implies(op, bound, shape):
                 out.add((lv, qual))
 
-    # -------------------------------------------------------------- kills
-
-    @staticmethod
-    def kills_of_instruction(
-        instr: ir.Instruction,
-        facts: Set[Fact],
-        address_taken: FrozenSet[str] = frozenset(),
-    ) -> Set[Fact]:
-        """Facts surviving one instruction."""
-        target: Optional[ir.Lvalue] = None
-        if isinstance(instr, ir.Set):
-            target = instr.lvalue
-        elif isinstance(instr, ir.Call):
-            target = instr.result
-        if target is None:
-            return facts
-        if isinstance(target.host, ir.MemHost) or not isinstance(
-            target.offset, ir.NoOffset
-        ):
-            # A write through memory may alias any non-variable fact and
-            # any address-taken variable.
-            return {
-                f
-                for f in facts
-                if f[0].is_plain_var and f[0].var_name not in address_taken
-            }
-        return {f for f in facts if f[0] != target}
-
     @staticmethod
     def address_taken(func: ir.Function) -> FrozenSet[str]:
         """Variables whose address is taken anywhere in the function;
@@ -232,7 +204,53 @@ def _const_int(expr: ir.Expr) -> Optional[int]:
     return None
 
 
+class KillIndex:
+    """The facts each instruction kills, over one function's fact universe.
+
+    Facts are killed by assignments to the guarded l-value; a write
+    through memory (or into a field or element) may alias any fact not
+    about a plain variable, and any address-taken variable.  A kill
+    depends only on the fact, never on the other live facts, so a
+    block's kills are the union of its instructions' and applying them
+    is one set difference."""
+
+    _NONE: FrozenSet[Fact] = frozenset()
+
+    def __init__(self, universe: Set[Fact], address_taken: FrozenSet[str]):
+        by_lvalue: Dict[ir.Lvalue, Set[Fact]] = {}
+        for fact in universe:
+            by_lvalue.setdefault(fact[0], set()).add(fact)
+        self._by_lvalue = {
+            lv: frozenset(facts) for lv, facts in by_lvalue.items()
+        }
+        self._memory = frozenset(
+            f
+            for f in universe
+            if not (f[0].is_plain_var and f[0].var_name not in address_taken)
+        )
+
+    def of_instruction(self, instr: ir.Instruction) -> FrozenSet[Fact]:
+        if not self._by_lvalue:  # an empty universe: nothing to kill
+            return self._NONE
+        target: Optional[ir.Lvalue] = None
+        if isinstance(instr, ir.Set):
+            target = instr.lvalue
+        elif isinstance(instr, ir.Call):
+            target = instr.result
+        if target is None:
+            return self._NONE
+        if isinstance(target.host, ir.MemHost) or not isinstance(
+            target.offset, ir.NoOffset
+        ):
+            return self._memory
+        return self._by_lvalue.get(target, self._NONE)
+
+
 # --------------------------------------------------------- worklist client
+
+#: The (then, else) facts of a branch when no qualifier has a guardable
+#: invariant.
+_NO_FACTS: Tuple[FrozenSet[Fact], FrozenSet[Fact]] = (frozenset(), frozenset())
 
 
 @dataclass
@@ -241,13 +259,19 @@ class GuardSolution:
 
     ``block_entry`` maps block index → facts holding on entry
     (unreachable blocks resolve to *no* facts, never to the solver's
-    UNIVERSE sentinel).  ``point`` maps ``id(instruction)`` → facts
-    holding immediately *before* that instruction, and
-    ``id(terminator statement)`` → facts at the block's terminator, so
-    clients that walk the structured statement tree (instrumentation,
-    annotation) can look facts up without re-running kills."""
+    UNIVERSE sentinel).  ``block_points`` maps block index → the facts
+    holding immediately *before* each of its instructions, followed by
+    the facts at its terminator; it is positional because lowering may
+    share one instruction object between two blocks (a ``for`` step
+    also run on ``continue``).  ``point`` maps ``id(instruction)`` →
+    facts before that instruction, and ``id(terminator statement)`` →
+    facts at the block's terminator, so clients that walk the
+    structured statement tree (instrumentation, annotation) can look
+    facts up without re-running kills.  Equal fact sets along a block
+    are one shared frozenset."""
 
     block_entry: Dict[int, FrozenSet[Fact]] = field(default_factory=dict)
+    block_points: Dict[int, List[FrozenSet[Fact]]] = field(default_factory=dict)
     point: Dict[int, FrozenSet[Fact]] = field(default_factory=dict)
     stats: "SolverStats" = None  # type: ignore[assignment]
 
@@ -263,36 +287,51 @@ def solve_guard_facts(
     fact survives a merge only when every incoming path establishes
     it.  Facts enter along guarded branch edges
     (:meth:`GuardAnalysis.facts_of_condition`) and die at assignments
-    (:meth:`GuardAnalysis.kills_of_instruction`) — the same vocabulary
-    the structured walk used, now with sound treatment of ``goto``,
-    loops, and unreachable code for free."""
+    (:class:`KillIndex`) — the same vocabulary the structured walk
+    used, now with sound treatment of ``goto``, loops, and unreachable
+    code for free."""
+    from repro.cil.cfg import BRANCH
     from repro.dataflow.lattice import UNIVERSE, MustSetLattice
     from repro.dataflow.solver import ForwardSolver
 
-    cond_facts: Dict[int, Tuple[Set[Fact], Set[Fact]]] = {}
-
-    def facts_for(edge) -> Set[Fact]:
-        stmt = edge.src.terminator.stmt
-        key = id(stmt)
-        if key not in cond_facts:
-            cond_facts[key] = guards.facts_of_condition(edge.cond)
-        then_facts, else_facts = cond_facts[key]
-        return then_facts if edge.guard else else_facts
+    # Every fact the function can hold enters on some branch edge.
+    cond_facts: Dict[int, Tuple[FrozenSet[Fact], FrozenSet[Fact]]] = {}
+    universe: Set[Fact] = set()
+    for block in cfg.blocks:
+        if block.terminator.kind == BRANCH and guards.shapes:
+            then_facts, else_facts = guards.facts_of_condition(
+                block.terminator.cond
+            )
+            cond_facts[block.index] = (
+                frozenset(then_facts),
+                frozenset(else_facts),
+            )
+            universe |= then_facts
+            universe |= else_facts
+    kills = KillIndex(universe, address_taken)
+    instr_kills = {
+        block.index: [kills.of_instruction(i) for i in block.instrs]
+        for block in cfg.blocks
+    }
+    block_kills = {
+        index: frozenset().union(*per_instr)
+        for index, per_instr in instr_kills.items()
+    }
 
     def transfer(block, facts):
-        if facts is UNIVERSE:
-            return UNIVERSE
-        live: Set[Fact] = set(facts)
-        for instr in block.instrs:
-            live = GuardAnalysis.kills_of_instruction(
-                instr, live, address_taken
-            )
-        return frozenset(live)
+        if facts is UNIVERSE or not facts:
+            return facts
+        killed = block_kills[block.index]
+        if killed.isdisjoint(facts):
+            return facts
+        return facts - killed
 
     def edge_transfer(edge, out):
         if edge.guard is None or out is UNIVERSE:
             return out
-        return frozenset(out | facts_for(edge))
+        then_facts, else_facts = cond_facts.get(edge.src.index, _NO_FACTS)
+        gained = then_facts if edge.guard else else_facts
+        return out | gained if gained else out
 
     solver = ForwardSolver(
         cfg,
@@ -305,16 +344,17 @@ def solve_guard_facts(
 
     solution = GuardSolution(stats=result.stats)
     for block in cfg.blocks:
-        facts = result.block_in[block.index]
-        if facts is UNIVERSE:  # unreachable: assume nothing
-            facts = frozenset()
-        solution.block_entry[block.index] = facts
-        live = set(facts)
-        for instr in block.instrs:
-            solution.point[id(instr)] = frozenset(live)
-            live = GuardAnalysis.kills_of_instruction(
-                instr, live, address_taken
-            )
+        live = result.block_in[block.index]
+        if live is UNIVERSE:  # unreachable: assume nothing
+            live = frozenset()
+        solution.block_entry[block.index] = live
+        points = solution.block_points[block.index] = []
+        for instr, killed in zip(block.instrs, instr_kills[block.index]):
+            points.append(live)
+            solution.point[id(instr)] = live
+            if killed and not killed.isdisjoint(live):
+                live = live - killed
+        points.append(live)
         if block.terminator.stmt is not None:
-            solution.point[id(block.terminator.stmt)] = frozenset(live)
+            solution.point[id(block.terminator.stmt)] = live
     return solution

@@ -53,14 +53,14 @@ def dtype_matches(dtype: Q.DType, ctype: CType) -> bool:
 
 
 @dataclass
-class _ClauseEnv:
+class ClauseEnv:
     """Declarations in scope for one clause: the clause's own ``decl``s
     plus the qualifier's subject variable."""
 
     decls: Dict[str, Q.VarDecl]
 
     @classmethod
-    def for_clause(cls, qdef: Q.QualifierDef, clause) -> "_ClauseEnv":
+    def for_clause(cls, qdef: Q.QualifierDef, clause) -> "ClauseEnv":
         decls = {d.name: d for d in clause.decls}
         decls.setdefault(
             qdef.var, Q.VarDecl(qdef.var, qdef.dtype, qdef.classifier)
@@ -132,20 +132,58 @@ def _ops_equal(pattern_op: str, expr_op: str) -> bool:
     return pattern_op == _OP_ALIASES.get(expr_op, expr_op)
 
 
+#: The dispatch key of an expression read through memory (``*e``), the
+#: one node kind that is finer than the expression's class.
+DEREF = ir.MemHost
+
+
+def node_kind(expr: ir.Expr) -> type:
+    """The dispatch key of ``expr``: its IR class, except that an
+    ``Lval`` whose host is a ``MemHost`` is keyed :data:`DEREF`."""
+    kind = type(expr)
+    if kind is ir.Lval and isinstance(expr.lvalue.host, ir.MemHost):
+        return DEREF
+    return kind
+
+
+#: The node kinds each pattern's root can match (None: every kind).
+#: :func:`match_expr_pattern` returns None on any other kind, so a
+#: checker offers a node only to the clauses whose root admits it.
+ROOT_KINDS = {
+    Q.PVar: None,
+    Q.PNull: (ir.NullConst, ir.IntConst, ir.CastE),
+    Q.PNew: (),
+    Q.PDeref: (DEREF,),
+    Q.PAddrOf: (ir.AddrOf,),
+    Q.PUnop: (ir.UnOp,),
+    Q.PBinop: (ir.BinOp,),
+}
+
+
+def can_match(pattern: Q.Pattern, kind: type) -> bool:
+    """May ``pattern``'s root match a node of dispatch key ``kind``?"""
+    kinds = ROOT_KINDS[type(pattern)]
+    return kinds is None or kind in kinds
+
+
 def match_expr_pattern(
     qdef: Q.QualifierDef,
     clause,
     expr: ir.Expr,
     ctx: TypingContext,
+    env: Optional[ClauseEnv] = None,
 ) -> Optional[MatchBinding]:
     """Match one clause's pattern against ``expr``.
 
     Returns the variable bindings on success, or None.  Casts inserted
     by the programmer are transparent to matching when they do not
     change the expression's base shape (the paper ignores the
-    ``(int*)`` cast on malloc results the same way).
+    ``(int*)`` cast on malloc results the same way).  ``env`` is the
+    clause's :meth:`ClauseEnv.for_clause`, which callers that match one
+    clause many times build once; it is built here when not given.
     """
-    env = _ClauseEnv.for_clause(qdef, clause)
+    if env is None:
+        env = ClauseEnv.for_clause(qdef, clause)
     pattern = clause.pattern
 
     if isinstance(pattern, Q.PVar):
@@ -160,7 +198,7 @@ def match_expr_pattern(
         if isinstance(expr, ir.IntConst) and expr.value == 0:
             return {}
         if isinstance(expr, ir.CastE):
-            return match_expr_pattern(qdef, clause, expr.operand, ctx)
+            return match_expr_pattern(qdef, clause, expr.operand, ctx, env)
         return None
 
     if isinstance(pattern, Q.PNew):
@@ -208,6 +246,7 @@ def match_assign_pattern(
     clause,
     instr: "ir.Instruction",
     ctx: TypingContext,
+    env: Optional[ClauseEnv] = None,
 ) -> Optional[MatchBinding]:
     """Match an assign clause against the right-hand side of an
     assignment instruction (Set) or against an allocation call."""
@@ -216,5 +255,5 @@ def match_assign_pattern(
             return {}
         return None
     if isinstance(instr, ir.Set):
-        return match_expr_pattern(qdef, clause, instr.expr, ctx)
+        return match_expr_pattern(qdef, clause, instr.expr, ctx, env)
     return None

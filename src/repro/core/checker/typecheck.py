@@ -20,7 +20,7 @@ l-value remain legal, section 2.2.1).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.cfront.ast import Loc
 from repro.cfront.ctypes import (
@@ -37,11 +37,18 @@ from repro.cil.cfg import BRANCH, RETURN, build_cfg
 from repro.core.checker.diagnostics import Report, RuntimeCheck
 from repro.core.checker.flow import GuardAnalysis, solve_guard_facts
 from repro.core.checker.patterns import (
+    ClauseEnv,
+    can_match,
     match_assign_pattern,
     match_expr_pattern,
+    node_kind,
 )
 from repro.core.qualifiers import ast as Q
 from repro.core.qualifiers.ast import QualifierSet
+
+
+#: A compiled clause: its qualifier, the clause and its declarations.
+_Rule = Tuple[Q.QualifierDef, object, object]
 
 
 class QualifierChecker:
@@ -63,7 +70,9 @@ class QualifierChecker:
         self.quals = quals
         self.flow_sensitive = flow_sensitive
         self._guards = GuardAnalysis(quals) if flow_sensitive else None
-        self._facts: Set = set()
+        # The guard facts at the current program point; one shared
+        # frozenset per run of points with equal facts.
+        self._facts: FrozenSet = frozenset()
         self._addr_taken = frozenset()
         self.ref_qual_names: FrozenSet[str] = frozenset(
             d.name for d in quals.ref_qualifiers()
@@ -72,9 +81,21 @@ class QualifierChecker:
             d.name for d in quals.value_qualifiers()
         )
         self.report = Report()
-        self._restrict_rules: List[Tuple[Q.QualifierDef, Q.RestrictClause]] = [
-            (d, r) for d in quals for r in d.restricts
+        # Rules compiled once: each clause with its declarations, and
+        # per node kind the clauses whose pattern root can match it.
+        self._restrict_rules: List[_Rule] = [
+            (d, r, ClauseEnv.for_clause(d, r)) for d in quals for r in d.restricts
         ]
+        self._case_rules: Dict[str, List[_Rule]] = {
+            d.name: [(d, c, ClauseEnv.for_clause(d, c)) for c in d.cases]
+            for d in quals.value_qualifiers()
+        }
+        self._assign_rules: Dict[str, List[_Rule]] = {
+            d.name: [(d, c, ClauseEnv.for_clause(d, c)) for c in d.assigns]
+            for d in quals.ref_qualifiers()
+        }
+        self._restricts_by_kind: Dict[type, Tuple[_Rule, ...]] = {}
+        self._cases_by_kind: Dict[Tuple[str, type], Tuple[_Rule, ...]] = {}
         # Per-function state.
         self.func: Optional[ir.Function] = None
         self.ctx: Optional[TypingContext] = None
@@ -100,7 +121,7 @@ class QualifierChecker:
         )
         self._memo = {}
         self._in_progress = set()
-        self._facts = set()
+        self._facts = frozenset()
         self._addr_taken = (
             GuardAnalysis.address_taken(func)
             if self.flow_sensitive
@@ -116,14 +137,11 @@ class QualifierChecker:
         # Blocks are numbered in syntactic order, so iterating them in
         # index order reports diagnostics in source order.
         for block in graph.blocks:
-            facts: Set = set(solution.block_entry[block.index])
-            for instr in block.instrs:
+            points = solution.block_points[block.index]
+            for instr, facts in zip(block.instrs, points):
                 self._facts = facts
                 self._check_instruction(instr)
-                facts = GuardAnalysis.kills_of_instruction(
-                    instr, facts, self._addr_taken
-                )
-            self._facts = facts
+            self._facts = points[-1]
             term = block.terminator
             if term.kind == BRANCH:
                 self._scan_expr(term.stmt.cond, term.stmt.loc)
@@ -139,9 +157,10 @@ class QualifierChecker:
             target_type = self._lvalue_type(instr.lvalue, instr.loc)
             if target_type is None:
                 return
-            self._check_ref_assign(target_type, instr, str(instr.lvalue), instr.loc)
+            # The target l-value is only formatted into a diagnostic.
+            self._check_ref_assign(target_type, instr, instr.lvalue, instr.loc)
             self._check_value_assign(
-                target_type, instr.expr, "assign", str(instr.lvalue), instr.loc
+                target_type, instr.expr, "assign", instr.lvalue, instr.loc
             )
             self._check_deep_quals(target_type, instr.expr, instr.loc)
         elif isinstance(instr, ir.Call):
@@ -170,7 +189,7 @@ class QualifierChecker:
             if target_type is None:
                 return
             self._check_ref_assign(
-                target_type, instr, str(instr.result), instr.loc
+                target_type, instr, instr.result, instr.loc
             )
             self._check_call_result_value_quals(target_type, instr, sig)
 
@@ -244,7 +263,7 @@ class QualifierChecker:
         target_type: CType,
         rhs: ir.Expr,
         kind: str,
-        target_desc: str,
+        target_desc: Union[str, ir.Lvalue],
         loc: Loc,
     ) -> None:
         required = target_type.quals & self.value_qual_names
@@ -268,9 +287,9 @@ class QualifierChecker:
         False.
         """
         # Guard facts make the judgment program-point-dependent, so the
-        # current fact set is part of the memo key.
-        fact_token = frozenset(self._facts) if self.flow_sensitive else None
-        key = (expr, qual, fact_token)
+        # current fact set is part of the memo key (a frozenset caches
+        # its hash, and one is shared along each run of equal facts).
+        key = (expr, qual, self._facts if self.flow_sensitive else None)
         if key in self._memo:
             return self._memo[key]
         if key in self._in_progress:
@@ -329,8 +348,14 @@ class QualifierChecker:
             if self.has_qual(expr.left, qual):
                 return True
         # User-defined case rules.
-        for clause in qdef.cases:
-            bindings = match_expr_pattern(qdef, clause, expr, self.ctx)
+        kind = node_kind(expr)
+        rules = self._cases_by_kind.get((qual, kind))
+        if rules is None:
+            rules = self._cases_by_kind[qual, kind] = _admitting(
+                self._case_rules[qual], kind
+            )
+        for _, clause, env in rules:
+            bindings = match_expr_pattern(qdef, clause, expr, self.ctx, env)
             if bindings is not None and self._eval_pred(clause.predicate, bindings):
                 return True
         return False
@@ -408,7 +433,7 @@ class QualifierChecker:
         self,
         target_type: CType,
         instr: ir.Instruction,
-        target_desc: str,
+        target_desc: Union[str, ir.Lvalue],
         loc: Loc,
     ) -> None:
         ref_quals = target_type.quals & self.ref_qual_names
@@ -425,8 +450,8 @@ class QualifierChecker:
                     # already carries the qualifier.
                     continue
             matched = False
-            for clause in qdef.assigns:
-                bindings = match_assign_pattern(qdef, clause, instr, self.ctx)
+            for _, clause, env in self._assign_rules[q]:
+                bindings = match_assign_pattern(qdef, clause, instr, self.ctx, env)
                 if bindings is not None and self._eval_pred(
                     clause.predicate, bindings
                 ):
@@ -455,32 +480,38 @@ class QualifierChecker:
     def _scan_expr(self, expr: ir.Expr, loc: Loc) -> None:
         """Scan an expression read: restrict rules on every node, and
         disallow rules with dereference-context awareness."""
-        for node in ir.subexprs(expr):
-            self._check_restricts(node, loc)
+        self._check_restricts(expr, loc)
         self._scan_disallow_expr(expr, loc)
 
     def _scan_write_target(self, lv: ir.Lvalue, loc: Loc) -> None:
         """Scan the l-value being written: its dereference site is subject
         to restrict rules, and its inner expressions to all rules, but
         the target itself is not a 'reference' for disallow purposes."""
-        for node in ir.subexprs(ir.Lval(lv)):
-            self._check_restricts(node, loc)
+        self._check_restricts(ir.Lval(lv), loc)
         self._scan_disallow_lvalue_inner(lv, loc)
 
-    def _check_restricts(self, node: ir.Expr, loc: Loc) -> None:
-        for qdef, clause in self._restrict_rules:
-            bindings = match_expr_pattern(qdef, clause, node, self.ctx)
-            if bindings is not None and not self._eval_pred(
-                clause.predicate, bindings
-            ):
-                self.report.add(
-                    "restrict",
-                    qdef.name,
-                    f"expression {node} violates restrict rule "
-                    f"({clause.pattern} requires {clause.predicate})",
-                    loc,
-                    self.func.name,
-                )
+    def _check_restricts(self, root: ir.Expr, loc: Loc) -> None:
+        """Offer every node of ``root`` to the restrict rules its kind
+        admits."""
+        by_kind = self._restricts_by_kind
+        for node in ir.subexprs(root):
+            kind = node_kind(node)
+            rules = by_kind.get(kind)
+            if rules is None:
+                rules = by_kind[kind] = _admitting(self._restrict_rules, kind)
+            for qdef, clause, env in rules:
+                bindings = match_expr_pattern(qdef, clause, node, self.ctx, env)
+                if bindings is not None and not self._eval_pred(
+                    clause.predicate, bindings
+                ):
+                    self.report.add(
+                        "restrict",
+                        qdef.name,
+                        f"expression {node} violates restrict rule "
+                        f"({clause.pattern} requires {clause.predicate})",
+                        loc,
+                        self.func.name,
+                    )
 
     # Disallow scanning distinguishes contexts: reading an l-value is a
     # 'reference'; reading it *in order to dereference it* is not
@@ -602,6 +633,12 @@ class QualifierChecker:
                 loc,
                 self.func.name,
             )
+
+
+def _admitting(rules: List[_Rule], kind: type) -> Tuple[_Rule, ...]:
+    """The rules whose pattern root can match a node of ``kind``, in
+    clause order (so diagnostics keep their order)."""
+    return tuple(rule for rule in rules if can_match(rule[1].pattern, kind))
 
 
 #: Guard analysis over the empty qualifier set: derives no facts.

@@ -86,6 +86,11 @@ class MustSetLattice(Lattice):
             return False
         return frozenset(b) <= frozenset(a)
 
+    def eq(self, a, b) -> bool:
+        if a is UNIVERSE or b is UNIVERSE:
+            return a is b
+        return a == b
+
 
 class MaySetLattice(Lattice):
     """Sets of facts that *may* hold; join is union; bottom is empty."""

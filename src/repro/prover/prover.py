@@ -60,6 +60,14 @@ REFUTED = "REFUTED"
 TIMEOUT = "TIMEOUT"
 GAVE_UP = "GAVE_UP"
 
+#: ``GAVE_UP`` reasons, and the budget each one says ran out.
+CONFLICTS_EXHAUSTED = "search budget exhausted"
+ROUNDS_EXHAUSTED = "instantiation round limit"
+_EXHAUSTED_BUDGET = {
+    CONFLICTS_EXHAUSTED: "max_conflicts",
+    ROUNDS_EXHAUSTED: "max_rounds",
+}
+
 
 @dataclass
 class ProofResult:
@@ -279,7 +287,7 @@ class Prover:
                     result.elapsed = time.perf_counter() - start
                     return result
                 if model == "budget":
-                    result.reason = "search budget exhausted"
+                    result.reason = CONFLICTS_EXHAUSTED
                     result.verdict = GAVE_UP
                     break
                 if model == "timeout":
@@ -299,7 +307,7 @@ class Prover:
                     break
                 deadline.check()
             else:
-                result.reason = "instantiation round limit"
+                result.reason = ROUNDS_EXHAUSTED
                 result.verdict = GAVE_UP
         except DeadlineExceeded:
             result.reason = "time limit"
@@ -320,7 +328,9 @@ class Prover:
     ) -> ProofResult:
         """Like :meth:`prove`, but ``GAVE_UP`` outcomes are retried with
         escalating conflict/round budgets and exponential backoff, as
-        long as the governing deadline can fund another attempt.
+        long as the governing deadline can fund another attempt and the
+        budget that ran out would grow (a retry on the same budgets
+        would repeat the same search, so it is skipped).
         ``TIMEOUT`` is never retried (more wall-clock is exactly what
         the unit does not have), and ``REFUTED`` is final: saturation
         found a stable countermodel that a bigger budget cannot remove.
@@ -357,12 +367,27 @@ class Prover:
             result.attempts = attempts
             if result.verdict != GAVE_UP or deadline.expired():
                 return _record(cache, cache_key, result)
+            if not self._retry_grows(result.reason, retry, attempt):
+                break  # the same budgets would repeat the same search
         if result is None:  # deadline could not fund even one attempt
             result = ProofResult(
                 proved=False, reason="time limit", verdict=TIMEOUT
             )
         result.attempts = max(attempts, result.attempts)
         return _record(cache, cache_key, result)
+
+    def _retry_grows(self, reason: str, retry: RetryPolicy, attempt: int) -> bool:
+        """Would the attempt after ``attempt`` get more of the budget
+        that a ``GAVE_UP`` with ``reason`` ran out of?  (0 rounds scale
+        to 0, and a budget factor of 1 scales nothing.)  A reason that
+        names no budget counts as growing."""
+        budget = _EXHAUSTED_BUDGET.get(reason)
+        if budget is None:
+            return True
+        base = getattr(self, budget)
+        return int(base * retry.budget_scale(attempt + 1)) > int(
+            base * retry.budget_scale(attempt)
+        )
 
     # -------------------------------------------------------------- internals
 

@@ -34,6 +34,9 @@ class TVar(Term):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return TVar, (self.name,)
+
     def __str__(self) -> str:
         return f"?{self.name}"
 
@@ -47,6 +50,9 @@ class TInt(Term):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return TInt, (self.value,)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -66,6 +72,11 @@ class TApp(Term):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between interpreter runs: a pickled term
+        # is rebuilt through the constructor, which hashes afresh.
+        return TApp, (self.fname, self.args)
 
     def __eq__(self, other) -> bool:
         if self is other:

@@ -44,24 +44,30 @@ def qual_file(tmp_path):
 
 class TestFacade:
     def test_exported_from_package_root(self):
-        assert repro.Session is api.Session
+        assert repro.SessionConfig is api.SessionConfig
+        assert repro.Workspace is api.Workspace
         assert repro.SCHEMA_VERSION == 1
         assert repro.ProveRequest is api.ProveRequest
 
     def test_check_clean_file(self, c_file):
-        report = repro.Session().check(api.CheckRequest(files=(c_file,)))
+        with repro.Workspace(incremental=False) as ws:
+            report = ws.check(api.CheckRequest(files=(c_file,)))
         assert report.exit_code == 0
         assert report.counts() == {"OK": 1}
         (unit,) = report.results
         assert unit.unit == c_file
 
     def test_prove_uncached_and_cached(self, qual_file, tmp_path):
-        session = repro.Session()
         request = api.ProveRequest(
             files=(qual_file,), cache_dir=str(tmp_path / "cache")
         )
-        cold = session.prove(request).to_dict()
-        warm = session.prove(request).to_dict()
+
+        def prove():
+            with repro.Workspace(incremental=False) as ws:
+                return ws.prove(request).to_dict()
+
+        cold = prove()
+        warm = prove()
         assert cold["cache"]["hits"] == 0 and cold["cache"]["stores"] > 0
         assert warm["cache"]["hits"] == cold["cache"]["stores"]
         assert warm["cache"]["misses"] == 0
@@ -83,20 +89,18 @@ class TestFacade:
         )
 
     def test_prove_cache_disabled(self, qual_file):
-        report = repro.Session().prove(
-            api.ProveRequest(files=(qual_file,), cache=False)
-        )
+        with repro.Workspace(incremental=False) as ws:
+            report = ws.prove(api.ProveRequest(files=(qual_file,), cache=False))
         assert report.to_dict()["cache"] == {"enabled": False}
 
     def test_infer_unknown_qualifier_raises(self, c_file):
         with pytest.raises(api.UnknownQualifierError):
-            repro.Session().infer(
-                api.InferRequest(files=(c_file,), qualifier="no_such")
-            )
+            with repro.Workspace(incremental=False) as ws:
+                ws.infer(api.InferRequest(files=(c_file,), qualifier="no_such"))
 
     def test_session_is_immutable(self):
         with pytest.raises(Exception):
-            repro.Session().no_std = True
+            repro.SessionConfig().no_std = True
 
 
 class TestQualifierComposition:
@@ -105,10 +109,10 @@ class TestQualifierComposition:
         b = tmp_path / "b.qual"
         a.write_text(QUAL_A)
         b.write_text(QUAL_B)
-        quals = repro.Session(quals=(str(a), str(b))).qualifier_set()
+        quals = repro.SessionConfig(quals=(str(a), str(b))).qualifier_set()
         assert "C > 10" in quals.get("tagged").source
         # ... and the mirror order restores the first definition.
-        quals = repro.Session(quals=(str(b), str(a))).qualifier_set()
+        quals = repro.SessionConfig(quals=(str(b), str(a))).qualifier_set()
         assert "C > 0" in quals.get("tagged").source
 
     def test_cli_quals_flag_is_repeatable(self, tmp_path, capsys):
@@ -137,9 +141,8 @@ class TestSchemaContract:
     UNIT = {"unit", "verdict", "elapsed", "diagnostics", "error", "detail"}
 
     def test_check_payload_fields(self, c_file):
-        payload = repro.Session().check(
-            api.CheckRequest(files=(c_file,))
-        ).to_dict()
+        with repro.Workspace(incremental=False) as ws:
+            payload = ws.check(api.CheckRequest(files=(c_file,))).to_dict()
         assert set(payload) == self.CHECK_TOP | {"dataflow"}
         assert payload["schema_version"] == api.SCHEMA_VERSION == 1
         assert payload["command"] == "check"
@@ -154,11 +157,12 @@ class TestSchemaContract:
         json.dumps(payload)  # JSON-ready, no dataclasses leaking through
 
     def test_prove_payload_fields(self, qual_file, tmp_path):
-        payload = repro.Session().prove(
-            api.ProveRequest(
-                files=(qual_file,), cache_dir=str(tmp_path / "cache")
-            )
-        ).to_dict()
+        with repro.Workspace(incremental=False) as ws:
+            payload = ws.prove(
+                api.ProveRequest(
+                    files=(qual_file,), cache_dir=str(tmp_path / "cache")
+                )
+            ).to_dict()
         assert set(payload) == self.CHECK_TOP | {"cache", "sessions"}
         assert payload["command"] == "prove"
         assert {

@@ -273,11 +273,12 @@ def test_audit_interpreter_catches_violating_store():
 
 
 def test_api_difftest_clean_run(tmp_path):
-    report = api.Session().difftest(
-        api.DifftestRequest(
-            seed=0, count=4, time_limit=10.0, out_dir=str(tmp_path)
+    with api.Workspace(incremental=False) as ws:
+        report = ws.difftest(
+            api.DifftestRequest(
+                seed=0, count=4, time_limit=10.0, out_dir=str(tmp_path)
+            )
         )
-    )
     assert report.exit_code == 0
     payload = report.to_dict()
     assert payload["schema_version"] == api.SCHEMA_VERSION
@@ -288,11 +289,12 @@ def test_api_difftest_clean_run(tmp_path):
 
 
 def test_api_difftest_budget_skips_cases(tmp_path):
-    report = api.Session().difftest(
-        api.DifftestRequest(
-            seed=0, count=30, budget=0.0, out_dir=str(tmp_path)
+    with api.Workspace(incremental=False) as ws:
+        report = ws.difftest(
+            api.DifftestRequest(
+                seed=0, count=30, budget=0.0, out_dir=str(tmp_path)
+            )
         )
-    )
     assert report.exit_code == 0
     meta = report.batch.meta["difftest"]
     assert meta["cases_skipped_budget"] == 30
@@ -300,8 +302,9 @@ def test_api_difftest_budget_skips_cases(tmp_path):
 
 
 def test_api_difftest_reports_findings_as_warnings(tmp_path):
-    with mock.patch.object(MustSetLattice, "join", _flipped_join):
-        report = api.Session().difftest(
+    with mock.patch.object(MustSetLattice, "join", _flipped_join), \
+            api.Workspace(incremental=False) as ws:
+        report = ws.difftest(
             api.DifftestRequest(
                 seed=0, count=6, time_limit=10.0, out_dir=str(tmp_path)
             )

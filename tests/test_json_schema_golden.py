@@ -54,25 +54,28 @@ def _normalize(obj, base_dir):
 
 def _payloads():
     """(name, payload) for each snapshotted command, deterministic."""
-    session = api.Session()
+    # Each command runs on a fresh one-shot workspace, as the CLI does.
     # profile=True freezes the additive `timings` block too (counts
     # are deterministic; the millisecond values are normalized away).
-    check = session.check(
-        api.CheckRequest(
-            files=(os.path.join(REPO, "examples", "nonnull.c"),),
-            flow_sensitive=True,
-            profile=True,
+    with api.Workspace(incremental=False) as ws:
+        check = ws.check(
+            api.CheckRequest(
+                files=(os.path.join(REPO, "examples", "nonnull.c"),),
+                flow_sensitive=True,
+                profile=True,
+            )
         )
-    )
-    infer = session.infer(
-        api.InferRequest(
-            files=(os.path.join(REPO, "examples", "lcm.c"),),
-            qualifier="pos",
+    with api.Workspace(incremental=False) as ws:
+        infer = ws.infer(
+            api.InferRequest(
+                files=(os.path.join(REPO, "examples", "lcm.c"),),
+                qualifier="pos",
+            )
         )
-    )
-    difftest = session.difftest(
-        api.DifftestRequest(seed=0, count=3, time_limit=10.0)
-    )
+    with api.Workspace(incremental=False) as ws:
+        difftest = ws.difftest(
+            api.DifftestRequest(seed=0, count=3, time_limit=10.0)
+        )
     return [
         ("check", check.to_dict()),
         ("infer", infer.to_dict()),

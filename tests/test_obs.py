@@ -263,12 +263,13 @@ class TestApiTimings:
     def test_profile_request_attaches_timings(self):
         from repro import api
 
-        report = api.Session().check(
-            api.CheckRequest(
-                files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
-                profile=True,
+        with api.Workspace(incremental=False) as ws:
+            report = ws.check(
+                api.CheckRequest(
+                    files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
+                    profile=True,
+                )
             )
-        )
         timings = report.to_dict()["timings"]
         for phase in ("parse", "lower", "typecheck"):
             assert timings["phases"][phase]["ms"] > 0
@@ -279,25 +280,28 @@ class TestApiTimings:
     def test_unprofiled_request_attaches_nothing(self):
         from repro import api
 
-        report = api.Session().check(
-            api.CheckRequest(
-                files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
+        with api.Workspace(incremental=False) as ws:
+            report = ws.check(
+                api.CheckRequest(
+                    files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
+                )
             )
-        )
         assert "timings" not in report.to_dict()
         assert obs.snapshot()["counters"] == {}
 
     def test_profiled_check_with_custom_quals_times_the_prover(self):
         from repro import api
 
-        report = api.Session(
+        config = api.SessionConfig(
             quals=(os.path.join(self.EXAMPLES, "posneg.qual"),)
-        ).check(
-            api.CheckRequest(
-                files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
-                profile=True,
-            )
         )
+        with api.Workspace(config, incremental=False) as ws:
+            report = ws.check(
+                api.CheckRequest(
+                    files=(os.path.join(self.EXAMPLES, "nonnull.c"),),
+                    profile=True,
+                )
+            )
         payload = report.to_dict()
         assert payload["timings"]["prover"]["calls"] > 0
         assert payload["timings"]["prover"]["proofs_ms"] > 0

@@ -16,7 +16,6 @@ import re
 
 import pytest
 
-import repro
 from repro import api
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
@@ -246,6 +245,14 @@ def _normalize(payload):
     return payload
 
 
+def _prove(files, **options) -> dict:
+    """One uncached prove on a fresh one-shot workspace, as the CLI runs it."""
+    with api.Workspace(incremental=False) as ws:
+        return ws.prove(
+            api.ProveRequest(files=files, cache=False, **options)
+        ).to_dict()
+
+
 class TestGoldenVerdictIdentity:
     @pytest.fixture
     def qual_files(self, tmp_path):
@@ -258,15 +265,8 @@ class TestGoldenVerdictIdentity:
     def test_no_explain_report_is_byte_identical_at_jobs_2(
         self, qual_files
     ):
-        session = repro.Session()
-        forest = session.prove(
-            api.ProveRequest(files=qual_files, cache=False, jobs=2)
-        ).to_dict()
-        ddmin = session.prove(
-            api.ProveRequest(
-                files=qual_files, cache=False, jobs=2, explain=False
-            )
-        ).to_dict()
+        forest = _prove(qual_files, jobs=2)
+        ddmin = _prove(qual_files, jobs=2, explain=False)
         assert json.dumps(_normalize(forest), sort_keys=True) == json.dumps(
             _normalize(ddmin), sort_keys=True
         )
@@ -275,11 +275,6 @@ class TestGoldenVerdictIdentity:
         assert ddmin["scheduler"]["obligations"] > 0
 
     def test_no_explain_serial_matches_default(self, qual_files):
-        session = repro.Session()
-        forest = session.prove(
-            api.ProveRequest(files=qual_files, cache=False)
-        ).to_dict()
-        ddmin = session.prove(
-            api.ProveRequest(files=qual_files, cache=False, explain=False)
-        ).to_dict()
+        forest = _prove(qual_files)
+        ddmin = _prove(qual_files, explain=False)
         assert _normalize(forest) == _normalize(ddmin)

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-import repro
 from repro import api
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
@@ -194,12 +193,12 @@ class TestEscapeHatch:
         qual = tmp_path / "defs.qual"
         qual.write_text(self.QUAL)
         files = (str(qual),)
-        on = repro.Session().prove(
-            api.ProveRequest(files=files, cache=False)
-        ).to_dict()
-        off = repro.Session().prove(
-            api.ProveRequest(files=files, cache=False, session=False)
-        ).to_dict()
+        with api.Workspace(incremental=False) as ws:
+            on = ws.prove(api.ProveRequest(files=files, cache=False)).to_dict()
+        with api.Workspace(incremental=False) as ws:
+            off = ws.prove(
+                api.ProveRequest(files=files, cache=False, session=False)
+            ).to_dict()
         assert on["sessions"]["enabled"] is True
         assert "sessions" not in off
 

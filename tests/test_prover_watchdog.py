@@ -14,6 +14,7 @@ from repro.prover.prover import (
     GAVE_UP,
     PROVED,
     REFUTED,
+    ROUNDS_EXHAUSTED,
     TIMEOUT,
     Prover,
     prove_valid,
@@ -127,7 +128,8 @@ class TestRetryPolicy:
         assert result.verdict == GAVE_UP
         assert result.rounds == 0
 
-    def test_retries_scale_the_requested_budgets(self, monkeypatch):
+    @staticmethod
+    def _record_budgets(monkeypatch):
         budgets = []
         spawn = Prover._spawn
 
@@ -136,13 +138,43 @@ class TestRetryPolicy:
             return spawn(self, max_rounds, max_conflicts, time_limit)
 
         monkeypatch.setattr(Prover, "_spawn", recording_spawn)
+        return budgets
+
+    def test_retries_scale_the_requested_budgets(self, monkeypatch):
+        budgets = self._record_budgets(monkeypatch)
+        prover, goal = self._chained_goal_prover(max_rounds=1)
+        prover.max_conflicts = 3
+        result = prover.prove_with_retry(
+            goal, retry=RetryPolicy(max_attempts=3, backoff=0.001)
+        )
+        # One round gives up; the retry's two rounds prove the goal.
+        assert result.verdict == PROVED
+        assert result.attempts == 2
+        assert budgets == [(1, 3), (2, 6)]
+
+    def test_zero_round_budget_makes_one_attempt(self, monkeypatch):
+        # 0 rounds scale to 0: a retry would repeat the same search.
+        budgets = self._record_budgets(monkeypatch)
         prover, goal = self._chained_goal_prover(max_rounds=0)
         prover.max_conflicts = 3
         result = prover.prove_with_retry(
             goal, retry=RetryPolicy(max_attempts=3, backoff=0.001)
         )
         assert result.verdict == GAVE_UP
-        assert budgets == [(0, 3), (0, 6), (0, 12)]
+        assert result.reason == ROUNDS_EXHAUSTED
+        assert result.attempts == 1
+        assert budgets == [(0, 3)]
+
+    def test_unit_budget_factor_makes_one_attempt(self, monkeypatch):
+        budgets = self._record_budgets(monkeypatch)
+        prover, goal = self._chained_goal_prover(max_rounds=1)
+        result = prover.prove_with_retry(
+            goal,
+            retry=RetryPolicy(max_attempts=3, backoff=0.001, budget_factor=1.0),
+        )
+        assert result.verdict == GAVE_UP
+        assert result.attempts == 1
+        assert len(budgets) == 1
 
     def test_no_retry_when_first_attempt_settles(self):
         prover, goal = self._chained_goal_prover(max_rounds=6)
@@ -168,14 +200,14 @@ class TestRetryPolicy:
         x = TVar("x")
         # Unprovable goal that never saturates: each round grows the
         # term pool (f(c), f(f(c)), ...) so the round limit always hits.
-        prover = Prover(max_rounds=0, max_conflicts=10, time_limit=5.0)
+        prover = Prover(max_rounds=1, max_conflicts=10, time_limit=5.0)
         prover.add_axioms(
             [ForAll(("x",), Implies(Pr("P", (x,)), Pr("P", (fn("f", x),)))),
              Pr("P", (fn("c"),))]
         )
         result = prover.prove_with_retry(
             Pr("Q", (fn("c"),)),
-            retry=RetryPolicy(max_attempts=2, backoff=0.001, budget_factor=1.0),
+            retry=RetryPolicy(max_attempts=2, backoff=0.001),
         )
         assert result.verdict in (GAVE_UP, REFUTED)
         if result.verdict == GAVE_UP:

@@ -106,7 +106,8 @@ def test_incremental_recheck_only_changed_function(daemon, tmp_path):
             assert third["incremental"]["rechecked"] == 1
             assert third["incremental"]["replayed"] == 2
             # verdicts identical to a cold one-shot run of the edit
-            cold = api.Session().check(api.CheckRequest(files=(path,)))
+            with api.Workspace(incremental=False) as ws:
+                cold = ws.check(api.CheckRequest(files=(path,)))
             assert [u["verdict"] for u in third["units"]] == [
                 r.verdict for r in cold.results
             ]
@@ -356,7 +357,8 @@ def test_serve_check_equals_one_shot(daemon, tmp_path):
     with connect(sock) as client:
         client.request("check", check_params(path))  # warm it
         served = client.request("check", check_params(path))["report"]
-    one_shot = api.Session().check(api.CheckRequest(files=(path,))).to_dict()
+    with api.Workspace(incremental=False) as ws:
+        one_shot = ws.check(api.CheckRequest(files=(path,))).to_dict()
     assert _strip_volatile(served) == _strip_volatile(one_shot)
 
 
@@ -375,11 +377,10 @@ def test_serve_prove_equals_one_shot(daemon, tmp_path):
     params = {"files": [str(qual)], "cache": False}
     with connect(sock) as client:
         served = client.request("prove", params)["report"]
-    one_shot = (
-        api.Session()
-        .prove(api.ProveRequest(files=(str(qual),), cache=False))
-        .to_dict()
-    )
+    with api.Workspace(incremental=False) as ws:
+        one_shot = ws.prove(
+            api.ProveRequest(files=(str(qual),), cache=False)
+        ).to_dict()
     served_quals = served["units"][0]["detail"]["qualifiers"]
     one_shot_quals = one_shot["units"][0]["detail"]["qualifiers"]
     assert [q["sound"] for q in served_quals] == [
@@ -391,7 +392,8 @@ def test_serve_prove_equals_one_shot(daemon, tmp_path):
 
 def test_report_from_dict_round_trip(tmp_path):
     path = write_c(tmp_path)
-    report = api.Session().check(api.CheckRequest(files=(path,)))
+    with api.Workspace(incremental=False) as ws:
+        report = ws.check(api.CheckRequest(files=(path,)))
     payload = report.to_dict()
     rebuilt = api.report_from_dict(json.loads(json.dumps(payload)))
     assert rebuilt.to_dict() == payload

@@ -470,7 +470,8 @@ def test_tcp_and_unix_transports_serve_identical_reports(
         tcp_report = client.request("check", {"files": [path]})["report"]
         status = client.status()
     assert _strip_volatile(tcp_report) == _strip_volatile(unix_report)
-    one_shot = api.Session().check(api.CheckRequest(files=(path,))).to_dict()
+    with api.Workspace(incremental=False) as ws:
+        one_shot = ws.check(api.CheckRequest(files=(path,))).to_dict()
     assert _strip_volatile(tcp_report) == _strip_volatile(one_shot)
     # process-mode status reports both endpoints and the worker block
     assert status["workers"] == 2

@@ -13,7 +13,6 @@ import re
 
 import pytest
 
-import repro
 from repro import api
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
@@ -188,6 +187,14 @@ def _normalize(payload):
     return payload
 
 
+def _prove(files, **options) -> dict:
+    """One uncached prove on a fresh one-shot workspace, as the CLI runs it."""
+    with api.Workspace(incremental=False) as ws:
+        return ws.prove(
+            api.ProveRequest(files=files, cache=False, **options)
+        ).to_dict()
+
+
 class TestShardedProve:
     @pytest.fixture
     def qual_files(self, tmp_path):
@@ -198,13 +205,8 @@ class TestShardedProve:
         return (str(a), str(b))
 
     def test_sharded_report_matches_serial_golden(self, qual_files):
-        session = repro.Session()
-        serial = session.prove(
-            api.ProveRequest(files=qual_files, cache=False)
-        ).to_dict()
-        sharded = session.prove(
-            api.ProveRequest(files=qual_files, cache=False, jobs=2)
-        ).to_dict()
+        serial = _prove(qual_files)
+        sharded = _prove(qual_files, jobs=2)
         assert json.dumps(_normalize(serial), sort_keys=True) == json.dumps(
             _normalize(sharded), sort_keys=True
         )
@@ -216,27 +218,15 @@ class TestShardedProve:
         assert set(serial["sessions"]) == set(sharded["sessions"])
 
     def test_shard_escape_hatch_keeps_pool_path(self, qual_files):
-        report = repro.Session().prove(
-            api.ProveRequest(
-                files=qual_files, cache=False, jobs=2, shard=False
-            )
-        ).to_dict()
+        report = _prove(qual_files, jobs=2, shard=False)
         assert "scheduler" not in report
-        serial = repro.Session().prove(
-            api.ProveRequest(files=qual_files, cache=False)
-        ).to_dict()
+        serial = _prove(qual_files)
         assert _normalize(report) == _normalize(serial)
 
     def test_sharded_without_sessions(self, qual_files):
-        sharded = repro.Session().prove(
-            api.ProveRequest(
-                files=qual_files, cache=False, jobs=2, session=False
-            )
-        ).to_dict()
+        sharded = _prove(qual_files, jobs=2, session=False)
         assert "sessions" not in sharded
-        serial = repro.Session().prove(
-            api.ProveRequest(files=qual_files, cache=False, session=False)
-        ).to_dict()
+        serial = _prove(qual_files, session=False)
         assert _normalize(sharded) == _normalize(serial)
 
     def test_sharded_parse_errors_keep_fault_taxonomy(
@@ -245,12 +235,8 @@ class TestShardedProve:
         broken = tmp_path / "broken.qual"
         broken.write_text("value qualifier oops(\n")
         files = (str(broken),) + qual_files
-        serial = repro.Session().prove(
-            api.ProveRequest(files=files, cache=False)
-        ).to_dict()
-        sharded = repro.Session().prove(
-            api.ProveRequest(files=files, cache=False, jobs=2)
-        ).to_dict()
+        serial = _prove(files)
+        sharded = _prove(files, jobs=2)
         assert [u["verdict"] for u in serial["units"]] == [
             u["verdict"] for u in sharded["units"]
         ]

@@ -23,6 +23,9 @@ python benchmarks/bench_flow_ablation.py --smoke
 echo "== prover ablations: budgets mean what they say (max_rounds=0 included)"
 python -m pytest -q benchmarks/bench_prover_ablation.py
 
+echo "== repo benchmark self-tests (answers, span targets still bind)"
+python -m pytest -q benchmarks/e2e
+
 echo "== repo benchmark smoke run: all four workloads, zero failures"
 python3 benchmarks/e2e/run.py --smoke
 
