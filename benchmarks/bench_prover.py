@@ -10,13 +10,12 @@ sharded/session sweep::
     PYTHONPATH=src python benchmarks/bench_prover.py          # cold only
     PYTHONPATH=src python benchmarks/bench_prover.py --warm   # cold + warm
     PYTHONPATH=src python benchmarks/bench_prover.py --cold --jobs 8
-    PYTHONPATH=src python benchmarks/bench_prover.py --cold --no-session
-    PYTHONPATH=src python benchmarks/bench_prover.py --cold --no-explain
+    PYTHONPATH=src python benchmarks/bench_prover.py --cold --no-shard
     PYTHONPATH=src python benchmarks/bench_prover.py --cold --quick --json
 
 ``--cold --json`` emits a machine-readable record (theory/explain
-times plus the per-obligation verdict map) for the CI stage that
-cross-checks the explanation and ddmin core strategies; ``--record``
+times, the ddmin-fallback count and the per-obligation verdict map)
+for the CI stage that gates the conflict-core path; ``--record``
 appends the same record to ``BENCH_prover.json``'s history, growing
 the committed perf trajectory.
 """
@@ -181,10 +180,7 @@ def _sweep_quals(quick: bool):
     return quals[:QUICK_COUNT] if quick else quals
 
 
-def _sharded_sweep(
-    jobs: int, session: bool, shard: bool,
-    explain: bool = True, quick: bool = False,
-) -> tuple:
+def _sharded_sweep(jobs: int, shard: bool, quick: bool = False) -> tuple:
     """One cache-less sweep through the obligation pipeline; returns
     (wall seconds, obligation count, stats, verdict map)."""
     import time
@@ -199,22 +195,21 @@ def _sharded_sweep(
     start = time.perf_counter()
     if shard:
         outcomes, stats = shard_mod.run_obligations(
-            items, AXIOMS, use_sessions=session, jobs=jobs, time_limit=30,
-            explain=explain,
+            items, AXIOMS, jobs=jobs, time_limit=30
         )
         verdicts = {key: out["verdict"] for key, out in outcomes.items()}
     else:
         from repro.core.soundness.checker import check_soundness
         from repro.prover.session import SessionPool
 
-        pool = SessionPool() if session else None
+        pool = SessionPool()
         for qdef in _sweep_quals(quick):
             report = check_soundness(
-                qdef, QUALS, time_limit=30, sessions=pool, explain=explain
+                qdef, QUALS, time_limit=30, sessions=pool
             )
             for index, res in enumerate(report.results):
                 verdicts[f"{qdef.name}|{qdef.name}|{index}"] = res.verdict
-        stats = {"sessions": pool.counters()} if pool else {}
+        stats = {"sessions": pool.counters()}
     elapsed = time.perf_counter() - start
     return elapsed, len(items), stats, verdicts
 
@@ -231,8 +226,7 @@ def _cold_sweep_record(args) -> dict:
     marker = obs.mark()
     try:
         elapsed, count, stats, verdicts = _sharded_sweep(
-            args.jobs, args.session, args.shard,
-            explain=args.explain, quick=args.quick,
+            args.jobs, args.shard, quick=args.quick
         )
         counters = obs.since(marker).get("counters", {})
     finally:
@@ -243,9 +237,11 @@ def _cold_sweep_record(args) -> dict:
         "kind": "cold_sweep",
         "workload": "quick" if args.quick else "full",
         "jobs": args.jobs,
-        "sessions": args.session,
+        # Sessions and explained cores are always on; the constant
+        # fields keep records comparable with the committed history.
+        "sessions": True,
         "shard": args.shard,
-        "explain": args.explain,
+        "explain": True,
         "obligations": count,
         "elapsed_s": round(elapsed, 3),
         "theory_ms": round(counters.get("prover.theory_ms", 0.0), 3),
@@ -320,19 +316,9 @@ def main(argv=None) -> int:
         help="worker processes for the sharded sweep (with --cold)",
     )
     parser.add_argument(
-        "--no-session", dest="session", action="store_false", default=True,
-        help="disable incremental prover sessions (cold prover per "
-        "obligation)",
-    )
-    parser.add_argument(
         "--no-shard", dest="shard", action="store_false", default=True,
         help="discharge serially via check_soundness instead of the "
         "obligation scheduler",
-    )
-    parser.add_argument(
-        "--no-explain", dest="explain", action="store_false", default=True,
-        help="use the search-based ddmin core minimizer instead of "
-        "proof-forest conflict explanations (with --cold)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -369,9 +355,7 @@ def main(argv=None) -> int:
                 f"cold sweep: {record['obligations']} obligation(s) in "
                 f"{record['elapsed_s']:.3f} s "
                 f"(workload={record['workload']}, jobs={args.jobs}, "
-                f"sessions={'on' if args.session else 'off'}, "
                 f"shard={'on' if args.shard else 'off'}, "
-                f"explain={'on' if args.explain else 'off'}, "
                 f"theory_ms={record['theory_ms']:.1f}, "
                 f"explain_ms={record['explain_ms']:.1f}, "
                 f"session_reuse={sessions.get('session_reuse', 0)}, "

@@ -116,14 +116,10 @@ class CheckRequest(BatchOptions):
 class ProveRequest(BatchOptions):
     """One ``prove`` invocation: soundness-check ``.qual`` files.
 
-    ``session=False`` (``--no-session``) disables incremental prover
-    sessions — every obligation then gets a cold prover, the pre-PR-8
-    behavior.  ``shard=False`` (``--no-shard``) keeps parallelism at
-    file granularity: with ``jobs > 1`` the default is to shard the
+    ``shard=False`` (``--no-shard``) keeps parallelism at file
+    granularity: with ``jobs > 1`` the default is to shard the
     *obligation stream* across the pool instead (see
-    docs/architecture.md, "obligation lifecycle").  ``explain=False``
-    (``--no-explain``) swaps proof-forest conflict explanations for the
-    older search-based ddmin core minimizer.  None of these flags can
+    docs/architecture.md, "obligation lifecycle").  The flag cannot
     change a PROVED/REFUTED verdict.
     """
 
@@ -133,9 +129,7 @@ class ProveRequest(BatchOptions):
     retries: int = 0
     cache: bool = True
     cache_dir: str = DEFAULT_CACHE_DIR
-    session: bool = True
     shard: bool = True
-    explain: bool = True
 
 
 @dataclass(frozen=True)
@@ -570,7 +564,9 @@ class Workspace:
         self._units: "OrderedDict[Tuple[str, bool], _UnitState]" = OrderedDict()
         self._prove_units: "OrderedDict[str, _ProveUnitState]" = OrderedDict()
         self._caches: Dict[str, ProofCache] = {}
-        self._session_pool = None  # lazy repro.prover.session.SessionPool
+        # Lazy repro.prover.session.SessionPool, kept so a warm daemon
+        # keeps learned solver state across prove requests.
+        self._session_pool = None
 
     # ------------------------------------------------------------ loading
 
@@ -960,18 +956,6 @@ class Workspace:
             self._caches[cache_dir] = cache
         return cache
 
-    def _session_pool_for(self, request: ProveRequest):
-        """The workspace-resident prover session pool (lazy), so a warm
-        daemon keeps learned solver state across prove requests.
-        ``None`` when the request opted out (``--no-session``)."""
-        if not request.session:
-            return None
-        if self._session_pool is None:
-            from repro.prover.session import SessionPool
-
-            self._session_pool = SessionPool()
-        return self._session_pool
-
     def prove(
         self, request: ProveRequest, on_result=None, on_event=None
     ) -> Report:
@@ -992,7 +976,11 @@ class Workspace:
             return self._prove_sharded(
                 request, retry, cache, on_result, on_event
             )
-        pool = self._session_pool_for(request)
+        if self._session_pool is None:
+            from repro.prover.session import SessionPool
+
+            self._session_pool = SessionPool()
+        pool = self._session_pool
         # Cross-request single-flight only makes sense in the process
         # that owns the table; a forked pool child would wait on a
         # copied snapshot.  Incremental workspaces always run the
@@ -1011,7 +999,7 @@ class Workspace:
         batch_report = self._run(
             request, worker, on_result=on_result, on_event=on_event
         )
-        self._finish_prove_meta(batch_report, request, cache)
+        self._finish_prove_meta(batch_report, cache)
         return Report("prove", batch_report)
 
     def _prove_unit_worker(
@@ -1020,7 +1008,7 @@ class Workspace:
     ):
         def worker(path: str, deadline: Deadline) -> batch.UnitResult:
             before = cache.snapshot() if cache is not None else None
-            sessions_before = pool.counters() if pool is not None else None
+            sessions_before = pool.counters()
             with obs.span("parse_quals", unit=path):
                 defs = parse_qualifiers(_read_source(path))
             quals = QualifierSet(
@@ -1056,23 +1044,22 @@ class Workspace:
                         cache=cache,
                         on_result=stream_obligation,
                         sessions=pool,
-                        explain=request.explain,
                         dedup=dedup,
                     )
                 entry = report.to_dict()
                 entry["summary"] = report.summary()
                 summaries.append(entry)
                 verdicts.extend(_obligation_verdicts(report.results))
-            detail: dict = {"qualifiers": summaries}
-            if pool is not None:
-                # Per-unit session counter delta (additive key), shaped
-                # exactly like the sharded path's per-group counters.
-                after = pool.counters()
-                detail["sessions"] = {
+            # Per-unit session counter delta (additive key), shaped
+            # exactly like the sharded path's per-group counters.
+            detail: dict = {
+                "qualifiers": summaries,
+                "sessions": {
                     key: value - (sessions_before.get(key) or 0)
-                    for key, value in after.items()
+                    for key, value in pool.counters().items()
                     if isinstance(value, (int, float))
-                }
+                },
+            }
             if cache is not None:
                 # Per-unit counter delta: crosses the process-pool
                 # boundary inside the UnitResult, and is folded into
@@ -1303,14 +1290,12 @@ class Workspace:
             outcomes, stats = _shard.run_obligations(
                 all_items,
                 axioms,
-                use_sessions=request.session,
                 jobs=request.jobs,
                 unit_timeout=request.unit_timeout,
                 time_limit=request.time_limit,
                 retry=retry,
                 cache=cache,
                 on_event=forward,
-                explain=request.explain,
             )
 
             for path, (source, quals, per_qdef) in prove_plan.items():
@@ -1369,12 +1354,11 @@ class Workspace:
                 }
             else:
                 batch_report.meta["cache"] = {"enabled": False}
-            if request.session:
-                sessions = stats.get("sessions") or {}
-                batch_report.meta["sessions"] = {"enabled": True, **sessions}
-                self.counters["session_reuse"] += int(
-                    sessions.get("session_reuse", 0)
-                )
+            sessions = stats["sessions"]
+            batch_report.meta["sessions"] = {"enabled": True, **sessions}
+            self.counters["session_reuse"] += int(
+                sessions.get("session_reuse", 0)
+            )
             batch_report.meta["scheduler"] = {
                 key: stats.get(key, 0)
                 for key in (
@@ -1390,9 +1374,7 @@ class Workspace:
         _finish_profile(prof, batch_report)
         return Report("prove", batch_report)
 
-    def _finish_prove_meta(
-        self, batch_report: batch.BatchReport, request: ProveRequest, cache
-    ) -> None:
+    def _finish_prove_meta(self, batch_report: batch.BatchReport, cache) -> None:
         """Run-level meta for the serial prove path (the sharded path
         builds the same keys from its scheduler stats)."""
         if cache is not None:
@@ -1404,12 +1386,11 @@ class Workspace:
             }
         else:
             batch_report.meta["cache"] = {"enabled": False}
-        if request.session:
-            sessions = batch_report.sum_detail_counters("sessions")
-            batch_report.meta["sessions"] = {"enabled": True, **sessions}
-            self.counters["session_reuse"] += int(
-                sessions.get("session_reuse", 0)
-            )
+        sessions = batch_report.sum_detail_counters("sessions")
+        batch_report.meta["sessions"] = {"enabled": True, **sessions}
+        self.counters["session_reuse"] += int(
+            sessions.get("session_reuse", 0)
+        )
         if self.incremental:
             _aggregate_prove_incremental_meta(batch_report)
 

@@ -163,9 +163,7 @@ def _server_params(args, op: str) -> dict:
             retries=args.retries,
             cache=args.cache,
             cache_dir=args.cache_dir,
-            session=args.session,
             shard=args.shard,
-            explain=args.explain,
         )
     return params
 
@@ -294,9 +292,7 @@ def cmd_prove(args) -> int:
                 retries=args.retries,
                 cache=args.cache,
                 cache_dir=args.cache_dir,
-                session=args.session,
                 shard=args.shard,
-                explain=args.explain,
                 keep_going=args.keep_going,
                 jobs=args.jobs,
                 unit_timeout=args.unit_timeout,
@@ -527,6 +523,23 @@ def cmd_cache(args) -> int:
     return 0
 
 
+def _nonnegative(kind):
+    """argparse type for a budget: a ``kind`` (int or float) >= 0.
+    NaN would silently mean "unbounded" and a negative value "never
+    try", so both are usage errors (``inf`` stays valid)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = -1
+        if not value >= 0:  # also true for NaN
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -610,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--unit-timeout",
-            type=float,
+            type=_nonnegative(float),
             default=None,
             metavar="SECONDS",
             help="wall-clock budget per unit of work",
@@ -645,10 +658,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prove.add_argument("files", nargs="+", metavar="file")
     p_prove.add_argument("--qualifier", help="prove only this qualifier")
-    p_prove.add_argument("--time-limit", type=float, default=45.0)
+    p_prove.add_argument(
+        "--time-limit", type=_nonnegative(float), default=45.0
+    )
     p_prove.add_argument(
         "--retries",
-        type=int,
+        type=_nonnegative(int),
         default=0,
         metavar="N",
         help="retry GAVE_UP obligations up to N times with escalating "
@@ -674,29 +689,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"proof cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     p_prove.add_argument(
-        "--no-session",
-        dest="session",
-        action="store_false",
-        default=True,
-        help="disable incremental prover sessions (cold prover per "
-        "obligation; verdicts are unaffected either way)",
-    )
-    p_prove.add_argument(
         "--no-shard",
         dest="shard",
         action="store_false",
         default=True,
         help="with --jobs N, parallelize at file granularity instead "
         "of sharding the obligation stream across the pool",
-    )
-    p_prove.add_argument(
-        "--no-explain",
-        dest="explain",
-        action="store_false",
-        default=True,
-        help="find conflict cores by ddmin search instead of proof-"
-        "forest explanations (slower ablation; verdicts are unaffected "
-        "either way)",
     )
     batch_flags(p_prove)
     profile_flags(p_prove)

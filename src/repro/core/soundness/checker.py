@@ -160,7 +160,6 @@ def discharge_obligation(
     retry: RetryPolicy = NO_RETRY,
     deadline: Optional[Deadline] = None,
     cache=None,
-    explain: bool = True,
 ) -> ObligationResult:
     """Discharge one obligation — the single prover entry point shared
     by the serial path and the sharded obligation scheduler.
@@ -168,11 +167,9 @@ def discharge_obligation(
     ``context`` is the qualifier definition's source text (folded into
     the proof-cache environment key).  ``session`` is an optional
     :class:`repro.prover.session.ProverSession` for the obligation's
-    axiom environment; when absent a fresh prover is built, which is
-    the behavior ``--no-session`` restores.  ``explain`` selects
-    proof-forest conflict cores for that fresh prover (``False`` is the
-    ``--no-explain`` ddmin ablation; a supplied session carries its own
-    setting).
+    axiom environment; when absent a fresh prover is built — the cold
+    reference that sessions are tested against, and the library
+    default of :func:`check_soundness`.
     """
     if obligation.trivial:
         return ObligationResult(obligation, None)
@@ -200,11 +197,7 @@ def discharge_obligation(
                     time_limit=time_limit,
                 )
             else:
-                prover = Prover(
-                    max_rounds=max_rounds,
-                    time_limit=time_limit,
-                    explain=explain,
-                )
+                prover = Prover(max_rounds=max_rounds, time_limit=time_limit)
                 prover.add_axioms(axioms)
                 result = prover.prove_with_retry(
                     obligation.goal,
@@ -275,7 +268,6 @@ def check_soundness(
     cache=None,
     on_result=None,
     sessions=None,
-    explain: bool = True,
     dedup=None,
 ) -> SoundnessReport:
     """Prove every obligation of one qualifier definition.
@@ -308,11 +300,6 @@ def check_soundness(
     are then reused across the obligations of this qualifier's axiom
     environment (see docs/architecture.md, "obligation lifecycle");
     PROVED/REFUTED verdicts are unaffected by design.
-
-    ``explain`` selects explanation-producing conflict cores (the
-    proof-forest engine); ``False`` falls back to search-based ddmin
-    minimization.  Verdicts are identical either way — the flag trades
-    core-finding strategies, not logic.
 
     ``dedup`` (an :class:`repro.serve.dedup.ObligationDedup`-shaped
     object, or None) single-flights obligation discharge across
@@ -354,7 +341,6 @@ def check_soundness(
             context=qdef.source,
             max_rounds=max_rounds,
             time_limit=time_limit,
-            explain=explain,
         )
     dedup_env = None
     if dedup is not None:
@@ -373,7 +359,6 @@ def check_soundness(
                 retry=retry,
                 deadline=deadline,
                 cache=cache,
-                explain=explain,
             )
 
         if dedup is None or obligation.trivial or obligation.goal is None:

@@ -106,13 +106,12 @@ def discharge_work_item(
     retry: RetryPolicy = NO_RETRY,
     deadline: Optional[Deadline] = None,
     cache=None,
-    explain: bool = True,
 ) -> Dict:
     """The discharge phase: prove one item, returning an outcome dict.
 
     ``session`` (a :class:`repro.prover.session.ProverSession`) must
-    match ``item.env_digest`` when given; pass None for the cold path
-    (``explain`` then picks the fresh prover's conflict-core strategy).
+    match ``item.env_digest`` when given; pass None for the cold
+    reference path (a fresh prover per item).
     The fault-handling contract is ``check_soundness``'s: exceptions
     become CRASH outcomes, expired deadlines TIMEOUT outcomes.
     """
@@ -128,7 +127,6 @@ def discharge_work_item(
         retry=retry,
         deadline=deadline,
         cache=cache,
-        explain=explain,
     )
     return outcome_from_result(item, result)
 

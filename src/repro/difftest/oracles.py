@@ -27,10 +27,11 @@ vacuous run is visible in reports).
    PROVED/REFUTED verdict.
 
 4. *Forest vs. ddmin cores* — discharging the same qualifier with
-   proof-forest conflict explanations (the default) and with the
-   search-based ddmin core minimizer (``--no-explain``) must yield the
-   same verdict on every obligation.  Conflict cores only prune the
-   SAT search; the strategy that produced them must never decide it.
+   proof-forest conflict explanations (what the prover runs) and with
+   the search-based ddmin core minimizer (:class:`DdminProver`, the
+   cold reference) must yield the same verdict on every obligation.
+   Conflict cores only prune the SAT search; the strategy that
+   produced them must never decide it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.core.soundness.obligations import generate_obligations
 from repro.difftest import shadow
 from repro.difftest.audit import AuditInterpreter, PreservationViolation
 from repro.difftest.generator import GeneratedCase
+from repro.prover import combine
 from repro.prover.prover import Prover
 from repro.prover.terms import (
     And,
@@ -476,36 +478,58 @@ def metamorphic(
 # ------------------------------------- oracle 4: forest vs ddmin cores
 
 
+class DdminProver(Prover):
+    """The cold ddmin reference prover.
+
+    Every theory check rebuilds the congruence closure and finds its
+    conflict core by chunked deletion (:func:`repro.prover.combine.
+    _check`) instead of reading it off a warm proof forest.  Only this
+    oracle and the tests run it: it is the independent core strategy
+    the explained one is compared against.
+    """
+
+    def _theory_check(self, theory_lits, deadline):
+        return combine._check(theory_lits, deadline.at)
+
+    def _spawn(self, max_rounds, max_conflicts, time_limit) -> Prover:
+        attempt = DdminProver(
+            max_rounds=max_rounds,
+            max_conflicts=max_conflicts,
+            time_limit=time_limit,
+        )
+        attempt.axioms = self.axioms
+        return attempt
+
+
 def explain_vs_ddmin(
     case: GeneratedCase,
     quals: QualifierSet,
     gen_names: List[str],
     time_limit: float = 10.0,
 ) -> Tuple[List[Finding], Dict[str, int]]:
-    """Core-strategy invariance: every obligation verdict must agree
-    between the explanation path and the ddmin path.
+    """Core-strategy invariance: every obligation verdict of
+    ``check_soundness`` (explained cores) must agree with the
+    :class:`DdminProver` reference.
 
-    Both sweeps run cold (no session, no cache) so the only variable is
+    Both sides run cold (no session, no cache) so the only variable is
     the conflict-core strategy inside the theory solver.
     """
     findings: List[Finding] = []
     counters = {"obligations": 0, "compared": 0}
+    reference = DdminProver(time_limit=time_limit)
+    reference.add_axioms(semantics_axioms())
     for name in gen_names:
         qdef = quals.get(name)
         if qdef is None or not qdef.is_value:
             continue
-        forest = check_soundness(
-            qdef, quals, time_limit=time_limit, explain=True
-        )
-        ddmin = check_soundness(
-            qdef, quals, time_limit=time_limit, explain=False
-        )
-        for res_f, res_d in zip(forest.results, ddmin.results):
+        forest = check_soundness(qdef, quals, time_limit=time_limit)
+        for res_f in forest.results:
             counters["obligations"] += 1
             if res_f.obligation.trivial:
                 continue
             counters["compared"] += 1
-            if (res_f.verdict, res_f.proved) != (res_d.verdict, res_d.proved):
+            ddmin = reference.prove_with_retry(res_f.obligation.goal)
+            if (res_f.verdict, res_f.proved) != (ddmin.verdict, ddmin.proved):
                 findings.append(
                     Finding(
                         "explain-vs-ddmin", "core-strategy-flips-verdict",
@@ -514,7 +538,7 @@ def explain_vs_ddmin(
                             "qualifier": name,
                             "rule": res_f.obligation.rule,
                             "explain": res_f.verdict,
-                            "ddmin": res_d.verdict,
+                            "ddmin": ddmin.verdict,
                             "qual_source": case.qual_source,
                         },
                     )

@@ -4,7 +4,7 @@ The batch pool parallelizes at file granularity; this module shards the
 *obligation stream* instead.  The parent generates
 :class:`~repro.core.soundness.workitems.ObligationWorkItem`s for every
 unit, groups them by axiom-environment digest (all obligations of a
-group can share one :class:`~repro.prover.session.ProverSession`), and
+group shares one :class:`~repro.prover.session.ProverSession`), and
 runs each group as a synthetic unit of the supervised pool.  Workers
 stream one progress event per settled obligation — carrying the full
 outcome — so the parent can re-assemble per-unit reports, and so a
@@ -32,6 +32,7 @@ from repro.core.soundness.workitems import (
 )
 from repro.harness import batch
 from repro.harness.watchdog import NO_RETRY, RetryPolicy
+from repro.prover.session import ProverSession
 
 #: Worker deaths one obligation may cause before it is quarantined.
 MAX_OBLIGATION_DEATHS = 2
@@ -40,7 +41,6 @@ MAX_OBLIGATION_DEATHS = 2
 def run_obligations(
     items: List[ObligationWorkItem],
     axioms,
-    use_sessions: bool = True,
     jobs: int = 1,
     unit_timeout: Optional[float] = None,
     time_limit: float = 45.0,
@@ -49,21 +49,17 @@ def run_obligations(
     cache=None,
     on_event=None,
     max_obligation_deaths: int = MAX_OBLIGATION_DEATHS,
-    explain: bool = True,
 ) -> Tuple[Dict[str, Dict], Dict]:
     """Discharge every work item; returns (outcomes by item key, stats).
 
     ``stats`` carries scheduler counters (groups/rounds/requeued/
-    quarantined), aggregated session counters under ``"sessions"`` when
-    sessions are on, and summed proof-cache deltas under ``"cache"``
-    when a cache is live.  ``explain`` picks the workers' conflict-core
-    strategy (proof forests vs the ddmin ablation); verdicts do not
-    depend on it.
+    quarantined), aggregated session counters under ``"sessions"``,
+    and summed proof-cache deltas under ``"cache"`` when a cache is
+    live.
     """
     scheduler = _ObligationScheduler(
         items,
         axioms,
-        use_sessions=use_sessions,
         jobs=jobs,
         unit_timeout=unit_timeout,
         time_limit=time_limit,
@@ -72,7 +68,6 @@ def run_obligations(
         cache=cache,
         on_event=on_event,
         max_obligation_deaths=max_obligation_deaths,
-        explain=explain,
     )
     return scheduler.run()
 
@@ -82,7 +77,6 @@ class _ObligationScheduler:
         self,
         items: List[ObligationWorkItem],
         axioms,
-        use_sessions: bool,
         jobs: int,
         unit_timeout: Optional[float],
         time_limit: float,
@@ -91,11 +85,9 @@ class _ObligationScheduler:
         cache,
         on_event,
         max_obligation_deaths: int,
-        explain: bool = True,
     ):
         self.items = list(items)
         self.axioms = axioms
-        self.use_sessions = use_sessions
         self.jobs = jobs
         self.unit_timeout = unit_timeout
         self.time_limit = time_limit
@@ -104,7 +96,6 @@ class _ObligationScheduler:
         self.cache = cache
         self.on_event = on_event
         self.max_obligation_deaths = max_obligation_deaths
-        self.explain = explain
         self.outcomes: Dict[str, Dict] = {}
         self.deaths: Dict[str, int] = {}
         self.stats: Dict = {
@@ -153,8 +144,7 @@ class _ObligationScheduler:
         for item in pending:  # pragma: no cover - backstop only
             self._settle(self._gave_up_outcome(item, "scheduler round cap"))
         stats = dict(self.stats)
-        if self.use_sessions:
-            stats["sessions"] = dict(self.session_totals)
+        stats["sessions"] = dict(self.session_totals)
         if self.cache is not None:
             stats["cache"] = dict(self.cache_totals)
         return self.outcomes, stats
@@ -175,26 +165,19 @@ class _ObligationScheduler:
         obs.incr("shard.rounds")
 
         axioms = self.axioms
-        use_sessions = self.use_sessions
         time_limit = self.time_limit
         max_rounds = self.max_rounds
         retry = self.retry
         cache = self.cache
-        explain = self.explain
 
         def worker(unit_name: str, deadline) -> batch.UnitResult:
             group = registry[unit_name]
-            session = None
-            if use_sessions:
-                from repro.prover.session import ProverSession
-
-                session = ProverSession(
-                    axioms,
-                    context=group[0].context,
-                    max_rounds=max_rounds,
-                    time_limit=time_limit,
-                    explain=explain,
-                )
+            session = ProverSession(
+                axioms,
+                context=group[0].context,
+                max_rounds=max_rounds,
+                time_limit=time_limit,
+            )
             before = cache.snapshot() if cache is not None else None
             outcomes = []
             for item in group:
@@ -207,7 +190,6 @@ class _ObligationScheduler:
                     retry=retry,
                     deadline=deadline,
                     cache=cache,
-                    explain=explain,
                 )
                 outcomes.append(outcome)
                 # The outcome rides along on the progress event so the
@@ -223,18 +205,17 @@ class _ObligationScheduler:
                     }
                 )
             detail: Dict = {"outcomes": outcomes}
-            if session is not None:
-                # Same shape as a SessionPool counter delta ("resets"
-                # is pool-internal), so serial and sharded session
-                # meta blocks aggregate field-identically.
-                detail["session"] = {
-                    "sessions": 1,
-                    **{
-                        key: value
-                        for key, value in session.counters.items()
-                        if key != "resets"
-                    },
-                }
+            # Same shape as a SessionPool counter delta ("resets" is
+            # pool-internal), so serial and sharded session meta blocks
+            # aggregate field-identically.
+            detail["session"] = {
+                "sessions": 1,
+                **{
+                    key: value
+                    for key, value in session.counters.items()
+                    if key != "resets"
+                },
+            }
             if cache is not None:
                 delta = cache.delta(before)
                 cache.flush_counters(delta)

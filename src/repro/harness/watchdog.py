@@ -93,6 +93,13 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     budget_factor: float = 2.0  # conflict/round budget multiplier
 
+    def __post_init__(self) -> None:
+        # Zero attempts would report TIMEOUT without ever proving.
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
+            )
+
     def delay_before(self, attempt: int) -> float:
         """Pause before ``attempt`` (1-based; attempt 1 has none)."""
         if attempt <= 1:

@@ -236,8 +236,7 @@ def build_timings(slice_: dict, total_ms: Optional[float] = None) -> dict:
         "linarith_ms": round(linarith_ms, 3),
         "euf_ms": round(max(0.0, theory_ms - linarith_ms), 3),
         # Explanation overhead: core ordering, the soundness check, and
-        # the 1-minimality polish (a sub-interval of theory_ms; zero on
-        # the --no-explain ddmin path).
+        # the 1-minimality polish (a sub-interval of theory_ms).
         "explain_ms": round(c("prover.explain_ms"), 3),
         "quant_ms": round(c("prover.quant_ms"), 3),
         "ematch_rounds": int(c("prover.ematch_rounds")),

@@ -1,29 +1,29 @@
 """Nelson–Oppen-style combination of congruence closure and linear
 arithmetic.
 
-``check(literals)`` decides the conjunction of theory literals produced
-by the SAT core.  Equalities go to both theories; derived equalities
-are exchanged between them until fixpoint (the theories are convex
-enough over our obligations for this to be complete in practice).
-Uninterpreted predicates are encoded as equations with distinguished
-boolean constants, the standard Simplify trick.
+``check(literals, state)`` decides the conjunction of theory literals
+produced by the SAT core.  Equalities go to both theories; derived
+equalities are exchanged between them until fixpoint (the theories are
+convex enough over our obligations for this to be complete in
+practice).  Uninterpreted predicates are encoded as equations with
+distinguished boolean constants, the standard Simplify trick.
 
-Two conflict-core strategies coexist:
+Conflict cores are *explained*: the congruence closure of a
+:class:`TheoryState` runs with a proof forest and every constraint
+carries provenance tags, so a conflict names the responsible input
+literals directly — no re-closure, no search.  The state is also
+incremental: literals are pushed as journaled frames and only the
+suffix that differs from the previous check is retracted/re-asserted,
+so successive checks along a SAT trail share their common prefix.
 
-* **Explained cores** (the default; pass a :class:`TheoryState`): the
-  congruence closure runs with a proof forest and every constraint
-  carries provenance tags, so a conflict *names* the responsible input
-  literals directly — no re-closure, no search.  The state is also
-  incremental: literals are pushed as journaled frames and only the
-  suffix that differs from the previous check is retracted/re-asserted,
-  so successive checks along a SAT trail share their common prefix.
-* **Search-based cores** (``state=None``, the ``--no-explain``
-  ablation): the original cold path — rebuild the closure per check and
-  shrink the conflict by chunked deletion (ddmin).
-
-Both strategies decide consistency with the same procedures, so the
-sat/unsat verdict of every check is identical across them; only how a
-core is *located* differs.
+The cold search-based minimizer (:func:`_check`: rebuild the closure
+per consistency query and shrink the conflict by chunked deletion,
+ddmin) is kept for two uses only: the safety net when an explained
+core does not check out as a genuine conflict, and the reference that
+the tests and the difftest ``explain-vs-ddmin`` oracle compare the
+explained path against.  Both decide consistency with the same
+procedures, so the sat/unsat verdict of every check is identical
+across them; only how a core is *located* differs.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.prover.terms import (
     Lt,
     Pr,
     TApp,
-    TInt,
     Term,
     fn,
     subterms,
@@ -76,16 +75,14 @@ class _Conflict(Exception):
 
 def check(
     literals: List[Literal],
+    state: "TheoryState",
     deadline: Optional[float] = None,
-    state: Optional["TheoryState"] = None,
 ) -> Optional[List[Literal]]:
     """Return None when the conjunction is theory-consistent, else a
     conflicting subset of the literals (minimized as time allows).
 
-    With ``state`` (a :class:`TheoryState`), the check runs
-    incrementally against that state's warm congruence closure and the
-    conflict core is read off the proof forest; without it, the closure
-    is rebuilt cold and the core found by ddmin.
+    The check runs incrementally against ``state``'s warm congruence
+    closure and the conflict core is read off its proof forest.
 
     ``deadline`` is an absolute ``time.perf_counter()`` value; past it,
     minimization stops and the current core is returned (a larger
@@ -96,28 +93,21 @@ def check(
     separately inside :mod:`repro.prover.linarith`, and the EUF share
     is reported as the difference (see docs/observability.md)."""
     if not obs.enabled():
-        return _dispatch(literals, deadline, state)
+        return state.check(literals, deadline)
     obs.incr("prover.theory_checks")
     with obs.timer("prover.theory_ms"):
-        return _dispatch(literals, deadline, state)
+        return state.check(literals, deadline)
 
 
-def _dispatch(
-    literals: List[Literal],
-    deadline: Optional[float],
-    state: Optional["TheoryState"],
-) -> Optional[List[Literal]]:
-    if state is None:
-        return _check(literals, deadline)
-    return state.check(literals, deadline)
-
-
-# --------------------------------------------------------------- cold path
+# ------------------------------------------- ddmin reference and safety net
 
 
 def _check(
     literals: List[Literal], deadline: Optional[float] = None
 ) -> Optional[List[Literal]]:
+    """The cold check: rebuild the closure for every consistency query
+    and find the core by chunked deletion.  Only the safety net in
+    :meth:`TheoryState._finish_core_raw` and the test reference run it."""
     if _consistent(literals):
         return None
     # Chunked deletion (ddmin-style): drop whole blocks first, then
@@ -510,7 +500,7 @@ def _propagate(
         # EUF -> LA: congruent shared atoms become arithmetic equalities
         # (tagged, in explain mode, with the literals that merged them).
         for rep, members in cc.classes().items():
-            arith_members = [m for m in members if m in shared or isinstance(m, TInt)]
+            arith_members = [m for m in members if _arithmetic(m, shared)]
             for i in range(1, len(arith_members)):
                 pair = _norm_pair(arith_members[0], arith_members[i])
                 if pair not in known_eqs:
@@ -548,6 +538,14 @@ def _shared_atoms(constraints: List[Constraint]) -> Set[Term]:
     return {v for c in constraints for v in c.coeffs}
 
 
+def _arithmetic(term: Term, shared: Set[Term]) -> bool:
+    """Can the arithmetic constraints speak about ``term``?  True for
+    an atom they mention and for an arithmetic constant: an integer
+    literal, or ground arithmetic such as ``0 - 1`` (its linear form
+    has no atoms)."""
+    return term in shared or not linearize(term)[0]
+
+
 def _norm_pair(a: Term, b: Term) -> Tuple[Term, Term]:
     return (a, b) if repr(a) <= repr(b) else (b, a)
 
@@ -568,9 +566,9 @@ def _candidate_pairs(
     * pairs of same-position arguments of same-symbol applications
       (forcing them equal fires a congruence).
 
-    Both terms must actually occur in the arithmetic constraints; a
-    term the constraints never mention cannot be forced equal to
-    anything.
+    Both terms must actually occur in the arithmetic constraints or be
+    arithmetic constants; a term the constraints never mention cannot
+    be forced equal to anything.
     """
     pairs: List[Tuple[Term, Term]] = []
     seen: Set[Tuple[Term, Term]] = set()
@@ -578,9 +576,7 @@ def _candidate_pairs(
     def consider(a: Term, b: Term) -> None:
         if a == b:
             return
-        if a not in shared and not isinstance(a, TInt):
-            return
-        if b not in shared and not isinstance(b, TInt):
+        if not (_arithmetic(a, shared) and _arithmetic(b, shared)):
             return
         pair = _norm_pair(a, b)
         if pair not in seen:

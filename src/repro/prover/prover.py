@@ -138,17 +138,12 @@ class Prover:
         max_rounds: int = 6,
         max_conflicts: int = 4000,
         time_limit: float = 60.0,
-        explain: bool = True,
     ):
         self.axioms: List[Formula] = []
         self.max_rounds = max_rounds
         self.max_conflicts = max_conflicts
         self.time_limit = time_limit
-        # Explained conflict cores (proof-forest EUF + incremental
-        # theory state per goal); False falls back to the search-based
-        # ddmin minimizer — same verdicts, slower cores (the
-        # ``--no-explain`` ablation).
-        self.explain = explain
+        # Incremental theory state (proof-forest EUF), fresh per goal.
         self._theory_state: Optional[combine.TheoryState] = None
         # Optional derive_triggers memo shared across prove calls; a
         # plain Prover leaves it off (None).
@@ -180,12 +175,12 @@ class Prover:
 
     def _begin_goal(self) -> None:
         """Called once at the start of every uncached prove call."""
-        self._theory_state = combine.TheoryState() if self.explain else None
+        self._theory_state = combine.TheoryState()
 
     def _theory_check(self, theory_lits, deadline: Deadline):
         """Nelson–Oppen consistency check; returns a conflict or None."""
         return combine.check(
-            theory_lits, deadline=deadline.at, state=self._theory_state
+            theory_lits, self._theory_state, deadline=deadline.at
         )
 
     def _note_conflict(self, conflict) -> None:
@@ -203,7 +198,6 @@ class Prover:
             max_rounds=max_rounds,
             max_conflicts=max_conflicts,
             time_limit=time_limit,
-            explain=self.explain,
         )
         attempt.axioms = self.axioms
         return attempt

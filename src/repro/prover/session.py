@@ -28,8 +28,11 @@ Verdict identity: a seeded core is a theory-valid implication (the
 theory solver proved its literals jointly unsatisfiable), so adding it
 never changes satisfiability — ``PROVED`` and ``REFUTED`` outcomes are
 exactly those of a cold prover.  Only budget-edge verdicts
-(``GAVE_UP``/``TIMEOUT``) can shift, and those are never cached.  The
-``--no-session`` escape hatch restores the cold path wholesale.
+(``GAVE_UP``/``TIMEOUT``) can shift, and those are never cached.  Every
+product prove path runs through sessions; a stand-alone
+:class:`~repro.prover.prover.Prover` (what
+``discharge_obligation(session=None)`` builds) is the cold reference
+the tests compare them against.
 
 Sessions are single-threaded and cheap to build; share them across
 obligations, not across processes.
@@ -140,7 +143,6 @@ class ProverSession:
         time_limit: float = 60.0,
         max_cores: int = MAX_CORES,
         memo_limit: int = MEMO_LIMIT,
-        explain: bool = True,
     ):
         self.axioms: List[Formula] = list(axioms)
         self.context = context
@@ -149,14 +151,10 @@ class ProverSession:
         self.time_limit = time_limit
         self.max_cores = max_cores
         self.memo_limit = memo_limit
-        self.explain = explain
         # The warm proof forest: one incremental theory state shared by
         # every obligation of this environment, so successive checks
-        # retract/assert only the literals that differ (None in the
-        # --no-explain ablation; the cold ddmin path runs instead).
-        self.theory_state: Optional[combine.TheoryState] = (
-            combine.TheoryState() if explain else None
-        )
+        # retract/assert only the literals that differ.
+        self.theory_state = combine.TheoryState()
         self.env_digest = _environment_digest(self.axioms, context)
         self.trigger_cache: Dict[object, tuple] = {}
         self.counters: Dict[str, int] = {
@@ -194,7 +192,7 @@ class ProverSession:
             return list(hit) if hit is not None else None
         # A learned core contained in this literal set is itself a
         # (minimal) conflicting subset, so it is a valid answer as-is —
-        # skip the combination check and its ddmin minimization loop.
+        # skip the combination check and its core minimization.
         for core in self._cores:
             if core <= key:
                 self.counters["core_hits"] += 1
@@ -206,7 +204,7 @@ class ProverSession:
                 self._memo[key] = tuple(conflict)
                 return conflict
         conflict = combine.check(
-            theory_lits, deadline=deadline.at, state=self.theory_state
+            theory_lits, self.theory_state, deadline=deadline.at
         )
         if len(self._memo) >= self.memo_limit:
             self._memo.popitem(last=False)
@@ -313,16 +311,8 @@ class ProverSession:
         self._core_set = set()
         self._memo.clear()
         self.trigger_cache.clear()
-        self.theory_state = combine.TheoryState() if self.explain else None
+        self.theory_state = combine.TheoryState()
         self.counters["resets"] += 1
-
-    def set_explain(self, explain: bool) -> None:
-        """Switch conflict-core strategies; a flip discards the warm
-        forest (the memo and cores stay — they are strategy-neutral)."""
-        if explain == self.explain:
-            return
-        self.explain = explain
-        self.theory_state = combine.TheoryState() if explain else None
 
     def rebind(self, axioms, context: str = "") -> None:
         """Point the session at a new axiom environment and reset."""
@@ -353,7 +343,6 @@ class SessionPool:
         max_rounds: int = 6,
         max_conflicts: int = 4000,
         time_limit: float = 60.0,
-        explain: bool = True,
     ) -> ProverSession:
         digest = _environment_digest(list(axioms), context)
         session = self._sessions.get(digest)
@@ -362,7 +351,6 @@ class SessionPool:
             session.max_rounds = max_rounds
             session.max_conflicts = max_conflicts
             session.time_limit = time_limit
-            session.set_explain(explain)
             return session
         session = ProverSession(
             axioms,
@@ -370,7 +358,6 @@ class SessionPool:
             max_rounds=max_rounds,
             max_conflicts=max_conflicts,
             time_limit=time_limit,
-            explain=explain,
         )
         self._sessions[digest] = session
         while len(self._sessions) > self.max_sessions:

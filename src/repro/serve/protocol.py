@@ -1,4 +1,4 @@
-"""The ``repro serve`` wire protocol: newline-delimited JSON, v1.
+"""The ``repro serve`` wire protocol: newline-delimited JSON, v2.
 
 One request per line::
 
@@ -26,7 +26,9 @@ error codes, line encoding, and the validated translation from request
 and any client (including tests) should build on it rather than
 hand-rolling message shapes.  Additive evolution only: new params and
 new response keys may appear under the same protocol version; removing
-or renaming either bumps :data:`PROTOCOL_VERSION`.
+or renaming either bumps :data:`PROTOCOL_VERSION`.  Version 2 removed
+the ``prove`` params ``session`` and ``explain``; a request that still
+sends them is refused as ``bad-request`` (unknown param).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro import api
 from repro.cache.store import DEFAULT_CACHE_DIR
 
 #: Version of the message shapes above (reported by ``status``).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default unix-socket path, overridable with ``REPRO_SERVE_SOCKET``.
 DEFAULT_SOCKET = ".repro-serve.sock"
@@ -108,7 +110,7 @@ _OP_KEYS = {
     "prove": _BATCH_KEYS
     | {
         "qualifier", "time_limit", "retries", "cache", "cache_dir",
-        "session", "shard", "explain",
+        "shard",
     },
     "infer": _BATCH_KEYS | {"qualifier", "flow_sensitive"},
     "invalidate": frozenset(("path",)),
@@ -150,6 +152,20 @@ def _files(params: Dict[str, Any]) -> Tuple[str, ...]:
     return tuple(files)
 
 
+def _nonnegative(params: Dict[str, Any], key: str, kind, default):
+    """A budget param converted by ``kind``; None stays None.  NaN and
+    negatives are refused, as the CLI refuses them."""
+    value = params.get(key, default)
+    if value is None:
+        return None
+    value = kind(value)
+    if not value >= 0:  # also true for NaN
+        raise ProtocolError(
+            E_BAD_REQUEST, f"params.{key} must be >= 0, got {value!r}"
+        )
+    return value
+
+
 def config_from_params(params: Any) -> api.SessionConfig:
     """The workspace configuration a request runs under (requests with
     equal configurations share one daemon workspace)."""
@@ -173,13 +189,13 @@ def batch_request(op: str, params: Any):
     dataclass for one batch op (``check``/``prove``/``infer``)."""
     params = _require_params_dict(params)
     _check_keys(op, params)
-    common = dict(
-        files=_files(params),
-        keep_going=bool(params.get("keep_going", False)),
-        jobs=int(params.get("jobs", 1)),
-        unit_timeout=params.get("unit_timeout"),
-    )
     try:
+        common = dict(
+            files=_files(params),
+            keep_going=bool(params.get("keep_going", False)),
+            jobs=int(params.get("jobs", 1)),
+            unit_timeout=_nonnegative(params, "unit_timeout", float, None),
+        )
         if op == "check":
             return api.CheckRequest(
                 flow_sensitive=bool(params.get("flow_sensitive", False)),
@@ -188,13 +204,11 @@ def batch_request(op: str, params: Any):
         if op == "prove":
             return api.ProveRequest(
                 qualifier=params.get("qualifier"),
-                time_limit=float(params.get("time_limit", 45.0)),
-                retries=int(params.get("retries", 0)),
+                time_limit=_nonnegative(params, "time_limit", float, 45.0),
+                retries=_nonnegative(params, "retries", int, 0),
                 cache=bool(params.get("cache", True)),
                 cache_dir=str(params.get("cache_dir", DEFAULT_CACHE_DIR)),
-                session=bool(params.get("session", True)),
                 shard=bool(params.get("shard", True)),
-                explain=bool(params.get("explain", True)),
                 **common,
             )
         if op == "infer":

@@ -225,6 +225,53 @@ class TestBatchProve:
         )
 
 
+class TestBudgetKnobs:
+    """Budget flags mean what they say: values that would silently mean
+    "unbounded" (NaN) or "never try" (negative) are usage errors."""
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--retries", "-1"),
+            ("--time-limit", "nan"),
+            ("--time-limit", "-1"),
+            ("--unit-timeout", "nan"),
+            ("--unit-timeout", "-1"),
+        ],
+    )
+    def test_bad_budget_is_usage_error(self, tmp_path, capsys, flag, value):
+        qual = tmp_path / "defs.qual"
+        qual.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prove", str(qual), "--no-cache", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"argument {flag}" in err
+
+    def test_unit_timeout_checked_for_every_batch_command(
+        self, clean_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", clean_file, "--unit-timeout", "nan"])
+        assert exit_info.value.code == 2
+
+    def test_zero_and_infinite_budgets_accepted(self, tmp_path, capsys):
+        qual = tmp_path / "defs.qual"
+        qual.write_text("")
+        assert main(
+            [
+                "prove", str(qual), "--no-cache", "--retries", "0",
+                "--time-limit", "inf", "--unit-timeout", "inf",
+            ]
+        ) == 0
+
+    def test_retry_policy_needs_one_attempt(self):
+        from repro.harness.watchdog import RetryPolicy
+
+        with pytest.raises(ValueError):
+            RetryPolicy(max_attempts=0)
+
+
 class TestBatchInfer:
     def test_infer_multiple_files_keep_going(
         self, tmp_path, broken_file, capsys

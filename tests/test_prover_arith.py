@@ -143,3 +143,37 @@ def test_mod_lemmas_agree_with_concrete_c_semantics(v, k):
     assert proved(Eq(m, Int(correct)))
     wrong = correct + 1 if correct + 1 < k else correct - 1
     assert proved(Not(Eq(m, Int(wrong))))
+
+
+# Ground arithmetic (a term like ``0 - 1`` whose linear form has no
+# atoms) is an arithmetic constant, like an integer literal: the pair
+# (C, 0 - 1) under a disequality must be probed for an arithmetic-
+# forced equality, or C = -1 and C != 0 - 1 look consistent.
+
+MINUS_ONE = fn("-", Int(0), Int(1))
+
+
+def _ground_arith_goals():
+    return [
+        Implies(Not(Eq(c, MINUS_ONE)), Not(Eq(c, Int(-1)))),
+        Implies(Not(Eq(c, Int(-1))), Not(Eq(c, MINUS_ONE))),
+        Implies(Eq(c, MINUS_ONE), Eq(c, Int(-1))),
+        Implies(Eq(c, Int(-1)), Eq(c, MINUS_ONE)),
+    ]
+
+
+def test_ground_arithmetic_disequality_proves_on_both_core_paths():
+    from repro.difftest.oracles import DdminProver
+    from repro.prover.prover import Prover
+
+    for goal in _ground_arith_goals():
+        assert Prover().prove(goal).verdict == "PROVED", goal
+        assert DdminProver().prove(goal).verdict == "PROVED", goal
+
+
+def test_ground_arithmetic_disequality_is_a_theory_conflict():
+    from repro.prover import combine
+
+    literals = [(Eq(c, MINUS_ONE), False), (Eq(c, Int(-1)), True)]
+    assert combine._check(list(literals)) == literals
+    assert combine.check(list(literals), combine.TheoryState()) == literals

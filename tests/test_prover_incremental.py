@@ -1,27 +1,32 @@
-"""Push/pop incrementality: metamorphic and golden identity tests.
+"""Push/pop incrementality: metamorphic and reference identity tests.
 
 The incremental theory stack re-plumbs every combination check — the
 SMT loop asserts/retracts literals along the SAT trail instead of
 rebuilding closure state — so its non-negotiable properties are path
 independence (any push/pop sequence reaching the same asserted set
 yields the same verdict and equivalence classes as a cold run) and
-verdict identity between the ``--no-explain`` ablation and the
-default, all the way up to byte-compared batch reports at ``--jobs 2``
-(mirroring ``tests/test_shard.py``).
+verdict identity with the cold ddmin reference
+(:class:`repro.difftest.oracles.DdminProver`) over the standard
+library and ``examples/*.qual``.
 """
 
-import json
+import glob
+import os
 import random
-import re
 
 import pytest
 
-from repro import api
+from repro import api, obs
+from repro.core.qualifiers.ast import QualifierSet
 from repro.core.qualifiers.library import standard_qualifiers
+from repro.core.qualifiers.parser import parse_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
+from repro.core.soundness.checker import check_soundness
 from repro.core.soundness.obligations import generate_obligations
+from repro.difftest.oracles import DdminProver
 from repro.prover import combine
-from repro.prover.session import ProverSession
+from repro.prover.prover import Prover
+from repro.prover.session import ProverSession, SessionPool
 from repro.prover.terms import Eq, Int, fn
 
 QUALS = standard_qualifiers()
@@ -151,26 +156,22 @@ class TestSessionWarmForest:
         goals = self._obligations(("nonneg", "pos", "nonnull"), limit=8)
         assert goals
         forest = ProverSession(AXIOMS, context="t", time_limit=15)
-        ddmin = ProverSession(
-            AXIOMS, context="t", time_limit=15, explain=False
-        )
-        assert forest.theory_state is not None
-        assert ddmin.theory_state is None
+        ddmin = DdminProver(time_limit=15)
+        ddmin.add_axioms(AXIOMS)
         for goal in goals:
             assert (
                 forest.prove(goal).verdict == ddmin.prove(goal).verdict
             )
+        assert forest.counters["proofs"] == len(goals)
 
-    def test_set_explain_flip_preserves_verdicts(self):
-        goals = self._obligations(("nonneg", "pos"), limit=4)
-        session = ProverSession(AXIOMS, context="t", time_limit=15)
-        before = [session.prove(goal).verdict for goal in goals]
-        session.set_explain(False)
-        assert session.theory_state is None
-        assert [session.prove(g).verdict for g in goals] == before
-        session.set_explain(True)
-        assert session.theory_state is not None
-        assert [session.prove(g).verdict for g in goals] == before
+    def test_core_strategy_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            ProverSession(AXIOMS, explain=False)
+        with pytest.raises(TypeError):
+            SessionPool().get(AXIOMS, explain=False)
+        with pytest.raises(TypeError):
+            Prover(explain=False)
+        assert not hasattr(ProverSession, "set_explain")
 
 
 class TestExplainVsDdminOracle:
@@ -193,88 +194,66 @@ class TestExplainVsDdminOracle:
         assert compared > 0, "oracle never compared a verdict"
 
 
-# ----------------------------------------- golden verdict identity (API)
+# --------------------------------- strategy identity (ddmin reference)
 
-NN_QUAL = """
-value qualifier nn3(int Expr E)
-  case E of
-      decl int Const C:
-        C, where C >= 0
-    | decl int Expr E1, E2:
-        E1 + E2, where nn3(E1) && nn3(E2)
-  invariant value(E) >= 0
-"""
-
-POS_QUAL = """
-value qualifier pp3(int Expr E)
-  case E of
-      decl int Const C:
-        C, where C > 0
-    | decl int Expr E1, E2:
-        E1 * E2, where pp3(E1) && pp3(E2)
-  invariant value(E) > 0
-"""
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
-def _scrub(node):
-    """Drop wall-clock fields and search statistics.  Conflict counts
-    (like milliseconds) depend on the SAT search path, which learned
-    cores legitimately steer differently per strategy; verdicts,
-    reasons, and countermodels must still match exactly."""
-    if isinstance(node, dict):
-        return {k: _scrub(v) for k, v in node.items() if k != "elapsed"}
-    if isinstance(node, list):
-        return [_scrub(v) for v in node]
-    if isinstance(node, str):
-        node = re.sub(r"[0-9.]+ m?s\b", "_", node)
-        return re.sub(r"(rounds|instances|conflicts)=[0-9]+", r"\1=_", node)
-    return node
-
-
-def _normalize(payload):
-    """A prove payload minus the documented additive counter blocks
-    (session/cache/scheduler stats legitimately differ between core
-    strategies — e.g. how many cores were learned — while per-unit
-    reports must not)."""
-    payload = _scrub(payload)
-    for key in ("sessions", "cache", "scheduler", "incremental"):
-        payload.pop(key, None)
-    for unit in payload["units"]:
-        for key in ("sessions", "cache", "incremental"):
-            (unit.get("detail") or {}).pop(key, None)
-    return payload
-
-
-def _prove(files, **options) -> dict:
-    """One uncached prove on a fresh one-shot workspace, as the CLI runs it."""
-    with api.Workspace(incremental=False) as ws:
-        return ws.prove(
-            api.ProveRequest(files=files, cache=False, **options)
-        ).to_dict()
-
-
-class TestGoldenVerdictIdentity:
-    @pytest.fixture
-    def qual_files(self, tmp_path):
-        a = tmp_path / "nn.qual"
-        b = tmp_path / "pp.qual"
-        a.write_text(NN_QUAL)
-        b.write_text(POS_QUAL)
-        return (str(a), str(b))
-
-    def test_no_explain_report_is_byte_identical_at_jobs_2(
-        self, qual_files
-    ):
-        forest = _prove(qual_files, jobs=2)
-        ddmin = _prove(qual_files, jobs=2, explain=False)
-        assert json.dumps(_normalize(forest), sort_keys=True) == json.dumps(
-            _normalize(ddmin), sort_keys=True
+def _qualifier_sweep():
+    """(qualifier set, definitions to prove) for the standard library
+    and every ``examples/*.qual`` file, composed as ``prove`` does."""
+    sweep = [(QUALS, list(QUALS))]
+    for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.qual"))):
+        with open(path, encoding="utf-8") as handle:
+            defs = parse_qualifiers(handle.read())
+        quals = QualifierSet(
+            list(QUALS) + [d for d in defs if d.name not in QUALS.names]
         )
-        # Both paths really ran the sharded scheduler.
-        assert forest["scheduler"]["obligations"] > 0
-        assert ddmin["scheduler"]["obligations"] > 0
+        sweep.append((quals, defs))
+    return sweep
 
-    def test_no_explain_serial_matches_default(self, qual_files):
-        forest = _prove(qual_files)
-        ddmin = _prove(qual_files, explain=False)
-        assert _normalize(forest) == _normalize(ddmin)
+
+class TestDdminReferenceIdentity:
+    def test_library_and_examples_match_ddmin_reference(self):
+        """Every obligation of the standard library and the example
+        definitions gets the same verdict from the explained-core
+        prover as from the cold ddmin reference, and no explained core
+        falls back to ddmin."""
+        reference = DdminProver(time_limit=30)
+        reference.add_axioms(AXIOMS)
+        owner = not obs.enabled()
+        if owner:
+            obs.enable()
+        marker = obs.mark()
+        compared = []
+        try:
+            for quals, defs in _qualifier_sweep():
+                for qdef in defs:
+                    report = check_soundness(qdef, quals, time_limit=30)
+                    for res in report.results:
+                        if res.obligation.trivial:
+                            continue
+                        ref = reference.prove_with_retry(res.obligation.goal)
+                        compared.append(
+                            (
+                                qdef.name,
+                                res.obligation.rule,
+                                (res.verdict, res.proved),
+                                (ref.verdict, ref.proved),
+                            )
+                        )
+            fallbacks = obs.since(marker)["counters"].get(
+                "prover.explain_fallbacks", 0
+            )
+        finally:
+            if owner:
+                obs.disable()
+                obs.reset()
+        assert len(compared) > 30
+        assert [c for c in compared if c[2] != c[3]] == []
+        assert fallbacks == 0
+
+    def test_prove_request_has_no_strategy_fields(self):
+        for field in ("explain", "session"):
+            with pytest.raises(TypeError):
+                api.ProveRequest(files=("x.qual",), **{field: False})

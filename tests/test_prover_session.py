@@ -5,8 +5,9 @@ The session layer's whole contract is "faster, never different": a
 theory checks, and cached triggers across the obligations of one axiom
 environment, but PROVED/REFUTED verdicts must be exactly those of a
 cold prover, in any discharge order.  These tests pin that contract
-plus the lifecycle rules (reset on environment change, pool eviction,
-the ``--no-session`` escape hatch).
+plus the lifecycle rules (reset on environment change, pool eviction)
+and that sessions are no longer optional: the retired ``--no-session``
+flag and ``session`` request field are refused.
 """
 
 import random
@@ -179,6 +180,9 @@ class TestLifecycle:
 
 
 class TestEscapeHatch:
+    """``--no-session`` is retired: every prove path uses sessions,
+    and the cold path survives only as the reference they must match."""
+
     QUAL = (
         "value qualifier nn2(int Expr E)\n"
         "  case E of\n"
@@ -189,45 +193,40 @@ class TestEscapeHatch:
         "  invariant value(E) >= 0\n"
     )
 
-    def test_no_session_restores_cold_path(self, tmp_path):
+    def test_session_prove_matches_cold_discharge(self, tmp_path):
+        from repro.core.qualifiers.ast import QualifierSet
+        from repro.core.qualifiers.parser import parse_qualifiers
+
         qual = tmp_path / "defs.qual"
         qual.write_text(self.QUAL)
-        files = (str(qual),)
         with api.Workspace(incremental=False) as ws:
-            on = ws.prove(api.ProveRequest(files=files, cache=False)).to_dict()
-        with api.Workspace(incremental=False) as ws:
-            off = ws.prove(
-                api.ProveRequest(files=files, cache=False, session=False)
+            on = ws.prove(
+                api.ProveRequest(files=(str(qual),), cache=False)
             ).to_dict()
         assert on["sessions"]["enabled"] is True
-        assert "sessions" not in off
+        assert on["sessions"]["proofs"] > 0
 
-        def obligations(payload):
-            return [
-                (o["rule"], o["verdict"], o["proved"], o["reason"])
-                for u in payload["units"]
-                for q in u["detail"]["qualifiers"]
-                for o in q["obligations"]
-            ]
-
-        assert obligations(on) == obligations(off)
-        assert on["exit_code"] == off["exit_code"]
+        (qdef,) = parse_qualifiers(self.QUAL)
+        quals = QualifierSet(list(QUALS) + [qdef])
+        cold = [
+            discharge_work_item(item, AXIOMS, session=None, time_limit=45)
+            for item in generate_work_items(qdef, quals, AXIOMS)
+        ]
+        assert [
+            (o["rule"], o["verdict"], o["proved"])
+            for u in on["units"]
+            for q in u["detail"]["qualifiers"]
+            for o in q["obligations"]
+        ] == [(o["rule"], o["verdict"], o["proved"]) for o in cold]
 
     def test_cli_no_session_flag(self, tmp_path, capsys):
-        import json
-
         from repro.cli import main
 
         qual = tmp_path / "defs.qual"
         qual.write_text(self.QUAL)
-        assert (
-            main(
-                [
-                    "prove", str(qual), "--no-cache", "--no-session",
-                    "--format", "json",
-                ]
-            )
-            == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prove", str(qual), "--no-cache", "--no-session"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-session" in (
+            capsys.readouterr().err
         )
-        payload = json.loads(capsys.readouterr().out)
-        assert "sessions" not in payload

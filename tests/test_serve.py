@@ -525,19 +525,60 @@ def test_serve_prove_counters_match_in_process(daemon, tmp_path):
 
 
 def test_serve_prove_session_and_shard_params(daemon, tmp_path):
+    """Protocol v2 dropped ``session`` and ``explain``: an old client
+    sending them gets ``bad-request``; ``shard`` is still accepted."""
     sock, _server = daemon
     path = write_qual(tmp_path)
+    assert protocol.PROTOCOL_VERSION == 2
     with connect(sock) as client:
         plain = client.request(
             "prove", {"files": [path], "cache": False}
         )["report"]
         assert plain["sessions"]["enabled"] is True
-        cold = client.request(
-            "prove",
-            {"files": [path], "cache": False, "session": False},
+        for retired in ("session", "explain"):
+            with pytest.raises(ServeError) as exc:
+                client.request(
+                    "prove",
+                    {"files": [path], "cache": False, retired: False},
+                )
+            assert exc.value.code == protocol.E_BAD_REQUEST
+            assert retired in str(exc.value)
+        unsharded = client.request(
+            "prove", {"files": [path], "cache": False, "shard": False}
         )["report"]
-        assert "sessions" not in cold
-        assert _obligations(cold) == _obligations(plain)
+        assert _obligations(unsharded) == _obligations(plain)
+        assert client.request("status")["result"]["protocol"] == 2
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"retries": -1},
+        {"time_limit": float("nan")},
+        {"time_limit": -1},
+        {"unit_timeout": float("nan")},
+        {"unit_timeout": -1},
+    ],
+)
+def test_prove_budget_params_must_mean_what_they_say(params):
+    with pytest.raises(protocol.ProtocolError) as exc:
+        protocol.batch_request("prove", {"files": ["d.qual"], **params})
+    assert exc.value.code == protocol.E_BAD_REQUEST
+    assert next(iter(params)) in str(exc.value)
+
+
+def test_prove_budget_params_defaults_and_bounds_accepted():
+    request = protocol.batch_request("prove", {"files": ["d.qual"]})
+    assert (request.time_limit, request.retries, request.unit_timeout) == (
+        45.0, 0, None
+    )
+    request = protocol.batch_request(
+        "prove",
+        {"files": ["d.qual"], "time_limit": 0, "retries": 2,
+         "unit_timeout": float("inf")},
+    )
+    assert (request.time_limit, request.retries) == (0.0, 2)
+    assert request.unit_timeout == float("inf")
 
 
 def test_workspace_lru_eviction(daemon, tmp_path):

@@ -223,11 +223,17 @@ class TestShardedProve:
         serial = _prove(qual_files)
         assert _normalize(report) == _normalize(serial)
 
-    def test_sharded_without_sessions(self, qual_files):
-        sharded = _prove(qual_files, jobs=2, session=False)
-        assert "sessions" not in sharded
-        serial = _prove(qual_files, session=False)
-        assert _normalize(sharded) == _normalize(serial)
+    def test_sharded_groups_always_use_sessions(self, qual_files):
+        """Sessions are not optional: every scheduled group gets one,
+        and the scheduler no longer takes a switch for it."""
+        sharded = _prove(qual_files, jobs=2)
+        assert sharded["sessions"]["enabled"] is True
+        assert (
+            sharded["sessions"]["sessions"]
+            == sharded["scheduler"]["groups"]
+        )
+        with pytest.raises(TypeError):
+            shard.run_obligations([], AXIOMS, use_sessions=False)
 
     def test_sharded_parse_errors_keep_fault_taxonomy(
         self, qual_files, tmp_path
