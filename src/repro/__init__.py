@@ -29,78 +29,118 @@ Quick start::
     assert soundness.sound
 """
 
-from repro import api
-from repro.api import (
-    SCHEMA_VERSION,
-    CheckRequest,
-    InferRequest,
-    ProveRequest,
-    SessionConfig,
-    UnknownQualifierError,
-    Workspace,
-)
-from repro.cache import ProofCache
-from repro.cfront.parser import ParseError, parse_c
-from repro.cil.lower import LowerError, lower_unit
-from repro.cil.printer import program_to_c
-from repro.core.checker.diagnostics import Diagnostic, Report
-from repro.core.checker.instrument import instrument_program
-from repro.core.checker.typecheck import QualifierChecker, check_program
-from repro.core.qualifiers.ast import QualifierDef, QualifierSet
-from repro.core.qualifiers.library import (
-    NEG,
-    NONNULL,
-    NONZERO,
-    POS,
-    TAINTED,
-    UNALIASED,
-    UNIQUE,
-    UNTAINTED,
-    UNTAINTED_WITH_CONSTS,
-    standard_qualifiers,
-)
-from repro.core.qualifiers.parser import QualParseError, parse_qualifier, parse_qualifiers
-from repro.core.qualifiers.validate import validate_definition, validate_set
-from repro.core.soundness.checker import SoundnessReport, check_all_soundness, check_soundness
-from repro.semantics.csem import (
-    CInterpreter,
-    CRuntimeError,
-    FormatStringError,
-    QualifierViolation,
-    run_program,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+
+def _lazy_exports(package, exports):
+    """PEP 562 lazy exports for a package root.
+
+    ``exports`` maps each defining module to the names the package
+    re-exports from it (``"attr as alias"`` renames).  Returns the
+    package's ``(__all__, __getattr__, __dir__)``: a name is imported
+    from its module the first time it is read, then cached in the
+    package namespace, so importing a package root loads none of its
+    submodules.  Any other public name that is a submodule of
+    ``package`` is imported on first access (``import repro`` then
+    ``repro.cfront.parser`` works); anything else is an
+    :class:`AttributeError` naming the module.
+    """
+    origins = {}
+    for module, names in exports.items():
+        for spec in names:
+            attr, _, alias = spec.partition(" as ")
+            origins[alias or attr] = (module, attr)
+    namespace = sys.modules[package].__dict__
+
+    def load(module):
+        # The builtin __import__ rather than importlib.import_module:
+        # only the former is seen by ``python -X importtime``.
+        __import__(module)
+        return sys.modules[module]
+
+    def __getattr__(name):
+        if name in origins:
+            module, attr = origins[name]
+            value = getattr(load(module), attr)
+            namespace[name] = value
+            return value
+        if not name.startswith("__"):
+            submodule = f"{package}.{name}"
+            try:
+                return load(submodule)
+            except ModuleNotFoundError as exc:
+                if exc.name != submodule:
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__():
+        public = namespace.get("__all__", ())
+        return sorted(set(namespace) | set(origins) | set(public))
+
+    return list(origins), __getattr__, __dir__
+
+
+_EXPORTS = {
     # stable facade (the supported programmatic surface; repro.api.Report
     # is reached through the module to avoid shadowing the checker Report)
-    "api", "SessionConfig", "Workspace",
-    "CheckRequest", "ProveRequest", "InferRequest",
-    "UnknownQualifierError", "SCHEMA_VERSION", "ProofCache",
+    "repro.api": (
+        "SessionConfig", "Workspace", "CheckRequest", "ProveRequest",
+        "InferRequest", "UnknownQualifierError", "SCHEMA_VERSION",
+    ),
+    "repro.cache.store": ("ProofCache",),
     # front end
-    "parse_c", "ParseError", "lower_unit", "LowerError", "program_to_c",
+    "repro.cfront.parser": ("parse_c", "ParseError"),
+    "repro.cil.lower": ("lower_unit", "LowerError"),
+    "repro.cil.printer": ("program_to_c",),
     # qualifier language
-    "parse_qualifier", "parse_qualifiers", "QualParseError",
-    "validate_definition", "validate_set",
-    "QualifierDef", "QualifierSet", "standard_qualifiers",
-    "POS", "NEG", "NONZERO", "NONNULL", "TAINTED", "UNTAINTED",
-    "UNTAINTED_WITH_CONSTS", "UNIQUE", "UNALIASED",
+    "repro.core.qualifiers.parser": (
+        "parse_qualifier", "parse_qualifiers", "QualParseError",
+    ),
+    "repro.core.qualifiers.validate": ("validate_definition", "validate_set"),
+    "repro.core.qualifiers.ast": ("QualifierDef", "QualifierSet"),
+    "repro.core.qualifiers.library": (
+        "standard_qualifiers", "POS", "NEG", "NONZERO", "NONNULL", "TAINTED",
+        "UNTAINTED", "UNTAINTED_WITH_CONSTS", "UNIQUE", "UNALIASED",
+    ),
     # checking
-    "check_program", "QualifierChecker", "Report", "Diagnostic",
-    "instrument_program", "check_c_source",
+    "repro.core.checker.typecheck": ("check_program", "QualifierChecker"),
+    "repro.core.checker.diagnostics": ("Report", "Diagnostic"),
+    "repro.core.checker.instrument": ("instrument_program",),
     # soundness
-    "check_soundness", "check_all_soundness", "SoundnessReport",
+    "repro.core.soundness.checker": (
+        "check_soundness", "check_all_soundness", "SoundnessReport",
+    ),
     # execution
-    "run_program", "run_c_source", "CInterpreter",
-    "CRuntimeError", "QualifierViolation", "FormatStringError",
-]
+    "repro.semantics.csem": (
+        "run_program", "CInterpreter", "CRuntimeError", "QualifierViolation",
+        "FormatStringError",
+    ),
+}
+
+_exported, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = ["__version__", "api", *_exported, "check_c_source", "run_c_source"]
 
 _DEFAULT_QUAL_NAMES = frozenset(
     {"pos", "neg", "nonneg", "nonzero", "nonnull", "tainted", "untainted",
      "unique", "unaliased", "user", "kernel"}
 )
+
+
+def _lower_source(source, quals, qualifier_names):
+    """Parse and lower C source; ``quals`` defaults to the standard
+    library.  Returns ``(program, quals)``."""
+    from repro.cfront.parser import parse_c
+    from repro.cil.lower import lower_unit
+    from repro.core.qualifiers.library import standard_qualifiers
+
+    if quals is None:
+        quals = standard_qualifiers()
+    names = set(_DEFAULT_QUAL_NAMES) | quals.names
+    if qualifier_names:
+        names |= set(qualifier_names)
+    return lower_unit(parse_c(source, qualifier_names=names)), quals
 
 
 def check_c_source(source, quals=None, qualifier_names=None):
@@ -110,12 +150,9 @@ def check_c_source(source, quals=None, qualifier_names=None):
     ``qualifier_names`` are identifiers accepted as bare qualifier
     annotations (defaults to the standard names plus any in ``quals``).
     """
-    if quals is None:
-        quals = standard_qualifiers()
-    names = set(_DEFAULT_QUAL_NAMES) | quals.names
-    if qualifier_names:
-        names |= set(qualifier_names)
-    program = lower_unit(parse_c(source, qualifier_names=names))
+    from repro.core.checker.typecheck import check_program
+
+    program, quals = _lower_source(source, quals, qualifier_names)
     return check_program(program, quals)
 
 
@@ -124,10 +161,7 @@ def run_c_source(source, quals=None, entry="main", args=(), qualifier_names=None
 
     Returns ``(exit_value, printf_output)``.
     """
-    if quals is None:
-        quals = standard_qualifiers()
-    names = set(_DEFAULT_QUAL_NAMES) | quals.names
-    if qualifier_names:
-        names |= set(qualifier_names)
-    program = lower_unit(parse_c(source, qualifier_names=names))
+    from repro.semantics.csem import run_program
+
+    program, quals = _lower_source(source, quals, qualifier_names)
     return run_program(program, quals=quals, entry=entry, args=list(args))

@@ -45,23 +45,46 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.cache import DEFAULT_CACHE_DIR
 from repro.cache import fingerprint as _fingerprint
-from repro.cache.store import DEFAULT_CACHE_DIR, ProofCache
-from repro.cfront.parser import parse_c
-from repro.cil.lower import lower_unit
-from repro.cil.printer import program_to_c
-from repro.core.checker.diagnostics import code_for
-from repro.core.checker.typecheck import QualifierChecker
 from repro.core.qualifiers.ast import QualifierDef, QualifierSet
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.qualifiers.parser import parse_qualifiers
-from repro.core.soundness.checker import check_soundness
 from repro.harness import batch
 from repro.harness.watchdog import Deadline, RetryPolicy
-from repro.semantics.csem import run_program
+
+if TYPE_CHECKING:
+    from repro.cache.store import ProofCache
+
+# Each command loads its own layers when it runs (see
+# docs/architecture.md, "Import layering"): check the C front end and
+# the checker, prove the soundness checker and the prover, a cached
+# prove the sqlite store, run the interpreter.  The loaders bind module
+# globals, so ``repro.api.parse_c`` and the rest stay module attributes
+# that a tracer can rebind.  No import may move into a per-obligation
+# or per-node function.
+
+
+def _load_front_end() -> None:
+    global lower_unit, parse_c
+    from repro.cfront.parser import parse_c
+    from repro.cil.lower import lower_unit
+
+
+def _load_checker() -> None:
+    global QualifierChecker, code_for
+    _load_front_end()
+    from repro.core.checker.diagnostics import code_for
+    from repro.core.checker.typecheck import QualifierChecker
+
+
+def _load_prover() -> None:
+    global check_soundness
+    from repro.core.soundness.checker import check_soundness
+
 
 #: Version of the report payload shape (``Report.to_dict`` and the
 #: CLI's ``--format json`` output).  Bump only on breaking changes —
@@ -595,6 +618,7 @@ class Workspace:
 
     def load_program(self, path: str, quals: Optional[QualifierSet] = None):
         """Parse and lower one translation unit under this workspace."""
+        _load_front_end()
         if quals is None:
             quals = self.qualifier_set()
         with obs.span("parse", unit=path):
@@ -680,6 +704,7 @@ class Workspace:
         content fingerprint changed since the last request and replay
         stored verdicts for the rest (see the class docstring)."""
         self.counters["requests"] += 1
+        _load_checker()
         quals = self.qualifier_set()
         if self.incremental:
             # The verdict store lives in this process; incremental
@@ -930,6 +955,7 @@ class Workspace:
                 return
         if not defs:
             return
+        _load_prover()
         with obs.span("prove", calibration=True):
             for qdef in defs:
                 try:
@@ -952,6 +978,8 @@ class Workspace:
         )
         cache = self._caches.get(cache_dir)
         if cache is None:
+            from repro.cache.store import ProofCache
+
             cache = ProofCache(cache_dir=cache_dir)
             self._caches[cache_dir] = cache
         return cache
@@ -976,6 +1004,7 @@ class Workspace:
             return self._prove_sharded(
                 request, retry, cache, on_result, on_event
             )
+        _load_prover()
         if self._session_pool is None:
             from repro.prover.session import SessionPool
 
@@ -1540,12 +1569,16 @@ class Workspace:
     def run(self, path: str, entry: str = "main", args=()) -> Tuple[int, List[str]]:
         """Execute one translation unit with run-time qualifier checks;
         returns ``(exit_value, printf_output)``."""
+        from repro.semantics.csem import run_program
+
         quals = self.qualifier_set()
         program = self.load_program(path, quals)
         return run_program(program, quals=quals, entry=entry, args=list(args))
 
     def show_ir(self, path: str) -> str:
         """The lowered CIL-style IR of one unit, rendered as C."""
+        from repro.cil.printer import program_to_c
+
         return program_to_c(self.load_program(path))
 
     # ----------------------------------------------------------- internals
@@ -1596,9 +1629,7 @@ def cache_stats(cache_dir: str = DEFAULT_CACHE_DIR) -> dict:
     A cache directory that was never created is reported as-is (zero
     entries, zero counters) — asking for stats must not create it.
     """
-    import os
-
-    from repro.cache.store import COUNTER_NAMES
+    from repro.cache.store import COUNTER_NAMES, ProofCache
 
     if cache_dir is not None and not os.path.isdir(cache_dir):
         return {
@@ -1627,5 +1658,7 @@ def cache_stats(cache_dir: str = DEFAULT_CACHE_DIR) -> dict:
 
 def cache_clear(cache_dir: str = DEFAULT_CACHE_DIR) -> int:
     """Drop every cached proof; returns the number of entries removed."""
+    from repro.cache.store import ProofCache
+
     with ProofCache(cache_dir=cache_dir) as cache:
         return cache.clear()

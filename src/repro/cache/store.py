@@ -45,6 +45,7 @@ from typing import Dict, Iterable, Optional
 
 from repro import faults as _faults
 from repro import obs
+from repro.cache import DEFAULT_CACHE_DIR
 from repro.cache.fingerprint import PROVER_SALT, ProofKey, proof_key
 
 #: Verdicts that are facts about the obligation (cacheable), as opposed
@@ -54,9 +55,6 @@ CACHEABLE_VERDICTS = frozenset({"PROVED", "REFUTED"})
 #: On-disk layout version; bump on incompatible schema changes (old
 #: databases are then rebuilt from scratch rather than misread).
 CACHE_FORMAT = 1
-
-#: Default cache directory, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 COUNTER_NAMES = (
     "hits", "misses", "stores", "evictions", "stale", "errors", "degraded",

@@ -16,32 +16,21 @@ assignment (also in expression position), compound assignment, ``++``/
 annotations (usually written through macros such as ``nonnull``).
 """
 
-from repro.cfront.ctypes import (
-    CType,
-    IntType,
-    VoidType,
-    PointerType,
-    ArrayType,
-    StructType,
-    FuncType,
-)
-from repro.cfront.lexer import Lexer, Token, LexError
-from repro.cfront.parser import Parser, ParseError, parse_c
+from repro import _lazy_exports
+
+# Eager, unlike the rest: ``preprocess`` is also the name of its own
+# submodule, and importing that submodule would rebind the package
+# attribute to the module instead of the function.
 from repro.cfront.preprocess import preprocess
 
-__all__ = [
-    "CType",
-    "IntType",
-    "VoidType",
-    "PointerType",
-    "ArrayType",
-    "StructType",
-    "FuncType",
-    "Lexer",
-    "Token",
-    "LexError",
-    "Parser",
-    "ParseError",
-    "parse_c",
-    "preprocess",
-]
+_EXPORTS = {
+    "repro.cfront.ctypes": (
+        "CType", "IntType", "VoidType", "PointerType", "ArrayType",
+        "StructType", "FuncType",
+    ),
+    "repro.cfront.lexer": ("Lexer", "Token", "LexError"),
+    "repro.cfront.parser": ("Parser", "ParseError", "parse_c"),
+}
+
+_exported, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = [*_exported, "preprocess"]

@@ -7,44 +7,21 @@ are represented as a host (variable or memory dereference) plus an
 offset chain (fields / array indices), exactly as in CIL.
 """
 
-from repro.cil.ir import (
-    AddrOf,
-    BinOp,
-    Break,
-    Call,
-    CastE,
-    Continue,
-    FieldOff,
-    Function,
-    GlobalVar,
-    If,
-    IndexOff,
-    Instr,
-    IntConst,
-    Lval,
-    Lvalue,
-    MemHost,
-    NoOffset,
-    NullConst,
-    Program,
-    Return,
-    Set,
-    SizeOfE,
-    StrConst,
-    UnOp,
-    VarHost,
-    While,
-)
-from repro.cil.lower import LowerError, lower_unit
-from repro.cil.printer import program_to_c
-from repro.cil.typesof import TypeError_ as CilTypeError
-from repro.cil.typesof import TypingContext, type_of_expr, type_of_lvalue
+from repro import _lazy_exports
 
-__all__ = [
-    "AddrOf", "BinOp", "Break", "Call", "CastE", "Continue", "FieldOff",
-    "Function", "GlobalVar", "If", "IndexOff", "Instr", "IntConst", "Lval",
-    "Lvalue", "MemHost", "NoOffset", "NullConst", "Program", "Return",
-    "Set", "SizeOfE", "StrConst", "UnOp", "VarHost", "While",
-    "LowerError", "lower_unit", "program_to_c",
-    "CilTypeError", "TypingContext", "type_of_expr", "type_of_lvalue",
-]
+_EXPORTS = {
+    "repro.cil.ir": (
+        "AddrOf", "BinOp", "Break", "Call", "CastE", "Continue", "FieldOff",
+        "Function", "GlobalVar", "If", "IndexOff", "Instr", "IntConst",
+        "Lval", "Lvalue", "MemHost", "NoOffset", "NullConst", "Program",
+        "Return", "Set", "SizeOfE", "StrConst", "UnOp", "VarHost", "While",
+    ),
+    "repro.cil.lower": ("LowerError", "lower_unit"),
+    "repro.cil.printer": ("program_to_c",),
+    "repro.cil.typesof": (
+        "TypeError_ as CilTypeError", "TypingContext", "type_of_expr",
+        "type_of_lvalue",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -64,13 +64,8 @@ import time
 from typing import List, Optional
 
 from repro import api, faults, obs
-from repro.cache.store import DEFAULT_CACHE_DIR
-from repro.cfront.lexer import LexError
-from repro.cfront.parser import ParseError
-from repro.cil.lower import LowerError
-from repro.core.qualifiers.parser import QualParseError
+from repro.cache import DEFAULT_CACHE_DIR
 from repro.harness import batch
-from repro.semantics.csem import CRuntimeError
 
 
 def _workspace(args) -> api.Workspace:
@@ -337,6 +332,8 @@ def _render_prove(args, report: api.Report) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.semantics.csem import CRuntimeError
+
     try:
         with _workspace(args) as ws:
             value, output = ws.run(
@@ -419,9 +416,15 @@ _RENDERERS = {
 
 
 def cmd_serve(args) -> int:
+    from repro.harness.supervisor import env_knob
     from repro.serve import client as serve_client
     from repro.serve import server as serve_server
+    from repro.serve.protocol import DEFAULT_SOCKET
 
+    if args.socket is None:
+        args.socket = os.environ.get("REPRO_SERVE_SOCKET") or DEFAULT_SOCKET
+    if args.workers is None:
+        args.workers = env_knob("REPRO_SERVE_WORKERS", 0, int)
     if args.status or args.stop:
         # --status/--stop talk to a running daemon: over TCP when
         # --listen is given, else over the unix socket.
@@ -595,12 +598,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def server_flag(p):
-        from repro.serve.protocol import default_server_address
-
+        # The environment default is read here rather than through
+        # repro.serve.protocol.default_server_address, so a run without
+        # a daemon never loads the serve layer.
         p.add_argument(
             "--server",
             metavar="ADDR",
-            default=default_server_address(),
+            default=os.environ.get("REPRO_SERVE_ADDR")
+            or os.environ.get("REPRO_SERVE_SOCKET"),
             help="proxy this command to a running `repro serve` daemon "
             "at ADDR — a unix-socket path, host:port, or tcp://host:port "
             "(default: $REPRO_SERVE_ADDR or $REPRO_SERVE_SOCKET); falls "
@@ -839,15 +844,14 @@ def build_parser() -> argparse.ArgumentParser:
             "see docs/serve.md."
         ),
     )
-    from repro.harness.supervisor import env_knob
-    from repro.serve.protocol import DEFAULT_SOCKET
-
+    # --socket and --workers default to None and are resolved by
+    # cmd_serve, which loads the serve layer; other commands do not.
     p_serve.add_argument(
         "--socket",
         metavar="PATH",
-        default=os.environ.get("REPRO_SERVE_SOCKET") or DEFAULT_SOCKET,
+        default=None,
         help="unix socket path to serve on "
-        f"(default: $REPRO_SERVE_SOCKET or {DEFAULT_SOCKET})",
+        "(default: $REPRO_SERVE_SOCKET or .repro-serve.sock)",
     )
     p_serve.add_argument(
         "--listen",
@@ -860,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        default=env_knob("REPRO_SERVE_WORKERS", 0, int),
+        default=None,
         help="run each configuration's workspace in one of up to N "
         "persistent worker processes (crash-isolated, multi-core); "
         "0 keeps work in-process on executor threads "
@@ -925,7 +929,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         try:
             return args.fn(args)
-        except (ParseError, LexError, LowerError, QualParseError) as exc:
+        except batch.input_error_types() as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except UnicodeDecodeError as exc:

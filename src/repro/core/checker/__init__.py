@@ -8,17 +8,13 @@ qualified l-values.  Casts to value-qualified types are recorded so the
 program can be instrumented with run-time checks (section 2.1.3).
 """
 
-from repro.core.checker.diagnostics import Diagnostic, Report
-from repro.core.checker.patterns import MatchBinding, match_expr_pattern
-from repro.core.checker.typecheck import QualifierChecker, check_program
-from repro.core.checker.instrument import instrument_program
+from repro import _lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "Report",
-    "MatchBinding",
-    "match_expr_pattern",
-    "QualifierChecker",
-    "check_program",
-    "instrument_program",
-]
+_EXPORTS = {
+    "repro.core.checker.diagnostics": ("Diagnostic", "Report"),
+    "repro.core.checker.patterns": ("MatchBinding", "match_expr_pattern"),
+    "repro.core.checker.typecheck": ("QualifierChecker", "check_program"),
+    "repro.core.checker.instrument": ("instrument_program",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

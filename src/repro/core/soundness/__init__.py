@@ -9,22 +9,15 @@ the paper's ``E1 - E2`` mutation of ``pos``, or ``unique`` without its
 ``disallow`` clause.
 """
 
-from repro.core.soundness.axioms import semantics_axioms
-from repro.core.soundness.checker import (
-    Obligation,
-    ObligationResult,
-    SoundnessReport,
-    check_all_soundness,
-    check_soundness,
-)
-from repro.core.soundness.obligations import generate_obligations
+from repro import _lazy_exports
 
-__all__ = [
-    "semantics_axioms",
-    "Obligation",
-    "ObligationResult",
-    "SoundnessReport",
-    "check_soundness",
-    "check_all_soundness",
-    "generate_obligations",
-]
+_EXPORTS = {
+    "repro.core.soundness.axioms": ("semantics_axioms",),
+    "repro.core.soundness.checker": (
+        "Obligation", "ObligationResult", "SoundnessReport", "check_soundness",
+        "check_all_soundness",
+    ),
+    "repro.core.soundness.obligations": ("generate_obligations",),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

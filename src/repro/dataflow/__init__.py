@@ -4,38 +4,18 @@ See docs/architecture.md for the pass pipeline and a guide to writing
 a new dataflow client.
 """
 
-from repro.cil.cfg import CFG, BasicBlock, Edge, Terminator, build_cfg
-from repro.dataflow.lattice import (
-    UNIVERSE,
-    FlatLattice,
-    Lattice,
-    MapLattice,
-    MaySetLattice,
-    MustSetLattice,
-)
-from repro.dataflow.solver import (
-    ForwardSolver,
-    SolverDivergence,
-    SolverResult,
-    SolverStats,
-    kleene_fixpoint,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CFG",
-    "BasicBlock",
-    "Edge",
-    "Terminator",
-    "build_cfg",
-    "Lattice",
-    "MustSetLattice",
-    "MaySetLattice",
-    "MapLattice",
-    "FlatLattice",
-    "UNIVERSE",
-    "ForwardSolver",
-    "SolverResult",
-    "SolverStats",
-    "SolverDivergence",
-    "kleene_fixpoint",
-]
+_EXPORTS = {
+    "repro.cil.cfg": ("CFG", "BasicBlock", "Edge", "Terminator", "build_cfg"),
+    "repro.dataflow.lattice": (
+        "Lattice", "MustSetLattice", "MaySetLattice", "MapLattice",
+        "FlatLattice", "UNIVERSE",
+    ),
+    "repro.dataflow.solver": (
+        "ForwardSolver", "SolverResult", "SolverStats", "SolverDivergence",
+        "kleene_fixpoint",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -24,15 +24,12 @@ Modules:
   batch worker the CLI rides.
 """
 
-from repro.difftest.generator import GenConfig, GeneratedCase, generate_case
-from repro.difftest.oracles import Finding
-from repro.difftest.runner import ARTIFACT_DIR, run_case
+from repro import _lazy_exports
 
-__all__ = [
-    "ARTIFACT_DIR",
-    "Finding",
-    "GenConfig",
-    "GeneratedCase",
-    "generate_case",
-    "run_case",
-]
+_EXPORTS = {
+    "repro.difftest.runner": ("ARTIFACT_DIR", "run_case"),
+    "repro.difftest.oracles": ("Finding",),
+    "repro.difftest.generator": ("GenConfig", "GeneratedCase", "generate_case"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,9 +9,12 @@ isolated unit-of-work that downgrades failures to structured verdicts
 instead of aborting the whole run.
 """
 
-from repro.harness.watchdog import (  # noqa: F401
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-    recursion_guard,
-)
+from repro import _lazy_exports
+
+_EXPORTS = {
+    "repro.harness.watchdog": (
+        "Deadline", "DeadlineExceeded", "RetryPolicy", "recursion_guard",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

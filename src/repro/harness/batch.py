@@ -42,10 +42,9 @@ exit-code contract.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -80,30 +79,31 @@ _SEVERITY: Dict[str, int] = {
     CRASH: 3,
 }
 
-#: Exceptions that mean "the input is bad", not "we are buggy".
-_INPUT_ERRORS: tuple = ()
+#: The pipeline's own "the input is bad" exceptions, as
+#: ``(module, class name)``.
+_PIPELINE_INPUT_ERRORS = (
+    ("repro.cfront.parser", "ParseError"),
+    ("repro.cfront.lexer", "LexError"),
+    ("repro.cil.lower", "LowerError"),
+    ("repro.core.qualifiers.parser", "QualParseError"),
+)
+
+
+def input_error_types() -> tuple:
+    """The pipeline's bad-input exception classes (the CLI maps them to
+    exit 2), found in ``sys.modules`` rather than imported: a class
+    whose module was never loaded cannot have been raised, and naming
+    the C parser's error must not load the C front end into a prove."""
+    found = (
+        getattr(sys.modules.get(module), name, None)
+        for module, name in _PIPELINE_INPUT_ERRORS
+    )
+    return tuple(cls for cls in found if cls is not None)
 
 
 def _input_error_types() -> tuple:
-    # Deferred import: cfront/core import the harness's sibling module
-    # (watchdog) and the CLI imports us, so resolve lazily once.
-    global _INPUT_ERRORS
-    if not _INPUT_ERRORS:
-        from repro.cfront.lexer import LexError  # type: ignore
-        from repro.cfront.parser import ParseError
-        from repro.cil.lower import LowerError
-        from repro.core.qualifiers.parser import QualParseError
-
-        _INPUT_ERRORS = (
-            ParseError,
-            LexError,
-            LowerError,
-            QualParseError,
-            OSError,
-            UnicodeDecodeError,
-            ValueError,
-        )
-    return _INPUT_ERRORS
+    """Exceptions that mean "the input is bad", not "we are buggy"."""
+    return (*input_error_types(), OSError, UnicodeDecodeError, ValueError)
 
 
 @dataclass

@@ -20,33 +20,15 @@ prover; the soundness checker reports it as a potential unsoundness
 either way.
 """
 
-from repro.prover.terms import (
-    And,
-    Eq,
-    Exists,
-    FALSE,
-    ForAll,
-    Formula,
-    Iff,
-    Implies,
-    Int,
-    Le,
-    Lt,
-    Not,
-    Or,
-    Pr,
-    TRUE,
-    Term,
-    TInt,
-    TApp,
-    TVar,
-    fn,
-)
-from repro.prover.prover import Prover, ProofResult
+from repro import _lazy_exports
 
-__all__ = [
-    "And", "Eq", "Exists", "FALSE", "ForAll", "Formula", "Iff", "Implies",
-    "Int", "Le", "Lt", "Not", "Or", "Pr", "TRUE", "Term", "TInt", "TApp",
-    "TVar", "fn",
-    "Prover", "ProofResult",
-]
+_EXPORTS = {
+    "repro.prover.terms": (
+        "And", "Eq", "Exists", "FALSE", "ForAll", "Formula", "Iff", "Implies",
+        "Int", "Le", "Lt", "Not", "Or", "Pr", "TRUE", "Term", "TInt", "TApp",
+        "TVar", "fn",
+    ),
+    "repro.prover.prover": ("Prover", "ProofResult"),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

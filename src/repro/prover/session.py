@@ -335,6 +335,8 @@ class SessionPool:
         self.max_sessions = max_sessions
         self.evictions = 0
         self._sessions: "OrderedDict[str, ProverSession]" = OrderedDict()
+        # Counters of evicted sessions, so pool totals never decrease.
+        self._retired: Dict[str, int] = {}
 
     def get(
         self,
@@ -361,18 +363,24 @@ class SessionPool:
         )
         self._sessions[digest] = session
         while len(self._sessions) > self.max_sessions:
-            self._sessions.popitem(last=False)
+            _, evicted = self._sessions.popitem(last=False)
             self.evictions += 1
+            for key, value in evicted.counters.items():
+                self._retired[key] = self._retired.get(key, 0) + value
         return session
 
     def sessions(self) -> List[ProverSession]:
         return list(self._sessions.values())
 
     def counters(self) -> Dict[str, int]:
-        """Aggregate counters across resident sessions."""
+        """Aggregate counters: ``sessions`` is the resident count, every
+        other counter sums all sessions this pool has opened, evicted
+        ones included, so no counter ever decreases."""
         totals: Dict[str, int] = {"sessions": len(self._sessions)}
-        for session in self._sessions.values():
-            for key, value in session.counters.items():
+        for counters in (
+            self._retired, *(s.counters for s in self._sessions.values())
+        ):
+            for key, value in counters.items():
                 totals[key] = totals.get(key, 0) + value
         for key in (
             "proofs", "session_reuse", "cores_learned",

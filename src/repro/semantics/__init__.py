@@ -15,28 +15,16 @@ Two interpreters live here:
   check Theorem 5.1 (preservation) empirically.
 """
 
-from repro.semantics.csem import (
-    CInterpreter,
-    CRuntimeError,
-    FormatStringError,
-    QualifierViolation,
-    run_program,
-)
-from repro.semantics.lambda_ref import (
-    LambdaTypeError,
-    check_conformance,
-    evaluate,
-    typecheck,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CInterpreter",
-    "CRuntimeError",
-    "FormatStringError",
-    "QualifierViolation",
-    "run_program",
-    "LambdaTypeError",
-    "typecheck",
-    "evaluate",
-    "check_conformance",
-]
+_EXPORTS = {
+    "repro.semantics.csem": (
+        "CInterpreter", "CRuntimeError", "FormatStringError",
+        "QualifierViolation", "run_program",
+    ),
+    "repro.semantics.lambda_ref": (
+        "LambdaTypeError", "typecheck", "evaluate", "check_conformance",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

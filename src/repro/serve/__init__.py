@@ -20,21 +20,14 @@ running daemon, or pass ``--server <address>`` to ``repro check`` /
 ``prove`` / ``infer``.  See docs/serve.md for the protocol spec.
 """
 
-from repro.serve.client import ServeClient, ServeError, connect
-from repro.serve.protocol import (
-    DEFAULT_SOCKET,
-    PROTOCOL_VERSION,
-    parse_address,
-)
-from repro.serve.server import ServeServer, serve_main
+from repro import _lazy_exports
 
-__all__ = [
-    "ServeClient",
-    "ServeError",
-    "ServeServer",
-    "connect",
-    "parse_address",
-    "serve_main",
-    "DEFAULT_SOCKET",
-    "PROTOCOL_VERSION",
-]
+_EXPORTS = {
+    "repro.serve.client": ("ServeClient", "ServeError", "connect"),
+    "repro.serve.server": ("ServeServer", "serve_main"),
+    "repro.serve.protocol": (
+        "parse_address", "DEFAULT_SOCKET", "PROTOCOL_VERSION",
+    ),
+}
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -37,7 +37,7 @@ import json
 from typing import Any, Dict, Tuple
 
 from repro import api
-from repro.cache.store import DEFAULT_CACHE_DIR
+from repro.cache import DEFAULT_CACHE_DIR
 
 #: Version of the message shapes above (reported by ``status``).
 PROTOCOL_VERSION = 2

@@ -6,7 +6,11 @@ must be bumped whenever one of these assertions has to change for a
 so extend the pinned set instead).
 """
 
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +105,85 @@ class TestFacade:
     def test_session_is_immutable(self):
         with pytest.raises(Exception):
             repro.SessionConfig().no_std = True
+
+
+#: Package roots that resolve their exports on first access (PEP 562).
+LAZY_PACKAGES = (
+    "repro", "repro.prover", "repro.semantics", "repro.difftest",
+    "repro.cache", "repro.cfront", "repro.cil", "repro.core.checker",
+    "repro.core.soundness", "repro.dataflow", "repro.harness", "repro.serve",
+)
+
+
+def _export_origins(package):
+    """``{name: (defining module, attribute)}`` from a lazy root's
+    ``_EXPORTS`` table (``"attr as alias"`` renames)."""
+    origins = {}
+    for module, names in package._EXPORTS.items():
+        for spec in names:
+            attr, _, alias = spec.partition(" as ")
+            origins[alias or attr] = (module, attr)
+    return origins
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+class TestLazyExports:
+    def test_exports_are_their_defining_modules_objects(self, name):
+        package = importlib.import_module(name)
+        origins = _export_origins(package)
+        assert set(origins) <= set(package.__all__)
+        for export in package.__all__:
+            value = getattr(package, export)
+            if export in origins:
+                module, attr = origins[export]
+                assert value is getattr(importlib.import_module(module), attr)
+            else:  # defined or imported by the root itself
+                assert export in vars(package), export
+
+    def test_dir_covers_all(self, name):
+        package = importlib.import_module(name)
+        assert set(package.__all__) <= set(dir(package))
+
+    def test_star_import_binds_every_name(self, name):
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        package = importlib.import_module(name)
+        for export in package.__all__:
+            assert namespace[export] is getattr(package, export)
+
+    def test_unknown_name_raises_attribute_error(self, name):
+        package = importlib.import_module(name)
+        with pytest.raises(AttributeError, match=repr(name)):
+            package.no_such_export
+
+
+def test_lazy_roots_in_a_fresh_interpreter():
+    """From a bare ``import repro``: subpackages resolve as attributes,
+    the one-call helpers work, and every root's star import binds."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import repro\n"
+        "assert repro.cfront.parser.parse_c is repro.parse_c\n"
+        "report = repro.check_c_source("
+        "'int f(void) { int pos a = 2; return a; }')\n"
+        "assert report.ok, report\n"
+        "value, output = repro.run_c_source("
+        "'int main(void) { printf(\"%d\", 3); return 4; }')\n"
+        "assert (value, output) == (4, ['3']), (value, output)\n"
+        f"for name in {LAZY_PACKAGES!r}:\n"
+        "    exec(f'from {name} import *', {})\n"
+        "import repro.cfront\n"
+        "assert callable(repro.cfront.preprocess)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestQualifierComposition:

@@ -148,6 +148,48 @@ class TestLifecycle:
         assert len(pool.sessions()) == 2
         assert pool.evictions == 2
 
+    def test_workspace_session_deltas_never_negative(self, tmp_path):
+        """More qualifiers than the pool holds, through one Workspace:
+        the first unit's 8 sessions (3 proofs each) are evicted by the
+        one-clause units after it."""
+        clauses = (
+            "      decl int Const C:\n"
+            "        C, where C > {k}\n"
+            "    | decl int Expr E1, E2:\n"
+            "        E1 + E2, where {name}(E1) && {name}(E2)\n"
+            "    | decl int Expr E1, int Const C:\n"
+            "        E1 + C, where {name}(E1) && C >= 0\n"
+        )
+
+        def qualifier(name, k, body):
+            return (
+                f"value qualifier {name}(int Expr E)\n  case E of\n"
+                + body.format(name=name, k=k)
+                + f"  invariant value(E) > {k}\n"
+            )
+
+        big = tmp_path / "big.qual"
+        big.write_text(
+            "".join(qualifier(f"big{k}", k, clauses) for k in range(1, 9))
+        )
+        files = [str(big)]
+        for k in range(1, 5):
+            small = tmp_path / f"small{k}.qual"
+            small.write_text(
+                qualifier(f"small{k}", k, clauses.split("    |")[0])
+            )
+            files.append(str(small))
+        with api.Workspace(incremental=False) as ws:
+            report = ws.prove(
+                api.ProveRequest(files=tuple(files), cache=False)
+            )
+        assert report.exit_code == 0, report.to_dict()
+        deltas = [result.detail["sessions"] for result in report.results]
+        assert all(
+            value >= 0 for delta in deltas for value in delta.values()
+        ), deltas
+        assert [delta["proofs"] for delta in deltas] == [24, 1, 1, 1, 1]
+
     def test_rebind_drops_learned_state(self):
         items = [i for i in _work_items({"pos"}) if not i.trivial]
         session = ProverSession(

@@ -17,6 +17,38 @@ trap 'rm -rf "$tmpdir"' EXIT
 echo "== tier-1 test suite"
 python -m pytest -x -q tests/
 
+echo "== import layering: one-shot CLI runs load only their own layers"
+python -X importtime -m repro check examples/nonnull.c \
+    > /dev/null 2> "$tmpdir/import-check.txt"
+python -X importtime -m repro prove --no-cache examples/posneg.qual \
+    > /dev/null 2> "$tmpdir/import-prove.txt"
+python -c '
+import sys
+sys.path.insert(0, "tests")
+from test_import_layering import CHECK_FORBIDDEN, PROVE_FORBIDDEN, offenders
+
+
+def imported(path):
+    # -X importtime lines end in "| <module>"; module sets, not times,
+    # so the stage cannot flap on a noisy host.
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in open(path)
+        if line.startswith("import time:")
+    }
+
+
+for path, ran, forbidden in (
+    (sys.argv[1], "repro.cfront.parser", CHECK_FORBIDDEN),
+    (sys.argv[2], "repro.prover.prover", PROVE_FORBIDDEN),
+):
+    loaded = imported(path)
+    assert ran in loaded, f"{path}: {ran} never loaded"
+    bad = offenders(loaded, forbidden)
+    assert not bad, f"{path}: loaded {bad}"
+    print(f"   {len(loaded)} module(s), none of {len(forbidden)} forbidden")
+' "$tmpdir/import-check.txt" "$tmpdir/import-prove.txt"
+
 echo "== worklist engine matches legacy structured-walk verdicts"
 python benchmarks/bench_flow_ablation.py --smoke
 
