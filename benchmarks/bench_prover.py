@@ -14,7 +14,7 @@ sharded/session sweep::
     PYTHONPATH=src python benchmarks/bench_prover.py --cold --quick --json
 
 ``--cold --json`` emits a machine-readable record (theory/explain
-times, the ddmin-fallback count and the per-obligation verdict map)
+times, the explain-fallback count and the per-obligation verdict map)
 for the CI stage that gates the conflict-core path; ``--record``
 appends the same record to ``BENCH_prover.json``'s history, growing
 the committed perf trajectory.
@@ -248,9 +248,6 @@ def _cold_sweep_record(args) -> dict:
         "explain_ms": round(counters.get("prover.explain_ms", 0.0), 3),
         "linarith_ms": round(counters.get("prover.linarith_ms", 0.0), 3),
         "cores": int(counters.get("prover.cores", 0)),
-        "cores_nonminimal": int(
-            counters.get("prover.cores_nonminimal", 0)
-        ),
         "explain_fallbacks": int(
             counters.get("prover.explain_fallbacks", 0)
         ),
@@ -262,9 +259,12 @@ def _cold_sweep_record(args) -> dict:
 def _append_history(path: str, record: dict) -> None:
     """Append a timestamped cold-sweep entry to the ``history`` list of
     ``BENCH_prover.json`` (creating the file if absent), preserving
-    everything else the ``python -m repro bench`` runner wrote."""
+    everything else the ``python -m repro bench`` runner wrote.  The
+    entry carries the ``machine`` block of the host that measured it."""
     import json
     import time as time_mod
+
+    from repro.obs.bench import machine_info
 
     payload = {}
     try:
@@ -281,6 +281,7 @@ def _append_history(path: str, record: dict) -> None:
             k: v for k, v in record.items()
             if k not in ("verdicts", "stats", "kind")
         },
+        "machine": machine_info(),
     }
     history.append(entry)
     payload["history"] = history

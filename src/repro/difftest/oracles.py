@@ -51,6 +51,7 @@ from repro.core.soundness.obligations import generate_obligations
 from repro.difftest import shadow
 from repro.difftest.audit import AuditInterpreter, PreservationViolation
 from repro.difftest.generator import GeneratedCase
+from repro.difftest.minimize import ddmin
 from repro.prover import combine
 from repro.prover.prover import Prover
 from repro.prover.terms import (
@@ -478,18 +479,30 @@ def metamorphic(
 # ------------------------------------- oracle 4: forest vs ddmin cores
 
 
+def ddmin_check(
+    literals: List[combine.Literal],
+) -> Optional[List[combine.Literal]]:
+    """The cold reference theory check: decide the conjunction with a
+    fresh closure (:func:`repro.prover.combine._consistent`) and, when
+    it is inconsistent, shrink it to a core by delta debugging — one
+    fresh consistency query per candidate subset."""
+    if combine._consistent(literals):
+        return None
+    return ddmin(literals, lambda core: not combine._consistent(core))
+
+
 class DdminProver(Prover):
     """The cold ddmin reference prover.
 
     Every theory check rebuilds the congruence closure and finds its
-    conflict core by chunked deletion (:func:`repro.prover.combine.
-    _check`) instead of reading it off a warm proof forest.  Only this
-    oracle and the tests run it: it is the independent core strategy
-    the explained one is compared against.
+    conflict core by delta debugging (:func:`ddmin_check`) instead of
+    reading it off a warm proof forest.  Only this oracle and the tests
+    run it: it is the independent core strategy the explained one is
+    compared against.
     """
 
-    def _theory_check(self, theory_lits, deadline):
-        return combine._check(theory_lits, deadline.at)
+    def _theory_check(self, theory_lits):
+        return ddmin_check(theory_lits)
 
     def _spawn(self, max_rounds, max_conflicts, time_limit) -> Prover:
         attempt = DdminProver(

@@ -200,7 +200,7 @@ def build_timings(slice_: dict, total_ms: Optional[float] = None) -> dict:
           "prover":  {"calls", "proofs_ms", "sat_ms", "theory_ms",
                       "euf_ms", "linarith_ms", "explain_ms", "quant_ms",
                       "ematch_rounds", "instances", "conflicts",
-                      "cores", "cores_minimal", "cores_nonminimal",
+                      "cores", "explain_fallbacks",
                       "sat_calls", "clauses_peak"},
           "cache":   {"hits", "misses", "stores"},
           "counters": {...every raw counter...},
@@ -235,18 +235,17 @@ def build_timings(slice_: dict, total_ms: Optional[float] = None) -> dict:
         "theory_ms": round(theory_ms, 3),
         "linarith_ms": round(linarith_ms, 3),
         "euf_ms": round(max(0.0, theory_ms - linarith_ms), 3),
-        # Explanation overhead: core ordering, the soundness check, and
-        # the 1-minimality polish (a sub-interval of theory_ms).
+        # Explanation overhead: core ordering and the cold check that
+        # verifies each core (a sub-interval of theory_ms).
         "explain_ms": round(c("prover.explain_ms"), 3),
         "quant_ms": round(c("prover.quant_ms"), 3),
         "ematch_rounds": int(c("prover.ematch_rounds")),
         "instances": int(c("prover.instances")),
         "conflicts": int(c("prover.conflicts")),
-        # Conflict cores by minimality: cores == minimal + nonminimal
-        # (a nonminimal core means a minimization deadline tripped).
+        # Learned conflict cores, and the checks whose explained core
+        # failed verification (the full literal list was checked cold).
         "cores": int(c("prover.cores")),
-        "cores_minimal": int(c("prover.cores_minimal")),
-        "cores_nonminimal": int(c("prover.cores_nonminimal")),
+        "explain_fallbacks": int(c("prover.explain_fallbacks")),
         "clauses_peak": int(c("prover.clauses_peak")),
     }
     cache = {
@@ -295,7 +294,7 @@ def format_timings(timings: dict) -> str:
             f"instances={prover['instances']} "
             f"conflicts={prover['conflicts']} "
             f"cores={prover.get('cores', 0)} "
-            f"(nonminimal={prover.get('cores_nonminimal', 0)}) "
+            f"(fallbacks={prover.get('explain_fallbacks', 0)}) "
             f"clauses_peak={prover['clauses_peak']}"
         )
     cache = timings.get("cache", {})

@@ -16,19 +16,16 @@ incremental: literals are pushed as journaled frames and only the
 suffix that differs from the previous check is retracted/re-asserted,
 so successive checks along a SAT trail share their common prefix.
 
-The cold search-based minimizer (:func:`_check`: rebuild the closure
-per consistency query and shrink the conflict by chunked deletion,
-ddmin) is kept for two uses only: the safety net when an explained
-core does not check out as a genuine conflict, and the reference that
-the tests and the difftest ``explain-vs-ddmin`` oracle compare the
-explained path against.  Both decide consistency with the same
-procedures, so the sat/unsat verdict of every check is identical
-across them; only how a core is *located* differs.
+An explained core is verified once by a cold consistency check
+(:func:`_consistent`, which rebuilds the closure) before it is learned.
+It is not minimised further: any theory-unsat subset is a sound
+clause.  If verification fails, the full literal list is checked cold
+instead and learned unminimised when it is inconsistent, so nothing
+unverified is ever learned.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
@@ -74,67 +71,26 @@ class _Conflict(Exception):
 
 
 def check(
-    literals: List[Literal],
-    state: "TheoryState",
-    deadline: Optional[float] = None,
+    literals: List[Literal], state: "TheoryState"
 ) -> Optional[List[Literal]]:
     """Return None when the conjunction is theory-consistent, else a
-    conflicting subset of the literals (minimized as time allows).
+    verified conflicting subset of the literals.
 
     The check runs incrementally against ``state``'s warm congruence
     closure and the conflict core is read off its proof forest.
-
-    ``deadline`` is an absolute ``time.perf_counter()`` value; past it,
-    minimization stops and the current core is returned (a larger
-    conflict clause is still sound, just a weaker pruner).
 
     With profiling on, the whole combination check is timed into the
     ``prover.theory_ms`` counter; the linear-arithmetic share is timed
     separately inside :mod:`repro.prover.linarith`, and the EUF share
     is reported as the difference (see docs/observability.md)."""
     if not obs.enabled():
-        return state.check(literals, deadline)
+        return state.check(literals)
     obs.incr("prover.theory_checks")
     with obs.timer("prover.theory_ms"):
-        return state.check(literals, deadline)
+        return state.check(literals)
 
 
-# ------------------------------------------- ddmin reference and safety net
-
-
-def _check(
-    literals: List[Literal], deadline: Optional[float] = None
-) -> Optional[List[Literal]]:
-    """The cold check: rebuild the closure for every consistency query
-    and find the core by chunked deletion.  Only the safety net in
-    :meth:`TheoryState._finish_core_raw` and the test reference run it."""
-    if _consistent(literals):
-        return None
-    # Chunked deletion (ddmin-style): drop whole blocks first, then
-    # shrink block size — far fewer consistency calls than one-by-one.
-    core = list(literals)
-    chunk = max(1, len(core) // 4)
-    while chunk >= 1:
-        index = 0
-        while index < len(core):
-            if deadline is not None and time.perf_counter() > deadline:
-                # Budget tripped mid-chunk: the core is sound but may
-                # not be minimal — record it as such so solver stats
-                # can tell it apart from a fully minimized one.
-                obs.incr("prover.cores")
-                obs.incr("prover.cores_nonminimal")
-                return core
-            candidate = core[:index] + core[index + chunk :]
-            if candidate and not _consistent(candidate):
-                core = candidate
-            else:
-                index += chunk
-        if chunk == 1:
-            break
-        chunk //= 2
-    obs.incr("prover.cores")
-    obs.incr("prover.cores_minimal")
-    return core
+# --------------------------------------------------------- cold check
 
 
 def _consistent(literals: List[Literal]) -> bool:
@@ -251,9 +207,7 @@ class TheoryState:
 
     # The full check: diff, retract, assert, propagate, explain.
 
-    def check(
-        self, literals: List[Literal], deadline: Optional[float] = None
-    ) -> Optional[List[Literal]]:
+    def check(self, literals: List[Literal]) -> Optional[List[Literal]]:
         relevant = _arith_relevant_atoms(literals)
         desired = [
             (lit, self._feeds_la(lit, relevant)) for lit in literals
@@ -286,7 +240,7 @@ class TheoryState:
             core = self._propagate_scratch()
         if core is None:
             return None
-        return self._finish_core(core, literals, deadline)
+        return self._finish_core(core, literals)
 
     # ------------------------------------------------------------ internals
 
@@ -380,24 +334,18 @@ class TheoryState:
             del self.diseq_pairs[n_dis:]
 
     def _finish_core(
-        self,
-        core: Tags,
-        literals: List[Literal],
-        deadline: Optional[float],
-    ) -> List[Literal]:
-        """Order an explained core by input position, verify it, and
-        polish it to 1-minimality (timed as ``prover.explain_ms``)."""
+        self, core: Tags, literals: List[Literal]
+    ) -> Optional[List[Literal]]:
+        """Order an explained core by input position and verify it
+        (timed as ``prover.explain_ms``)."""
         if not obs.enabled():
-            return self._finish_core_raw(core, literals, deadline)
+            return self._finish_core_raw(core, literals)
         with obs.timer("prover.explain_ms"):
-            return self._finish_core_raw(core, literals, deadline)
+            return self._finish_core_raw(core, literals)
 
     def _finish_core_raw(
-        self,
-        core: Tags,
-        literals: List[Literal],
-        deadline: Optional[float],
-    ) -> List[Literal]:
+        self, core: Tags, literals: List[Literal]
+    ) -> Optional[List[Literal]]:
         index_of = {lit: i for i, lit in enumerate(literals)}
         core_list = sorted(
             (lit for lit in core if lit in index_of),
@@ -406,30 +354,13 @@ class TheoryState:
         if not core_list or _consistent(core_list):
             # Safety net: a core that does not check out as a genuine
             # conflict must never be learned (an unsound clause could
-            # flip verdicts), so fall back to the search-based path.
+            # flip verdicts).  Decide the full list cold instead: when
+            # it is inconsistent it is itself a sound clause.
             obs.incr("prover.explain_fallbacks")
-            return _check(literals, deadline)
-        # 1-minimality polish: explained cores are tiny, so drop-one
-        # passes until a full pass removes nothing (each survivor is
-        # then certified against the final core).
-        while len(core_list) > 1:
-            dropped = False
-            index = 0
-            while index < len(core_list):
-                if deadline is not None and time.perf_counter() > deadline:
-                    obs.incr("prover.cores")
-                    obs.incr("prover.cores_nonminimal")
-                    return core_list
-                candidate = core_list[:index] + core_list[index + 1 :]
-                if candidate and not _consistent(candidate):
-                    core_list = candidate
-                    dropped = True
-                else:
-                    index += 1
-            if not dropped:
-                break
+            if _consistent(literals):
+                return None
+            core_list = list(literals)
         obs.incr("prover.cores")
-        obs.incr("prover.cores_minimal")
         return core_list
 
 

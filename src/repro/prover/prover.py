@@ -177,11 +177,9 @@ class Prover:
         """Called once at the start of every uncached prove call."""
         self._theory_state = combine.TheoryState()
 
-    def _theory_check(self, theory_lits, deadline: Deadline):
+    def _theory_check(self, theory_lits):
         """Nelson–Oppen consistency check; returns a conflict or None."""
-        return combine.check(
-            theory_lits, self._theory_state, deadline=deadline.at
-        )
+        return combine.check(theory_lits, self._theory_state)
 
     def _note_conflict(self, conflict) -> None:
         """Observe a learned theory conflict ((atom, polarity) pairs)."""
@@ -214,9 +212,11 @@ class Prover:
     ) -> ProofResult:
         """Attempt the goal once within ``self.time_limit`` (further
         capped by ``deadline`` when one is supplied).  The deadline is
-        threaded into *every* loop — DPLL restarts, theory checks, and
-        each E-matching pass inside an instantiation round — so a hard
-        obligation cannot overshoot its budget by a whole round.
+        threaded into *every* loop — the DPLL search (polled every 256
+        decisions and backtracks), the lazy-SMT loop after each theory
+        conflict, and each E-matching pass inside an instantiation
+        round — so a hard obligation cannot overshoot its budget by a
+        whole round.
 
         ``cache`` (a :class:`repro.cache.ProofCache`, duck-typed so the
         prover stays dependency-free) is consulted before any search
@@ -387,7 +387,7 @@ class Prover:
 
     def _smt_search(self, db: ClauseDb, result: ProofResult, deadline: Deadline):
         while True:
-            model = sat.solve(db.clauses, db.num_vars)
+            model = sat.solve(db.clauses, db.num_vars, deadline)
             if model is None:
                 return None
             theory_lits = [
@@ -395,7 +395,7 @@ class Prover:
                 for var, atom in db.theory_atoms()
                 if var in model
             ]
-            conflict = self._theory_check(theory_lits, deadline)
+            conflict = self._theory_check(theory_lits)
             if conflict is None:
                 return model
             result.conflicts += 1

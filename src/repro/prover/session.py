@@ -105,8 +105,8 @@ class _SessionProver(Prover):
         self._goal_serial = itertools.count()
         self._seeded = set()
 
-    def _theory_check(self, theory_lits, deadline: Deadline):
-        return self._session.theory_check(theory_lits, deadline)
+    def _theory_check(self, theory_lits):
+        return self._session.theory_check(theory_lits)
 
     def _note_conflict(self, conflict) -> None:
         index = self._session.learn_core(conflict)
@@ -181,7 +181,7 @@ class ProverSession:
             self._base = db
         return self._base.clone()
 
-    def theory_check(self, theory_lits, deadline: Deadline):
+    def theory_check(self, theory_lits):
         key = frozenset(theory_lits)
         hit = self._memo.get(key, _MISS)
         if hit is not _MISS:
@@ -191,8 +191,8 @@ class ProverSession:
                 obs.incr("prover.session_memo_hits")
             return list(hit) if hit is not None else None
         # A learned core contained in this literal set is itself a
-        # (minimal) conflicting subset, so it is a valid answer as-is —
-        # skip the combination check and its core minimization.
+        # conflicting subset, so it is a valid answer as-is —
+        # skip the combination check and its core verification.
         for core in self._cores:
             if core <= key:
                 self.counters["core_hits"] += 1
@@ -203,9 +203,7 @@ class ProverSession:
                     self._memo.popitem(last=False)
                 self._memo[key] = tuple(conflict)
                 return conflict
-        conflict = combine.check(
-            theory_lits, self.theory_state, deadline=deadline.at
-        )
+        conflict = combine.check(theory_lits, self.theory_state)
         if len(self._memo) >= self.memo_limit:
             self._memo.popitem(last=False)
         self._memo[key] = tuple(conflict) if conflict is not None else None

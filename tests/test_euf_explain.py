@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.difftest.oracles import ddmin_check
 from repro.prover import combine
 from repro.prover.euf import CongruenceClosure, EufConflict
 from repro.prover.terms import Eq, Int, Le, Lt, fn
@@ -219,7 +220,7 @@ def test_explained_cores_are_unsat_minimal_and_verdict_identical(seed):
     literals = _random_literals(rng, rng.randint(3, 12))
 
     forest_core = combine.TheoryState().check(list(literals))
-    ddmin_core = combine._check(list(literals))
+    ddmin_core = ddmin_check(list(literals))
 
     # Verdict identity: both strategies agree on consistency.
     assert (forest_core is None) == (ddmin_core is None)
@@ -249,7 +250,7 @@ def test_warm_state_reuse_preserves_verdicts(seed):
         literals = [l for l in base if rng.random() < 0.8]
         rng.shuffle(literals)
         warm = state.check(list(literals))
-        cold = combine._check(list(literals))
+        cold = ddmin_check(list(literals))
         assert (warm is None) == (cold is None)
         if warm is not None:
             assert not combine._consistent(warm)

@@ -23,7 +23,7 @@ from repro.core.qualifiers.parser import parse_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
 from repro.core.soundness.checker import check_soundness
 from repro.core.soundness.obligations import generate_obligations
-from repro.difftest.oracles import DdminProver
+from repro.difftest.oracles import DdminProver, ddmin_check
 from repro.prover import combine
 from repro.prover.prover import Prover
 from repro.prover.session import ProverSession, SessionPool
@@ -57,7 +57,7 @@ def _consistent_literal_set(seed, n=10):
     rng = random.Random(f"incremental:{seed}")
     while True:
         literals = _random_eq_literals(rng, n)
-        if combine._check(list(literals)) is None:
+        if ddmin_check(list(literals)) is None:
             return literals
 
 
@@ -118,7 +118,7 @@ class TestPushPopPathIndependence:
         for _ in range(5):
             state.check(_random_eq_literals(rng, rng.randint(2, 10)))
         warm = state.check(list(target))
-        cold = combine._check(list(target))
+        cold = ddmin_check(list(target))
         assert (warm is None) == (cold is None)
         if warm is None:
             terms = _atom_terms(target)

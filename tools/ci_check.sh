@@ -161,7 +161,7 @@ print(f"   {len(want)} obligation(s) identical across serial/sharded/pooled, "
       f"session_reuse={reuse}, groups={groups}")
 ' "$tmpdir/serial.json" "$tmpdir/sharded.json" "$tmpdir/pooled.json"
 
-echo "== conflict cores: no ddmin fallbacks, no perf regression"
+echo "== conflict cores: no explain fallbacks, no perf regression"
 python benchmarks/bench_prover.py --cold --quick --json \
     > "$tmpdir/cores-explain-1.json"
 python benchmarks/bench_prover.py --cold --quick --json \
@@ -174,7 +174,7 @@ runs = [json.load(open(p)) for p in sys.argv[1:3]]
 explain = min(runs, key=lambda r: r["theory_ms"])  # best-of-2 vs noise
 assert explain["verdicts"], "cold sweep discharged no obligations"
 assert explain["explain_fallbacks"] == 0, (
-    "explained cores fell back to ddmin: %r" % explain
+    "explained cores failed verification: %r" % explain
 )
 history = json.load(open("BENCH_prover.json"))["history"]
 baseline = next(
@@ -192,7 +192,7 @@ assert measured <= limit, (
     "prover.theory_ms regressed: %.1f ms vs committed baseline "
     "%.1f ms (+20%% gate %.1f ms)" % (measured, committed, limit)
 )
-print("   %d verdict(s), no ddmin fallbacks, "
+print("   %d verdict(s), no explain fallbacks, "
       "theory_ms %.1f <= gate %.1f"
       % (len(explain["verdicts"]), measured, limit))
 ' "$tmpdir/cores-explain-1.json" "$tmpdir/cores-explain-2.json"
