@@ -25,28 +25,11 @@ prover can prove and therefore belong in the identity.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from repro.prover.terms import (
-    And,
-    Eq,
-    Exists,
-    FFalse,
-    ForAll,
-    Formula,
-    FTrue,
-    Iff,
-    Implies,
-    Le,
-    Lt,
-    Not,
-    Or,
-    Pr,
-    TApp,
-    Term,
-    TInt,
-    TVar,
-)
+if TYPE_CHECKING:
+    from repro.prover.terms import Formula, Term
+
 
 #: Salt mixed into every environment key.  Bump the trailing integer
 #: whenever the prover's search behaviour changes in a way that could
@@ -69,7 +52,53 @@ class ProofKey(NamedTuple):
 # ------------------------------------------------------- canonical rendering
 
 
+_terms_loaded = False
+
+
+def _load_terms() -> None:
+    """Bind the term classes the renderers dispatch on as module
+    globals, on the first render: a check loads this module for its
+    function fingerprints and never renders a term, so it never loads
+    ``repro.prover.terms``.  Import per rendered formula, never per
+    node (docs/architecture.md, "Import layering")."""
+    global _terms_loaded
+    global And, Eq, Exists, FFalse, ForAll, FTrue, Iff, Implies, Le, Lt
+    global Not, Or, Pr, TApp, TInt, TVar
+    if _terms_loaded:
+        return
+    from repro.prover.terms import (
+        And,
+        Eq,
+        Exists,
+        FFalse,
+        ForAll,
+        FTrue,
+        Iff,
+        Implies,
+        Le,
+        Lt,
+        Not,
+        Or,
+        Pr,
+        TApp,
+        TInt,
+        TVar,
+    )
+
+    _terms_loaded = True
+
+
 def canonical_term(t: Term) -> str:
+    _load_terms()
+    return _term(t)
+
+
+def canonical_formula(f: Formula) -> str:
+    _load_terms()
+    return _formula(f)
+
+
+def _term(t: Term) -> str:
     if isinstance(t, TVar):
         return f"(v {t.name})"
     if isinstance(t, TInt):
@@ -77,48 +106,48 @@ def canonical_term(t: Term) -> str:
     if isinstance(t, TApp):
         if not t.args:
             return f"(a {t.fname})"
-        args = " ".join(canonical_term(a) for a in t.args)
+        args = " ".join(_term(a) for a in t.args)
         return f"(a {t.fname} {args})"
     raise TypeError(f"unknown term {t!r}")
 
 
-def canonical_formula(f: Formula) -> str:
+def _formula(f: Formula) -> str:
     if isinstance(f, FTrue):
         return "(true)"
     if isinstance(f, FFalse):
         return "(false)"
     if isinstance(f, Eq):
-        return f"(= {canonical_term(f.left)} {canonical_term(f.right)})"
+        return f"(= {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Le):
-        return f"(<= {canonical_term(f.left)} {canonical_term(f.right)})"
+        return f"(<= {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Lt):
-        return f"(< {canonical_term(f.left)} {canonical_term(f.right)})"
+        return f"(< {_term(f.left)} {_term(f.right)})"
     if isinstance(f, Pr):
-        args = " ".join(canonical_term(a) for a in f.args)
+        args = " ".join(_term(a) for a in f.args)
         return f"(pr {f.name} {args})"
     if isinstance(f, Not):
-        return f"(not {canonical_formula(f.operand)})"
+        return f"(not {_formula(f.operand)})"
     if isinstance(f, And):
-        return "(and " + " ".join(canonical_formula(c) for c in f.conjuncts) + ")"
+        return "(and " + " ".join(_formula(c) for c in f.conjuncts) + ")"
     if isinstance(f, Or):
-        return "(or " + " ".join(canonical_formula(d) for d in f.disjuncts) + ")"
+        return "(or " + " ".join(_formula(d) for d in f.disjuncts) + ")"
     if isinstance(f, Implies):
-        return f"(=> {canonical_formula(f.left)} {canonical_formula(f.right)})"
+        return f"(=> {_formula(f.left)} {_formula(f.right)})"
     if isinstance(f, Iff):
-        return f"(<=> {canonical_formula(f.left)} {canonical_formula(f.right)})"
+        return f"(<=> {_formula(f.left)} {_formula(f.right)})"
     if isinstance(f, ForAll):
         trig = " ".join(
-            "(trigger " + " ".join(canonical_term(p) for p in pattern) + ")"
+            "(trigger " + " ".join(_term(p) for p in pattern) + ")"
             for pattern in f.triggers
         )
         return (
             f"(forall ({' '.join(f.vars)}) "
             + (f"{trig} " if trig else "")
-            + canonical_formula(f.body)
+            + _formula(f.body)
             + ")"
         )
     if isinstance(f, Exists):
-        return f"(exists ({' '.join(f.vars)}) {canonical_formula(f.body)})"
+        return f"(exists ({' '.join(f.vars)}) {_formula(f.body)})"
     raise TypeError(f"unknown formula {f!r}")
 
 

@@ -8,14 +8,15 @@ that the qualifier checker consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.cfront.ctypes import CType
+from repro.nodes import Frozen, Node
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(Frozen):
     """Source location, for diagnostics.
 
     ``file`` is the original source path (empty when parsing from a
@@ -23,9 +24,12 @@ class Loc:
     diagnostics and CFG nodes point at real source lines.
     """
 
-    line: int = 0
-    col: int = 0
-    file: str = ""
+    __slots__ = ("line", "col", "file")
+
+    def __init__(self, line: int = 0, col: int = 0, file: str = ""):
+        _set(self, "line", line)
+        _set(self, "col", col)
+        _set(self, "file", file)
 
     def __str__(self) -> str:
         if self.file:
@@ -33,251 +37,440 @@ class Loc:
         return f"line {self.line}"
 
 
+#: The default location of every node built without one.
+NO_LOC = Loc()
+
+
 # ---------------------------------------------------------------- expressions
+# Every expression and statement takes its ``loc`` as a keyword-only
+# argument; it is the first field in equality and ``repr``.
 
 
-@dataclass
-class Expr:
-    loc: Loc = field(default_factory=Loc, kw_only=True)
+class Expr(Node):
+    __slots__ = ("loc",)
+
+    def __init__(self, *, loc: Loc = NO_LOC):
+        self.loc = loc
 
 
-@dataclass
 class IntLit(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class CharLit(Expr):
-    value: int = 0
+    __slots__ = ("value",)
+
+    def __init__(self, value: int = 0, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class StrLit(Expr):
-    value: str = ""
+    __slots__ = ("value",)
+
+    def __init__(self, value: str = "", *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class Name(Expr):
-    ident: str = ""
+    __slots__ = ("ident",)
+
+    def __init__(self, ident: str = "", *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.ident = ident
 
 
-@dataclass
 class Unary(Expr):
     """Prefix unary: ``-``, ``!``, ``~``, ``*`` (deref), ``&`` (addr-of)."""
 
-    op: str = "-"
-    operand: Expr = None
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str = "-", operand: Expr = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.op = op
+        self.operand = operand
 
 
-@dataclass
 class Binary(Expr):
-    op: str = "+"
-    left: Expr = None
-    right: Expr = None
+    __slots__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        op: str = "+",
+        left: Expr = None,
+        right: Expr = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Assign(Expr):
     """Assignment in expression position; ``op`` is '=' or compound."""
 
-    op: str = "="
-    target: Expr = None
-    value: Expr = None
+    __slots__ = ("op", "target", "value")
+
+    def __init__(
+        self,
+        op: str = "=",
+        target: Expr = None,
+        value: Expr = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.op = op
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class IncDec(Expr):
     """``++``/``--``; ``prefix`` distinguishes ``++x`` from ``x++``."""
 
-    op: str = "++"
-    target: Expr = None
-    prefix: bool = False
+    __slots__ = ("op", "target", "prefix")
+
+    def __init__(
+        self,
+        op: str = "++",
+        target: Expr = None,
+        prefix: bool = False,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.op = op
+        self.target = target
+        self.prefix = prefix
 
 
-@dataclass
 class Call(Expr):
-    func: str = ""
-    args: List[Expr] = field(default_factory=list)
+    __slots__ = ("func", "args")
+
+    def __init__(
+        self, func: str = "", args: List[Expr] = None, *, loc: Loc = NO_LOC
+    ):
+        self.loc = loc
+        self.func = func
+        self.args = [] if args is None else args
 
 
-@dataclass
 class Index(Expr):
-    base: Expr = None
-    index: Expr = None
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: Expr = None, index: Expr = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.base = base
+        self.index = index
 
 
-@dataclass
 class Member(Expr):
     """``base.field`` (arrow=False) or ``base->field`` (arrow=True)."""
 
-    base: Expr = None
-    fieldname: str = ""
-    arrow: bool = False
+    __slots__ = ("base", "fieldname", "arrow")
+
+    def __init__(
+        self,
+        base: Expr = None,
+        fieldname: str = "",
+        arrow: bool = False,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.base = base
+        self.fieldname = fieldname
+        self.arrow = arrow
 
 
-@dataclass
 class Cast(Expr):
-    to_type: CType = None
-    operand: Expr = None
+    __slots__ = ("to_type", "operand")
+
+    def __init__(
+        self, to_type: CType = None, operand: Expr = None, *, loc: Loc = NO_LOC
+    ):
+        self.loc = loc
+        self.to_type = to_type
+        self.operand = operand
 
 
-@dataclass
 class SizeofType(Expr):
-    of_type: CType = None
+    __slots__ = ("of_type",)
+
+    def __init__(self, of_type: CType = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.of_type = of_type
 
 
-@dataclass
 class Conditional(Expr):
-    cond: Expr = None
-    then: Expr = None
-    otherwise: Expr = None
+    __slots__ = ("cond", "then", "otherwise")
+
+    def __init__(
+        self,
+        cond: Expr = None,
+        then: Expr = None,
+        otherwise: Expr = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.cond = cond
+        self.then = then
+        self.otherwise = otherwise
 
 
 # ----------------------------------------------------------------- statements
 
 
-@dataclass
-class Stmt:
-    loc: Loc = field(default_factory=Loc, kw_only=True)
+class Stmt(Node):
+    __slots__ = ("loc",)
+
+    def __init__(self, *, loc: Loc = NO_LOC):
+        self.loc = loc
 
 
-@dataclass
 class Decl(Stmt):
     """A (possibly initialized) variable declaration."""
 
-    name: str = ""
-    ctype: CType = None
-    init: Optional[Expr] = None
+    __slots__ = ("name", "ctype", "init")
+
+    def __init__(
+        self,
+        name: str = "",
+        ctype: CType = None,
+        init: Optional[Expr] = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.name = name
+        self.ctype = ctype
+        self.init = init
 
 
-@dataclass
 class ExprStmt(Stmt):
-    expr: Expr = None
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.expr = expr
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr = None
-    then: "Block" = None
-    otherwise: Optional["Block"] = None
+    __slots__ = ("cond", "then", "otherwise")
+
+    def __init__(
+        self,
+        cond: Expr = None,
+        then: "Block" = None,
+        otherwise: Optional["Block"] = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.cond = cond
+        self.then = then
+        self.otherwise = otherwise
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr = None
-    body: "Block" = None
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Expr = None, body: "Block" = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class DoWhile(Stmt):
-    cond: Expr = None
-    body: "Block" = None
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Expr = None, body: "Block" = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class For(Stmt):
-    init: Optional[Stmt] = None
-    cond: Optional[Expr] = None
-    step: Optional[Expr] = None
-    body: "Block" = None
+    __slots__ = ("init", "cond", "step", "body")
+
+    def __init__(
+        self,
+        init: Optional[Stmt] = None,
+        cond: Optional[Expr] = None,
+        step: Optional[Expr] = None,
+        body: "Block" = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
 
 
-@dataclass
 class Return(Stmt):
-    value: Optional[Expr] = None
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[Expr] = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class Break(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Continue(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Goto(Stmt):
     """``goto label;`` — unstructured control flow."""
 
-    label: str = ""
+    __slots__ = ("label",)
+
+    def __init__(self, label: str = "", *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.label = label
 
 
-@dataclass
 class Label(Stmt):
     """``name:`` — a goto target (labels have function scope)."""
 
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str = "", *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.name = name
 
 
-@dataclass
 class Block(Stmt):
-    stmts: List[Stmt] = field(default_factory=list)
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: List[Stmt] = None, *, loc: Loc = NO_LOC):
+        self.loc = loc
+        self.stmts = [] if stmts is None else stmts
 
 
-@dataclass
-class SwitchCase:
+class SwitchCase(Node):
     """One ``case C:`` (value=None for ``default:``) and its statements
     up to the next label."""
 
-    value: Optional[int]
-    stmts: List[Stmt] = field(default_factory=list)
+    __slots__ = ("value", "stmts")
+
+    def __init__(self, value: Optional[int], stmts: List[Stmt] = None):
+        self.value = value
+        self.stmts = [] if stmts is None else stmts
 
 
-@dataclass
 class Switch(Stmt):
-    scrutinee: Expr = None
-    cases: List[SwitchCase] = field(default_factory=list)
+    __slots__ = ("scrutinee", "cases")
+
+    def __init__(
+        self,
+        scrutinee: Expr = None,
+        cases: List[SwitchCase] = None,
+        *,
+        loc: Loc = NO_LOC,
+    ):
+        self.loc = loc
+        self.scrutinee = scrutinee
+        self.cases = [] if cases is None else cases
 
 
 # ------------------------------------------------------------------ top level
 
 
-@dataclass
-class StructDef:
-    name: str
-    fields: List[Tuple[str, CType]]
-    is_union: bool = False
-    loc: Loc = field(default_factory=Loc)
+class StructDef(Node):
+    __slots__ = ("name", "fields", "is_union", "loc")
+
+    def __init__(
+        self,
+        name: str,
+        fields: List[Tuple[str, CType]],
+        is_union: bool = False,
+        loc: Loc = NO_LOC,
+    ):
+        self.name = name
+        self.fields = fields
+        self.is_union = is_union
+        self.loc = loc
 
 
-@dataclass
-class Param:
-    name: str
-    ctype: CType
+class Param(Node):
+    __slots__ = ("name", "ctype")
+
+    def __init__(self, name: str, ctype: CType):
+        self.name = name
+        self.ctype = ctype
 
 
-@dataclass
-class FuncDef:
-    name: str
-    ret: CType
-    params: List[Param]
-    varargs: bool
-    body: Optional[Block]  # None for prototypes
-    loc: Loc = field(default_factory=Loc)
+class FuncDef(Node):
+    __slots__ = ("name", "ret", "params", "varargs", "body", "loc")
+
+    def __init__(
+        self,
+        name: str,
+        ret: CType,
+        params: List[Param],
+        varargs: bool,
+        body: Optional[Block],  # None for prototypes
+        loc: Loc = NO_LOC,
+    ):
+        self.name = name
+        self.ret = ret
+        self.params = params
+        self.varargs = varargs
+        self.body = body
+        self.loc = loc
 
     @property
     def is_prototype(self) -> bool:
         return self.body is None
 
 
-@dataclass
-class GlobalDecl:
-    name: str
-    ctype: CType
-    init: Optional[Expr] = None
-    loc: Loc = field(default_factory=Loc)
+class GlobalDecl(Node):
+    __slots__ = ("name", "ctype", "init", "loc")
+
+    def __init__(
+        self,
+        name: str,
+        ctype: CType,
+        init: Optional[Expr] = None,
+        loc: Loc = NO_LOC,
+    ):
+        self.name = name
+        self.ctype = ctype
+        self.init = init
+        self.loc = loc
 
 
-@dataclass
-class TranslationUnit:
-    structs: List[StructDef] = field(default_factory=list)
-    globals: List[GlobalDecl] = field(default_factory=list)
-    functions: List[FuncDef] = field(default_factory=list)
-    # Syntax errors recovered from in panic mode (parse_c(recover=True));
-    # empty when parsing succeeded outright or recovery was off.
-    errors: List[Exception] = field(default_factory=list)
+class TranslationUnit(Node):
+    # ``errors``: syntax errors recovered from in panic mode
+    # (parse_c(recover=True)); empty when parsing succeeded outright or
+    # recovery was off.
+    __slots__ = ("structs", "globals", "functions", "errors")
+
+    def __init__(
+        self,
+        structs: List[StructDef] = None,
+        globals: List[GlobalDecl] = None,
+        functions: List[FuncDef] = None,
+        errors: List[Exception] = None,
+    ):
+        self.structs = [] if structs is None else structs
+        self.globals = [] if globals is None else globals
+        self.functions = [] if functions is None else functions
+        self.errors = [] if errors is None else errors
 
     def struct(self, name: str) -> StructDef:
         for s in self.structs:

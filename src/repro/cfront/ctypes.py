@@ -4,21 +4,26 @@ Every type node carries a frozenset of qualifier names (``quals``).  The
 paper's postfix notation ``int pos *`` parses to ``PointerType(IntType
 ({'pos'}))``: a qualifier qualifies the entire type written to its left.
 
-Types are immutable; helpers return new nodes, or the node itself when
-nothing changes.
+Types are immutable (:class:`repro.nodes.Frozen`); helpers return new
+nodes, or the node itself when nothing changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
+from repro.nodes import Frozen, replace
 
-@dataclass(frozen=True)
-class CType:
+_set = object.__setattr__
+
+
+class CType(Frozen):
     """Base class for C types.  ``quals`` holds user-defined qualifiers."""
 
-    quals: frozenset = field(default_factory=frozenset)
+    __slots__ = ("quals",)
+
+    def __init__(self, quals: frozenset = frozenset()):
+        _set(self, "quals", quals)
 
     def with_quals(self, names) -> "CType":
         """Return this type with ``names`` added to its qualifier set."""
@@ -43,64 +48,100 @@ class CType:
         return type_to_str(self)
 
 
-@dataclass(frozen=True)
 class VoidType(CType):
+    __slots__ = ()
+
     def _show(self) -> str:
         return "void"
 
 
-@dataclass(frozen=True)
+VOID = VoidType()
+
+
 class IntType(CType):
     """Integer types; ``kind`` distinguishes char/short/int/long/unsigned."""
 
-    kind: str = "int"
+    __slots__ = ("kind",)
+
+    def __init__(self, quals: frozenset = frozenset(), kind: str = "int"):
+        _set(self, "quals", quals)
+        _set(self, "kind", kind)
 
     def _show(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True)
+INT = IntType()
+
+
 class FloatType(CType):
-    kind: str = "double"
+    __slots__ = ("kind",)
+
+    def __init__(self, quals: frozenset = frozenset(), kind: str = "double"):
+        _set(self, "quals", quals)
+        _set(self, "kind", kind)
 
     def _show(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True)
 class PointerType(CType):
-    pointee: CType = field(default_factory=VoidType)
+    __slots__ = ("pointee",)
+
+    def __init__(self, quals: frozenset = frozenset(), pointee: CType = VOID):
+        _set(self, "quals", quals)
+        _set(self, "pointee", pointee)
 
     def _show(self) -> str:
         return f"{type_to_str(self.pointee)}*"
 
 
-@dataclass(frozen=True)
 class ArrayType(CType):
-    elem: CType = field(default_factory=IntType)
-    size: Optional[int] = None
+    __slots__ = ("elem", "size")
+
+    def __init__(
+        self,
+        quals: frozenset = frozenset(),
+        elem: CType = INT,
+        size: Optional[int] = None,
+    ):
+        _set(self, "quals", quals)
+        _set(self, "elem", elem)
+        _set(self, "size", size)
 
     def _show(self) -> str:
         size = "" if self.size is None else str(self.size)
         return f"{type_to_str(self.elem)}[{size}]"
 
 
-@dataclass(frozen=True)
 class StructType(CType):
     """A reference to a named struct; field layout lives in the program's
     struct table, keeping type nodes small and hashable."""
 
-    name: str = ""
+    __slots__ = ("name",)
+
+    def __init__(self, quals: frozenset = frozenset(), name: str = ""):
+        _set(self, "quals", quals)
+        _set(self, "name", name)
 
     def _show(self) -> str:
         return f"struct {self.name}"
 
 
-@dataclass(frozen=True)
 class FuncType(CType):
-    ret: CType = field(default_factory=VoidType)
-    params: Tuple[CType, ...] = ()
-    varargs: bool = False
+    __slots__ = ("ret", "params", "varargs")
+
+    def __init__(
+        self,
+        quals: frozenset = frozenset(),
+        ret: CType = VOID,
+        params: Tuple[CType, ...] = (),
+        varargs: bool = False,
+    ):
+        _set(self, "quals", quals)
+        _set(self, "ret", ret)
+        _set(self, "params", params)
+        _set(self, "varargs", varargs)
 
     def _show(self) -> str:
         parts = [type_to_str(p) for p in self.params]
@@ -179,8 +220,6 @@ def pointee_of(t: CType) -> CType:
     raise TypeError(f"cannot dereference non-pointer type {type_to_str(t)}")
 
 
-INT = IntType()
 CHAR = IntType(kind="char")
-VOID = VoidType()
 CHAR_PTR = PointerType(pointee=CHAR)
 VOID_PTR = PointerType(pointee=VOID)

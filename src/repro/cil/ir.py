@@ -2,91 +2,95 @@
 
 Expression nodes are immutable and hashable so the qualifier checker can
 memoize judgments about them.  Each expression and l-value node computes
-its hash once, on first use, and keeps it: guard facts and memo keys
-hash the same deep trees over and over.  Statements and instructions
-are plain mutable dataclasses (instrumentation rewrites them in place).
+its hash once, on first use, and keeps it (:class:`repro.nodes.Frozen`):
+guard facts and memo keys hash the same deep trees over and over.
+Statements and instructions are plain mutable nodes (instrumentation
+rewrites them in place).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.cfront.ast import Loc
+from repro.cfront.ast import NO_LOC, Loc
 from repro.cfront.ctypes import CType, FuncType
+from repro.nodes import Frozen, Node
+
+_set = object.__setattr__
 
 
-def _hash_once(cls):
-    """Cache the dataclass-generated hash of a frozen node on first use.
+class _Hashed(Frozen):
+    """An l-value or expression node: it keeps its hash in ``_hash``."""
 
-    String hashes differ between interpreter runs, so the cached value
-    must not outlive the process: pickling and copying rebuild the node
-    through its constructor, and the copy hashes afresh."""
-    compute = cls.__hash__
-    names = tuple(f.name for f in fields(cls))
+    __slots__ = ("_hash",)
 
-    def __hash__(self) -> int:
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = self.__dict__["_hash"] = compute(self)
-            return value
+    def __init__(self):
+        _set_hash(self, None)
 
-    def __reduce__(self):
-        return cls, tuple(getattr(self, name) for name in names)
 
-    cls.__hash__ = __hash__
-    cls.__reduce__ = __reduce__
-    return cls
+# The slot's own setter: cheaper than ``object.__setattr__``, which
+# looks the name up, and every node's constructor calls it.
+_set_hash = _Hashed._hash.__set__
 
 
 # ------------------------------------------------------------------ l-values
 
 
-@_hash_once
-@dataclass(frozen=True)
-class VarHost:
+class VarHost(_Hashed):
     """The l-value host naming a variable directly."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_hash(self, None)
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@_hash_once
-@dataclass(frozen=True)
-class MemHost:
+class MemHost(_Hashed):
     """The l-value host dereferencing a pointer expression."""
 
-    addr: "Expr"
+    __slots__ = ("addr",)
+
+    def __init__(self, addr: "Expr"):
+        _set_hash(self, None)
+        _set(self, "addr", addr)
 
     def __str__(self) -> str:
         return f"*({self.addr})"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class NoOffset:
+class NoOffset(_Hashed):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return ""
 
 
-@_hash_once
-@dataclass(frozen=True)
-class FieldOff:
-    fieldname: str
-    rest: "Offset" = field(default_factory=NoOffset)
+NO_OFFSET = NoOffset()
+
+
+class FieldOff(_Hashed):
+    __slots__ = ("fieldname", "rest")
+
+    def __init__(self, fieldname: str, rest: "Offset" = NO_OFFSET):
+        _set_hash(self, None)
+        _set(self, "fieldname", fieldname)
+        _set(self, "rest", rest)
 
     def __str__(self) -> str:
         return f".{self.fieldname}{self.rest}"
 
 
-@_hash_once
-@dataclass(frozen=True)
-class IndexOff:
-    index: "Expr"
-    rest: "Offset" = field(default_factory=NoOffset)
+class IndexOff(_Hashed):
+    __slots__ = ("index", "rest")
+
+    def __init__(self, index: "Expr", rest: "Offset" = NO_OFFSET):
+        _set_hash(self, None)
+        _set(self, "index", index)
+        _set(self, "rest", rest)
 
     def __str__(self) -> str:
         return f"[{self.index}]{self.rest}"
@@ -96,11 +100,13 @@ Offset = NoOffset | FieldOff | IndexOff
 Host = VarHost | MemHost
 
 
-@_hash_once
-@dataclass(frozen=True)
-class Lvalue:
-    host: Host
-    offset: Offset = field(default_factory=NoOffset)
+class Lvalue(_Hashed):
+    __slots__ = ("host", "offset")
+
+    def __init__(self, host: Host, offset: Offset = NO_OFFSET):
+        _set_hash(self, None)
+        _set(self, "host", host)
+        _set(self, "offset", offset)
 
     def __str__(self) -> str:
         return f"{self.host}{self.offset}"
@@ -130,72 +136,84 @@ def _append_offset(base: Offset, extra: Offset) -> Offset:
 # --------------------------------------------------------------- expressions
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(_Hashed):
+    __slots__ = ()
 
 
-@_hash_once
-@dataclass(frozen=True)
 class IntConst(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set_hash(self, None)
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class StrConst(Expr):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        _set_hash(self, None)
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return '"' + self.value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-@_hash_once
-@dataclass(frozen=True)
 class NullConst(Expr):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "NULL"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class Lval(Expr):
     """Reading an l-value (the l-value used in expression position)."""
 
-    lvalue: Lvalue
+    __slots__ = ("lvalue",)
+
+    def __init__(self, lvalue: Lvalue):
+        _set_hash(self, None)
+        _set(self, "lvalue", lvalue)
 
     def __str__(self) -> str:
         return str(self.lvalue)
 
 
-@_hash_once
-@dataclass(frozen=True)
 class AddrOf(Expr):
-    lvalue: Lvalue
+    __slots__ = ("lvalue",)
+
+    def __init__(self, lvalue: Lvalue):
+        _set_hash(self, None)
+        _set(self, "lvalue", lvalue)
 
     def __str__(self) -> str:
         return f"&{self.lvalue}"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class UnOp(Expr):
-    op: str  # '-', '!', '~'
-    operand: Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):  # op: '-', '!', '~'
+        _set_hash(self, None)
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"{self.op}({self.operand})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str  # arithmetic/relational/logical; 'ptradd' for pointer indexing
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        # op: arithmetic/relational/logical; 'ptradd' for pointer indexing
+        _set_hash(self, None)
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         if self.op == "ptradd":
@@ -203,18 +221,18 @@ class BinOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class CastE(Expr):
-    to_type: CType
-    operand: Expr
+    __slots__ = ("to_type", "operand")
+
+    def __init__(self, to_type: CType, operand: Expr):
+        _set_hash(self, None)
+        _set(self, "to_type", to_type)
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"({self.to_type})({self.operand})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class CondE(Expr):
     """A side-effect-free conditional expression ``c ? a : b``.
 
@@ -222,18 +240,24 @@ class CondE(Expr):
     instructions, so expressions remain pure.
     """
 
-    cond: Expr
-    then: Expr
-    otherwise: Expr
+    __slots__ = ("cond", "then", "otherwise")
+
+    def __init__(self, cond: Expr, then: Expr, otherwise: Expr):
+        _set_hash(self, None)
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "otherwise", otherwise)
 
     def __str__(self) -> str:
         return f"({self.cond} ? {self.then} : {self.otherwise})"
 
 
-@_hash_once
-@dataclass(frozen=True)
 class SizeOfE(Expr):
-    of_type: Optional[CType] = None
+    __slots__ = ("of_type",)
+
+    def __init__(self, of_type: Optional[CType] = None):
+        _set_hash(self, None)
+        _set(self, "of_type", of_type)
 
     def __str__(self) -> str:
         return f"sizeof({self.of_type if self.of_type else '...'})"
@@ -242,30 +266,42 @@ class SizeOfE(Expr):
 # -------------------------------------------------------------- instructions
 
 
-@dataclass
-class Set:
+class Set(Node):
     """Assignment instruction ``lvalue := expr``."""
 
-    lvalue: Lvalue
-    expr: Expr
-    loc: Loc = field(default_factory=Loc)
+    __slots__ = ("lvalue", "expr", "loc")
+
+    def __init__(self, lvalue: Lvalue, expr: Expr, loc: Loc = NO_LOC):
+        self.lvalue = lvalue
+        self.expr = expr
+        self.loc = loc
 
     def __str__(self) -> str:
         return f"{self.lvalue} = {self.expr};"
 
 
-@dataclass
-class Call:
-    """Procedure call; ``result`` receives the return value if not None."""
+class Call(Node):
+    """Procedure call; ``result`` receives the return value if not None.
 
-    result: Optional[Lvalue]
-    func: str
-    args: List[Expr]
-    loc: Loc = field(default_factory=Loc)
-    # A cast the surface program applied to the call result, e.g.
-    # ``p = (int*)malloc(...)``; recorded so pattern matching can ignore
-    # it (footnote 1 and figure 6 of the paper).
-    result_cast: Optional[CType] = None
+    ``result_cast`` is a cast the surface program applied to the call
+    result, e.g. ``p = (int*)malloc(...)``; recorded so pattern matching
+    can ignore it (footnote 1 and figure 6 of the paper)."""
+
+    __slots__ = ("result", "func", "args", "loc", "result_cast")
+
+    def __init__(
+        self,
+        result: Optional[Lvalue],
+        func: str,
+        args: List[Expr],
+        loc: Loc = NO_LOC,
+        result_cast: Optional[CType] = None,
+    ):
+        self.result = result
+        self.func = func
+        self.args = args
+        self.loc = loc
+        self.result_cast = result_cast
 
     def __str__(self) -> str:
         args = ", ".join(str(a) for a in self.args)
@@ -287,63 +323,91 @@ Instruction = Set | Call
 # ---------------------------------------------------------------- statements
 
 
-@dataclass
-class Instr:
-    instrs: List[Instruction] = field(default_factory=list)
-    loc: Loc = field(default_factory=Loc)
+class Instr(Node):
+    __slots__ = ("instrs", "loc")
+
+    def __init__(self, instrs: List[Instruction] = None, loc: Loc = NO_LOC):
+        self.instrs = [] if instrs is None else instrs
+        self.loc = loc
 
 
-@dataclass
-class If:
-    cond: Expr
-    then: List["Stmt"] = field(default_factory=list)
-    otherwise: List["Stmt"] = field(default_factory=list)
-    loc: Loc = field(default_factory=Loc)
+class If(Node):
+    __slots__ = ("cond", "then", "otherwise", "loc")
+
+    def __init__(
+        self,
+        cond: Expr,
+        then: List["Stmt"] = None,
+        otherwise: List["Stmt"] = None,
+        loc: Loc = NO_LOC,
+    ):
+        self.cond = cond
+        self.then = [] if then is None else then
+        self.otherwise = [] if otherwise is None else otherwise
+        self.loc = loc
 
 
-@dataclass
-class While:
+class While(Node):
     """``while`` loop; ``cond_instrs`` re-evaluate side-effecting parts of
     the condition on every iteration (lowered from e.g.
     ``while ((t = next()) != NULL)``)."""
 
-    cond_instrs: List[Instruction]
-    cond: Expr
-    body: List["Stmt"] = field(default_factory=list)
-    loc: Loc = field(default_factory=Loc)
+    __slots__ = ("cond_instrs", "cond", "body", "loc")
+
+    def __init__(
+        self,
+        cond_instrs: List[Instruction],
+        cond: Expr,
+        body: List["Stmt"] = None,
+        loc: Loc = NO_LOC,
+    ):
+        self.cond_instrs = cond_instrs
+        self.cond = cond
+        self.body = [] if body is None else body
+        self.loc = loc
 
 
-@dataclass
-class Return:
-    expr: Optional[Expr] = None
-    loc: Loc = field(default_factory=Loc)
+class Return(Node):
+    __slots__ = ("expr", "loc")
+
+    def __init__(self, expr: Optional[Expr] = None, loc: Loc = NO_LOC):
+        self.expr = expr
+        self.loc = loc
 
 
-@dataclass
-class Break:
-    loc: Loc = field(default_factory=Loc)
+class Break(Node):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: Loc = NO_LOC):
+        self.loc = loc
 
 
-@dataclass
-class Continue:
-    loc: Loc = field(default_factory=Loc)
+class Continue(Node):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: Loc = NO_LOC):
+        self.loc = loc
 
 
-@dataclass
-class Goto:
+class Goto(Node):
     """``goto label;`` — unstructured jump, resolved against the
     function's :class:`Label` statements by the CFG builder."""
 
-    label: str = ""
-    loc: Loc = field(default_factory=Loc)
+    __slots__ = ("label", "loc")
+
+    def __init__(self, label: str = "", loc: Loc = NO_LOC):
+        self.label = label
+        self.loc = loc
 
 
-@dataclass
-class Label:
+class Label(Node):
     """``name:`` — a goto target; labels have function scope."""
 
-    name: str = ""
-    loc: Loc = field(default_factory=Loc)
+    __slots__ = ("name", "loc")
+
+    def __init__(self, name: str = "", loc: Loc = NO_LOC):
+        self.name = name
+        self.loc = loc
 
 
 Stmt = Instr | If | While | Return | Break | Continue | Goto | Label
@@ -352,15 +416,26 @@ Stmt = Instr | If | While | Return | Break | Continue | Goto | Label
 # ----------------------------------------------------------------- top level
 
 
-@dataclass
-class Function:
-    name: str
-    ret: CType
-    formals: List[Tuple[str, CType]]
-    locals: List[Tuple[str, CType]]
-    body: List[Stmt]
-    varargs: bool = False
-    loc: Loc = field(default_factory=Loc)
+class Function(Node):
+    __slots__ = ("name", "ret", "formals", "locals", "body", "varargs", "loc")
+
+    def __init__(
+        self,
+        name: str,
+        ret: CType,
+        formals: List[Tuple[str, CType]],
+        locals: List[Tuple[str, CType]],
+        body: List[Stmt],
+        varargs: bool = False,
+        loc: Loc = NO_LOC,
+    ):
+        self.name = name
+        self.ret = ret
+        self.formals = formals
+        self.locals = locals
+        self.body = body
+        self.varargs = varargs
+        self.loc = loc
 
     def local_type(self, name: str) -> CType:
         for n, t in self.formals + self.locals:
@@ -369,26 +444,44 @@ class Function:
         raise KeyError(name)
 
 
-@dataclass
-class GlobalVar:
-    name: str
-    ctype: CType
-    loc: Loc = field(default_factory=Loc)
+class GlobalVar(Node):
+    __slots__ = ("name", "ctype", "loc")
+
+    def __init__(self, name: str, ctype: CType, loc: Loc = NO_LOC):
+        self.name = name
+        self.ctype = ctype
+        self.loc = loc
 
 
-@dataclass
-class Program:
-    structs: Dict[str, List[Tuple[str, CType]]] = field(default_factory=dict)
-    # Names in `structs` that are C unions: their fields overlay at
-    # offset 0 and qualifier checking of them is unsound (paper §3.3).
-    unions: set = field(default_factory=set)
-    globals: List[GlobalVar] = field(default_factory=list)
-    functions: List[Function] = field(default_factory=list)
-    # Declared signatures for every known function (definitions and
-    # prototypes, e.g. the annotated printf signature).
-    signatures: Dict[str, FuncType] = field(default_factory=dict)
-    # Formal parameter names for defined functions (for diagnostics).
-    formal_names: Dict[str, List[str]] = field(default_factory=dict)
+class Program(Node):
+    """A lowered translation unit.
+
+    ``unions`` names the entries of ``structs`` that are C unions: their
+    fields overlay at offset 0 and qualifier checking of them is unsound
+    (paper §3.3).  ``signatures`` holds the declared signature of every
+    known function (definitions and prototypes, e.g. the annotated
+    printf signature); ``formal_names`` the formal parameter names of
+    defined functions (for diagnostics)."""
+
+    __slots__ = (
+        "structs", "unions", "globals", "functions", "signatures", "formal_names",
+    )
+
+    def __init__(
+        self,
+        structs: Dict[str, List[Tuple[str, CType]]] = None,
+        unions: set = None,
+        globals: List[GlobalVar] = None,
+        functions: List[Function] = None,
+        signatures: Dict[str, FuncType] = None,
+        formal_names: Dict[str, List[str]] = None,
+    ):
+        self.structs = {} if structs is None else structs
+        self.unions = set() if unions is None else unions
+        self.globals = [] if globals is None else globals
+        self.functions = [] if functions is None else functions
+        self.signatures = {} if signatures is None else signatures
+        self.formal_names = {} if formal_names is None else formal_names
 
     GLOBAL_INIT = "__global_init__"
 

@@ -83,9 +83,8 @@ class _Lowerer:
         init_instrs: List[ir.Instruction] = []
         for g in self.unit.globals:
             if g.init is not None:
-                self.state = _FuncState()
-                ctx = self._context()
-                value = self._lower_expr(g.init, init_instrs, ctx)
+                self._begin_function([])
+                value = self._lower_expr(g.init, init_instrs, self._ctx)
                 lv = ir.Lvalue(ir.VarHost(g.name))
                 init_instrs.append(ir.Set(lv, value, g.loc))
         if init_instrs:
@@ -107,14 +106,13 @@ class _Lowerer:
         return self.program
 
     def _lower_function(self, f: A.FuncDef) -> ir.Function:
-        self.state = _FuncState()
-        formals = []
-        for p in f.params:
-            name = p.name or f"__anon{len(formals)}"
+        formals = [
+            (p.name or f"__anon{i}", p.ctype) for i, p in enumerate(f.params)
+        ]
+        self._begin_function(formals)
+        for name, _ in formals:
             self.state.scopes[0][name] = name
             self.state.used_names.add(name)
-            formals.append((name, p.ctype))
-        self._formals = formals
         body = self._lower_block(f.body)
         return ir.Function(
             name=f.name,
@@ -128,12 +126,14 @@ class _Lowerer:
 
     # ----------------------------------------------------------- environment
 
-    def _context(self) -> TypingContext:
+    def _begin_function(self, formals: List[Tuple[str, CType]]) -> None:
+        """Fresh per-function state.  The typing context is built once
+        here, from the globals and ``formals``; each local and temporary
+        is added to it as it is declared (later names shadow earlier)."""
+        self.state = _FuncState()
         var_types = {g.name: g.ctype for g in self.program.globals}
-        if hasattr(self, "_formals"):
-            var_types.update(dict(self._formals))
-        var_types.update(dict(self.state.locals))
-        return TypingContext(var_types=var_types, structs=self.program.structs)
+        var_types.update(formals)
+        self._ctx = TypingContext(var_types=var_types, structs=self.program.structs)
 
     def _declare_local(self, surface_name: str, ctype: CType) -> str:
         name = surface_name
@@ -144,6 +144,7 @@ class _Lowerer:
         self.state.used_names.add(name)
         self.state.scopes[-1][surface_name] = name
         self.state.locals.append((name, ctype))
+        self._ctx.var_types[name] = ctype
         return name
 
     def _resolve(self, surface_name: str) -> str:
@@ -157,6 +158,7 @@ class _Lowerer:
         self.state.temp_count += 1
         self.state.used_names.add(name)
         self.state.locals.append((name, ctype))
+        self._ctx.var_types[name] = ctype
         return ir.Lvalue(ir.VarHost(name))
 
     def _return_type_of(self, func: str) -> CType:
@@ -184,11 +186,11 @@ class _Lowerer:
             return self._lower_decl(stmt)
         if isinstance(stmt, A.ExprStmt):
             instrs: List[ir.Instruction] = []
-            self._lower_expr(stmt.expr, instrs, self._context(), as_statement=True)
+            self._lower_expr(stmt.expr, instrs, self._ctx, as_statement=True)
             return [ir.Instr(instrs, stmt.loc)] if instrs else []
         if isinstance(stmt, A.If):
             instrs = []
-            cond = self._lower_expr(stmt.cond, instrs, self._context())
+            cond = self._lower_expr(stmt.cond, instrs, self._ctx)
             then = self._lower_block(stmt.then)
             otherwise = self._lower_block(stmt.otherwise) if stmt.otherwise else []
             out: List[ir.Stmt] = []
@@ -210,7 +212,7 @@ class _Lowerer:
             instrs = []
             value = None
             if stmt.value is not None:
-                value = self._lower_expr(stmt.value, instrs, self._context())
+                value = self._lower_expr(stmt.value, instrs, self._ctx)
             out = []
             if instrs:
                 out.append(ir.Instr(instrs, stmt.loc))
@@ -236,7 +238,7 @@ class _Lowerer:
         ``break`` (which terminates the switch, not an enclosing loop).
         """
         instrs: List[ir.Instruction] = []
-        scrutinee = self._lower_expr(stmt.scrutinee, instrs, self._context())
+        scrutinee = self._lower_expr(stmt.scrutinee, instrs, self._ctx)
         temp = self._fresh_temp(IntType())
         instrs.append(ir.Set(temp, scrutinee, stmt.loc))
 
@@ -291,7 +293,7 @@ class _Lowerer:
 
     def _lower_while(self, cond: A.Expr, body: A.Block, loc: A.Loc) -> ir.While:
         cond_instrs: List[ir.Instruction] = []
-        cond_expr = self._lower_expr(cond, cond_instrs, self._context())
+        cond_expr = self._lower_expr(cond, cond_instrs, self._ctx)
         saved = self.state.for_step
         self.state.for_step = None
         body_stmts = self._lower_block(body)
@@ -305,12 +307,12 @@ class _Lowerer:
             out.extend(self._lower_stmt(stmt.init))
         cond_instrs: List[ir.Instruction] = []
         if stmt.cond is not None:
-            cond_expr = self._lower_expr(stmt.cond, cond_instrs, self._context())
+            cond_expr = self._lower_expr(stmt.cond, cond_instrs, self._ctx)
         else:
             cond_expr = ir.IntConst(1)
         step_instrs: List[ir.Instruction] = []
         if stmt.step is not None:
-            self._lower_expr(stmt.step, step_instrs, self._context(), as_statement=True)
+            self._lower_expr(stmt.step, step_instrs, self._ctx, as_statement=True)
         saved = self.state.for_step
         self.state.for_step = step_instrs
         body_stmts = self._lower_block(stmt.body)
@@ -337,10 +339,10 @@ class _Lowerer:
             cast_type = value.to_type
             call = value.operand
         if isinstance(call, A.Call):
-            args = [self._lower_expr(a, instrs, self._context()) for a in call.args]
+            args = [self._lower_expr(a, instrs, self._ctx) for a in call.args]
             instrs.append(ir.Call(target, call.func, args, loc, result_cast=cast_type))
             return
-        expr = self._lower_expr(value, instrs, self._context())
+        expr = self._lower_expr(value, instrs, self._ctx)
         instrs.append(ir.Set(target, expr, loc))
 
     def _lower_expr(
@@ -408,9 +410,9 @@ class _Lowerer:
         if isinstance(expr, A.Conditional):
             cond = self._lower_expr(expr.cond, instrs, ctx)
             then_instrs: List[ir.Instruction] = []
-            then_val = self._lower_expr(expr.then, then_instrs, self._context())
+            then_val = self._lower_expr(expr.then, then_instrs, self._ctx)
             else_instrs: List[ir.Instruction] = []
-            else_val = self._lower_expr(expr.otherwise, else_instrs, self._context())
+            else_val = self._lower_expr(expr.otherwise, else_instrs, self._ctx)
             if then_instrs or else_instrs:
                 raise LowerError(
                     "conditional expression with side-effecting branches "
@@ -435,7 +437,7 @@ class _Lowerer:
             binop = expr.op[:-1]  # '+=' -> '+'
             current = ir.Lval(target)
             try:
-                target_type = type_of_lvalue(self._context(), target)
+                target_type = type_of_lvalue(self._ctx, target)
             except TypeError_:
                 target_type = IntType()
             if is_pointer_like(target_type) and binop in ("+", "-"):
@@ -455,7 +457,7 @@ class _Lowerer:
         target = self._lower_lvalue(expr.target, instrs, ctx)
         op = "+" if expr.op == "++" else "-"
         try:
-            target_type = type_of_lvalue(self._context(), target)
+            target_type = type_of_lvalue(self._ctx, target)
         except TypeError_:
             target_type = IntType()
         if is_pointer_like(target_type):
@@ -482,7 +484,7 @@ class _Lowerer:
             base_lv_expr = self._lower_expr(expr.base, instrs, ctx)
             index = self._lower_expr(expr.index, instrs, ctx)
             try:
-                base_type = type_of_expr(self._context(), base_lv_expr)
+                base_type = type_of_expr(self._ctx, base_lv_expr)
             except TypeError_:
                 base_type = PointerType(pointee=IntType())
             if isinstance(base_type, ArrayType) and isinstance(base_lv_expr, ir.Lval):

@@ -11,9 +11,12 @@ accepted as a pattern in ``assign`` blocks (figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
+
+from repro.nodes import Frozen, Node
+
+_set = object.__setattr__
 
 
 class Classifier(str, Enum):
@@ -30,36 +33,42 @@ class Classifier(str, Enum):
 # so they are a separate small grammar that *matches against* C types.
 
 
-@dataclass(frozen=True)
-class DType:
-    pass
+class DType(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class DInt(DType):
-    kind: str = "int"
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str = "int"):
+        _set(self, "kind", kind)
 
     def __str__(self) -> str:
         return self.kind
 
 
-@dataclass(frozen=True)
 class DVoid(DType):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "void"
 
 
-@dataclass(frozen=True)
 class DTypeVar(DType):
-    name: str = "T"
+    __slots__ = ("name",)
+
+    def __init__(self, name: str = "T"):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class DPtr(DType):
-    inner: DType = field(default_factory=DTypeVar)
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: DType = DTypeVar()):
+        _set(self, "inner", inner)
 
     def __str__(self) -> str:
         return f"{self.inner}*"
@@ -68,13 +77,15 @@ class DPtr(DType):
 # ------------------------------------------------------------- variables
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Frozen):
     """``decl int Expr E1`` — a pattern variable declaration."""
 
-    name: str
-    dtype: DType
-    classifier: Classifier
+    __slots__ = ("name", "dtype", "classifier")
+
+    def __init__(self, name: str, dtype: DType, classifier: Classifier):
+        _set(self, "name", name)
+        _set(self, "dtype", dtype)
+        _set(self, "classifier", classifier)
 
     def __str__(self) -> str:
         return f"{self.dtype} {self.classifier.value} {self.name}"
@@ -83,61 +94,72 @@ class VarDecl:
 # -------------------------------------------------------------- patterns
 
 
-@dataclass(frozen=True)
-class Pattern:
-    pass
+class Pattern(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PVar(Pattern):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class PDeref(Pattern):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return f"*{self.name}"
 
 
-@dataclass(frozen=True)
 class PAddrOf(Pattern):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return f"&{self.name}"
 
 
-@dataclass(frozen=True)
 class PNew(Pattern):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "new"
 
 
-@dataclass(frozen=True)
 class PNull(Pattern):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "NULL"
 
 
-@dataclass(frozen=True)
 class PUnop(Pattern):
-    op: str
-    name: str
+    __slots__ = ("op", "name")
+
+    def __init__(self, op: str, name: str):
+        _set(self, "op", op)
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return f"{self.op}{self.name}"
 
 
-@dataclass(frozen=True)
 class PBinop(Pattern):
-    op: str
-    left: str
-    right: str
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: str, right: str):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
@@ -158,58 +180,67 @@ def pattern_vars(p: Pattern) -> Tuple[str, ...]:
 # conjunction and disjunction (section 2.1.1).
 
 
-@dataclass(frozen=True)
-class Pred:
-    pass
+class Pred(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PredTrue(Pred):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class PredQual(Pred):
     """``pos(E1)`` — a (possibly recursive) qualifier check."""
 
-    qualifier: str
-    var: str
+    __slots__ = ("qualifier", "var")
+
+    def __init__(self, qualifier: str, var: str):
+        _set(self, "qualifier", qualifier)
+        _set(self, "var", var)
 
     def __str__(self) -> str:
         return f"{self.qualifier}({self.var})"
 
 
-@dataclass(frozen=True)
-class AVar:
+class AVar(Frozen):
     """A pattern variable used as an arithmetic operand (must have
     classifier Const when the predicate is evaluated)."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class ANum:
-    value: int
+class ANum(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class ANull:
+class ANull(Frozen):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "NULL"
 
 
-@dataclass(frozen=True)
-class ABin:
-    op: str
-    left: "AExpr"
-    right: "AExpr"
+class ABin(Frozen):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "AExpr", right: "AExpr"):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -218,39 +249,48 @@ class ABin:
 AExpr = AVar | ANum | ANull | ABin
 
 
-@dataclass(frozen=True)
 class PredCmp(Pred):
     """``C > 0`` — comparison over constant operands."""
 
-    op: str  # '>', '<', '>=', '<=', '==', '!='
-    left: AExpr
-    right: AExpr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: AExpr, right: AExpr):
+        # op: '>', '<', '>=', '<=', '==', '!='
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
 class PredAnd(Pred):
-    left: Pred
-    right: Pred
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} && {self.right})"
 
 
-@dataclass(frozen=True)
 class PredOr(Pred):
-    left: Pred
-    right: Pred
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} || {self.right})"
 
 
-@dataclass(frozen=True)
 class PredNot(Pred):
-    operand: Pred
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Pred):
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"!({self.operand})"
@@ -260,165 +300,205 @@ class PredNot(Pred):
 # Terms and formulas of the invariant language (sections 2.1.3, 2.2.3).
 
 
-@dataclass(frozen=True)
-class ITerm:
-    pass
+class ITerm(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IValue(ITerm):
     """``value(E)`` — the value of the qualified expression in ρ."""
 
-    var: str
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        _set(self, "var", var)
 
     def __str__(self) -> str:
         return f"value({self.var})"
 
 
-@dataclass(frozen=True)
 class ILocation(ITerm):
     """``location(L)`` — the address of the qualified l-value in ρ."""
 
-    var: str
+    __slots__ = ("var",)
+
+    def __init__(self, var: str):
+        _set(self, "var", var)
 
     def __str__(self) -> str:
         return f"location({self.var})"
 
 
-@dataclass(frozen=True)
 class IDeref(ITerm):
     """``*P`` — the contents of location ``P`` in ρ."""
 
-    operand: ITerm
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ITerm):
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"*{self.operand}"
 
 
-@dataclass(frozen=True)
 class IVar(ITerm):
     """A quantified variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class INum(ITerm):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class INull(ITerm):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "NULL"
 
 
-@dataclass(frozen=True)
 class IBin(ITerm):
     """Arithmetic in invariants, e.g. ``value(E) % 2``."""
 
-    op: str  # '+', '-', '*', '/', '%'
-    left: ITerm
-    right: ITerm
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: ITerm, right: ITerm):
+        # op: '+', '-', '*', '/', '%'
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
-class IFormula:
-    pass
+class IFormula(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ICmp(IFormula):
-    op: str  # '==', '!=', '>', '<', '>=', '<='
-    left: ITerm
-    right: ITerm
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: ITerm, right: ITerm):
+        # op: '==', '!=', '>', '<', '>=', '<='
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.right}"
 
 
-@dataclass(frozen=True)
 class IIsHeapLoc(IFormula):
-    operand: ITerm
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ITerm):
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"isHeapLoc({self.operand})"
 
 
-@dataclass(frozen=True)
 class IAnd(IFormula):
-    left: IFormula
-    right: IFormula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: IFormula, right: IFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} && {self.right})"
 
 
-@dataclass(frozen=True)
 class IOr(IFormula):
-    left: IFormula
-    right: IFormula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: IFormula, right: IFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} || {self.right})"
 
 
-@dataclass(frozen=True)
 class INot(IFormula):
-    operand: IFormula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: IFormula):
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"!({self.operand})"
 
 
-@dataclass(frozen=True)
 class IImplies(IFormula):
-    left: IFormula
-    right: IFormula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: IFormula, right: IFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} => {self.right})"
 
 
-@dataclass(frozen=True)
 class IForall(IFormula):
     """``forall T** P: body`` — quantification over memory locations of
     a given type (used by reference-qualifier invariants)."""
 
-    var: str
-    dtype: DType
-    body: IFormula
+    __slots__ = ("var", "dtype", "body")
+
+    def __init__(self, var: str, dtype: DType, body: IFormula):
+        _set(self, "var", var)
+        _set(self, "dtype", dtype)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"forall {self.dtype} {self.var}: {self.body}"
 
 
 # --------------------------------------------------------------- clauses
+# The three rule kinds share one shape: declarations, a pattern and the
+# predicate guarding it.
 
 
-@dataclass(frozen=True)
-class CaseClause:
-    """Introduction rule: an expression matching ``pattern`` whose
-    ``predicate`` holds may be given the qualified type."""
+class _Clause(Frozen):
+    __slots__ = ("decls", "pattern", "predicate")
 
-    decls: Tuple[VarDecl, ...]
-    pattern: Pattern
-    predicate: Pred = field(default_factory=PredTrue)
+    def __init__(
+        self,
+        decls: Tuple[VarDecl, ...],
+        pattern: Pattern,
+        predicate: Pred = PredTrue(),
+    ):
+        _set(self, "decls", decls)
+        _set(self, "pattern", pattern)
+        _set(self, "predicate", predicate)
 
     def decl_of(self, name: str) -> VarDecl:
         for d in self.decls:
             if d.name == name:
                 return d
         raise KeyError(f"pattern variable {name!r} not declared")
+
+
+class CaseClause(_Clause):
+    """Introduction rule: an expression matching ``pattern`` whose
+    ``predicate`` holds may be given the qualified type."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         decls = f"decl {', '.join(str(d) for d in self.decls)}: " if self.decls else ""
@@ -426,46 +506,30 @@ class CaseClause:
         return f"{decls}{self.pattern}{where}"
 
 
-@dataclass(frozen=True)
-class RestrictClause:
+class RestrictClause(_Clause):
     """Any program expression matching ``pattern`` must satisfy
     ``predicate`` (section 2.1.1)."""
 
-    decls: Tuple[VarDecl, ...]
-    pattern: Pattern
-    predicate: Pred = field(default_factory=PredTrue)
-
-    def decl_of(self, name: str) -> VarDecl:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        raise KeyError(f"pattern variable {name!r} not declared")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AssignClause:
+class AssignClause(_Clause):
     """Allowed right-hand sides in assignments to a ref-qualified
     l-value (section 2.2.1)."""
 
-    decls: Tuple[VarDecl, ...]
-    pattern: Pattern
-    predicate: Pred = field(default_factory=PredTrue)
-
-    def decl_of(self, name: str) -> VarDecl:
-        for d in self.decls:
-            if d.name == name:
-                return d
-        raise KeyError(f"pattern variable {name!r} not declared")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DisallowClause:
+class DisallowClause(Frozen):
     """What uses of a ref-qualified l-value are forbidden: appearing as
     a reference (``disallow L``) and/or having its address taken
     (``disallow &L``)."""
 
-    forbid_reference: bool = False
-    forbid_address_of: bool = False
+    __slots__ = ("forbid_reference", "forbid_address_of")
+
+    def __init__(self, forbid_reference: bool = False, forbid_address_of: bool = False):
+        _set(self, "forbid_reference", forbid_reference)
+        _set(self, "forbid_address_of", forbid_address_of)
 
     def __str__(self) -> str:
         parts = []
@@ -479,22 +543,41 @@ class DisallowClause:
 # -------------------------------------------------------------- definition
 
 
-@dataclass
-class QualifierDef:
+class QualifierDef(Node):
     """A complete qualifier definition."""
 
-    name: str
-    kind: str  # 'value' or 'ref'
-    dtype: DType
-    classifier: Classifier
-    var: str
-    cases: List[CaseClause] = field(default_factory=list)
-    restricts: List[RestrictClause] = field(default_factory=list)
-    assigns: List[AssignClause] = field(default_factory=list)
-    disallow: Optional[DisallowClause] = None
-    ondecl: bool = False
-    invariant: Optional[IFormula] = None
-    source: str = ""
+    __slots__ = (
+        "name", "kind", "dtype", "classifier", "var", "cases", "restricts",
+        "assigns", "disallow", "ondecl", "invariant", "source",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # 'value' or 'ref'
+        dtype: DType,
+        classifier: Classifier,
+        var: str,
+        cases: List[CaseClause] = None,
+        restricts: List[RestrictClause] = None,
+        assigns: List[AssignClause] = None,
+        disallow: Optional[DisallowClause] = None,
+        ondecl: bool = False,
+        invariant: Optional[IFormula] = None,
+        source: str = "",
+    ):
+        self.name = name
+        self.kind = kind
+        self.dtype = dtype
+        self.classifier = classifier
+        self.var = var
+        self.cases = [] if cases is None else cases
+        self.restricts = [] if restricts is None else restricts
+        self.assigns = [] if assigns is None else assigns
+        self.disallow = disallow
+        self.ondecl = ondecl
+        self.invariant = invariant
+        self.source = source
 
     @property
     def is_value(self) -> bool:

@@ -9,74 +9,67 @@ uninterpreted and handled by congruence closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
+from repro.nodes import Frozen
+
+_set = object.__setattr__
+
 # ---------------------------------------------------------------------- terms
+# The three term classes hash eagerly, with a tag per class: terms are
+# deep trees used heavily as dict keys.
 
 
-@dataclass(frozen=True)
-class Term:
-    pass
+class Term(Frozen):
+    __slots__ = ("_hash",)
 
 
-@dataclass(frozen=True)
+# The slot's own setter: cheaper than ``object.__setattr__``.
+_set_hash = Term._hash.__set__
+
+
 class TVar(Term):
     """A variable — free variables are only meaningful under a
     quantifier or in an axiom schema; ground reasoning uses constants
     (nullary :class:`TApp`)."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("v", self.name)))
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set_hash(self, hash(("v", name)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return TVar, (self.name,)
 
     def __str__(self) -> str:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
 class TInt(Term):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("i", self.value)))
+    def __init__(self, value: int):
+        _set(self, "value", value)
+        _set_hash(self, hash(("i", value)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return TInt, (self.value,)
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class TApp(Term):
-    fname: str
-    args: Tuple[Term, ...] = ()
+    __slots__ = ("fname", "args")
 
-    def __post_init__(self):
-        # Terms are deep trees used heavily as dict keys; caching the
-        # hash turns the recursive recomputation into O(1).
-        object.__setattr__(
-            self, "_hash", hash(("a", self.fname, self.args))
-        )
+    def __init__(self, fname: str, args: Tuple[Term, ...] = ()):
+        _set(self, "fname", fname)
+        _set(self, "args", args)
+        _set_hash(self, hash(("a", fname, args)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between interpreter runs: a pickled term
-        # is rebuilt through the constructor, which hashes afresh.
-        return TApp, (self.fname, self.args)
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -136,19 +129,20 @@ def subterms(t: Term):
 # ------------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FTrue(Formula):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
 class FFalse(Formula):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "false"
 
@@ -157,97 +151,114 @@ TRUE = FTrue()
 FALSE = FFalse()
 
 
-@dataclass(frozen=True)
 class Eq(Formula):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
 
 
-@dataclass(frozen=True)
 class Le(Formula):
     """``left <= right``."""
 
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} <= {self.right}"
 
 
-@dataclass(frozen=True)
 class Lt(Formula):
     """``left < right``."""
 
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"{self.left} < {self.right}"
 
 
-@dataclass(frozen=True)
 class Pr(Formula):
     """An uninterpreted predicate application, e.g. isHeapLoc(v)."""
 
-    name: str
-    args: Tuple[Term, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[Term, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
 
     def __str__(self) -> str:
         return f"¬({self.operand})"
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    conjuncts: Tuple[Formula, ...]
+    __slots__ = ("conjuncts",)
 
     def __init__(self, *conjuncts: Formula):
-        object.__setattr__(self, "conjuncts", tuple(conjuncts))
+        _set(self, "conjuncts", tuple(conjuncts))
+
+    def __reduce__(self):
+        return And, self.conjuncts
 
     def __str__(self) -> str:
         return "(" + " ∧ ".join(str(c) for c in self.conjuncts) + ")"
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    disjuncts: Tuple[Formula, ...]
+    __slots__ = ("disjuncts",)
 
     def __init__(self, *disjuncts: Formula):
-        object.__setattr__(self, "disjuncts", tuple(disjuncts))
+        _set(self, "disjuncts", tuple(disjuncts))
+
+    def __reduce__(self):
+        return Or, self.disjuncts
 
     def __str__(self) -> str:
         return "(" + " ∨ ".join(str(d) for d in self.disjuncts) + ")"
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} ⇒ {self.right})"
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self) -> str:
         return f"({self.left} ⇔ {self.right})"
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
     """Universal quantification with optional E-matching triggers.
 
@@ -256,18 +267,28 @@ class ForAll(Formula):
     When no triggers are given, the instantiation engine derives them.
     """
 
-    vars: Tuple[str, ...]
-    body: Formula
-    triggers: Tuple[Tuple[Term, ...], ...] = ()
+    __slots__ = ("vars", "body", "triggers")
+
+    def __init__(
+        self,
+        vars: Tuple[str, ...],
+        body: Formula,
+        triggers: Tuple[Tuple[Term, ...], ...] = (),
+    ):
+        _set(self, "vars", vars)
+        _set(self, "body", body)
+        _set(self, "triggers", triggers)
 
     def __str__(self) -> str:
         return f"∀{','.join(self.vars)}. {self.body}"
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
-    vars: Tuple[str, ...]
-    body: Formula
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: Tuple[str, ...], body: Formula):
+        _set(self, "vars", vars)
+        _set(self, "body", body)
 
     def __str__(self) -> str:
         return f"∃{','.join(self.vars)}. {self.body}"

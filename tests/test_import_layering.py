@@ -15,11 +15,12 @@ SRC = os.path.join(ROOT, "src")
 NONNULL_C = os.path.join(ROOT, "examples", "nonnull.c")
 POSNEG_QUAL = os.path.join(ROOT, "examples", "posneg.qual")
 
-#: What a check must not load: the prover, the soundness checker, the
-#: interpreters, the difftest oracles, the daemon, the proof cache's
-#: sqlite and the process pool.
+#: What a check must not load: the prover (its term language included),
+#: the soundness checker, the interpreters, the difftest oracles, the
+#: daemon, the proof cache's sqlite and the process pool.
 CHECK_FORBIDDEN = (
     "repro.prover.prover",
+    "repro.prover.terms",
     "repro.core.soundness",
     "repro.semantics",
     "repro.difftest",

@@ -18,6 +18,9 @@ echo "== tier-1 test suite"
 python -m pytest -x -q tests/
 
 echo "== import layering: one-shot CLI runs load only their own layers"
+# Byte-compile first, as the e2e benchmark does, so the import times
+# printed below are those of a start with cached bytecode.
+python -m compileall -q src/repro > /dev/null
 python -X importtime -m repro check examples/nonnull.c \
     > /dev/null 2> "$tmpdir/import-check.txt"
 python -X importtime -m repro prove --no-cache examples/posneg.qual \
@@ -28,25 +31,35 @@ sys.path.insert(0, "tests")
 from test_import_layering import CHECK_FORBIDDEN, PROVE_FORBIDDEN, offenders
 
 
-def imported(path):
-    # -X importtime lines end in "| <module>"; module sets, not times,
+def self_times(path):
+    # -X importtime lines: "import time: <self us> | <cumulative us> |
+    # <module>".  The module set is checked; the times are only shown,
     # so the stage cannot flap on a noisy host.
-    return {
-        line.rsplit("|", 1)[1].strip()
-        for line in open(path)
-        if line.startswith("import time:")
-    }
+    times = {}
+    for line in open(path):
+        if line.startswith("import time:") and "[us]" not in line:
+            us, _, name = line[len("import time:"):].split("|")
+            times[name.strip()] = int(us)
+    return times
 
 
 for path, ran, forbidden in (
     (sys.argv[1], "repro.cfront.parser", CHECK_FORBIDDEN),
     (sys.argv[2], "repro.prover.prover", PROVE_FORBIDDEN),
 ):
-    loaded = imported(path)
+    times = self_times(path)
+    loaded = set(times)
     assert ran in loaded, f"{path}: {ran} never loaded"
     bad = offenders(loaded, forbidden)
     assert not bad, f"{path}: loaded {bad}"
     print(f"   {len(loaded)} module(s), none of {len(forbidden)} forbidden")
+    ours = {name: us for name, us in times.items() if name.startswith("repro")}
+    top = sorted(ours.items(), key=lambda item: -item[1])[:5]
+    print(
+        f"   repro.* self import time {sum(ours.values()) / 1000:.1f} ms"
+        f" over {len(ours)} module(s); largest: "
+        + ", ".join(f"{name} {us / 1000:.1f}" for name, us in top)
+    )
 ' "$tmpdir/import-check.txt" "$tmpdir/import-prove.txt"
 
 echo "== worklist engine matches legacy structured-walk verdicts"
