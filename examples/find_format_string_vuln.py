@@ -12,7 +12,12 @@ Run:  python examples/find_format_string_vuln.py
 
 import repro
 from repro.analysis.annotate import annotate_untainted
+from repro.core.qualifiers.library import UNTAINTED
 from repro.corpus import generate_bftpd
+
+# The daemon's own qualifier: its struct has a field named ``user``, so
+# the run below must not treat the standard library's names as words.
+QUALS = repro.QualifierSet([UNTAINTED])
 
 source = generate_bftpd()
 program = repro.lower_unit(repro.parse_c(source))
@@ -33,7 +38,7 @@ for line in source.splitlines():
 
 print("\ndemonstrating the exploit at run time...")
 try:
-    repro.run_c_source(source, quals=repro.QualifierSet([]))
+    repro.run_c_source(source, quals=QUALS)
 except repro.FormatStringError as exc:
     print(f"  FormatStringError: {exc}")
 else:
@@ -49,7 +54,7 @@ fixed = annotate_untainted(fixed_program)
 print(f"  errors after fix: {fixed.errors}")
 assert fixed.errors == 0
 
-value, output = repro.run_c_source(fixed_source, quals=repro.QualifierSet([]))
+value, output = repro.run_c_source(fixed_source, quals=QUALS)
 print(f"  fixed daemon runs cleanly (exit {value}); output:")
 for line in output:
     print(f"    | {line.rstrip()}")

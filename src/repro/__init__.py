@@ -129,15 +129,16 @@ _DEFAULT_QUAL_NAMES = frozenset(
 
 
 def _lower_source(source, quals, qualifier_names):
-    """Parse and lower C source; ``quals`` defaults to the standard
-    library.  Returns ``(program, quals)``."""
+    """Parse and lower C source with the qualifier words
+    :func:`check_c_source` describes.  Returns ``(program, quals)``."""
     from repro.cfront.parser import parse_c
     from repro.cil.lower import lower_unit
     from repro.core.qualifiers.library import standard_qualifiers
 
+    names = set(_DEFAULT_QUAL_NAMES) if quals is None else set()
     if quals is None:
         quals = standard_qualifiers()
-    names = set(_DEFAULT_QUAL_NAMES) | quals.names
+    names |= quals.names
     if qualifier_names:
         names |= set(qualifier_names)
     return lower_unit(parse_c(source, qualifier_names=names)), quals
@@ -146,9 +147,10 @@ def _lower_source(source, quals, qualifier_names):
 def check_c_source(source, quals=None, qualifier_names=None):
     """Parse, lower and qualifier-check C source in one call.
 
-    ``quals`` defaults to the paper's standard qualifier library;
-    ``qualifier_names`` are identifiers accepted as bare qualifier
-    annotations (defaults to the standard names plus any in ``quals``).
+    ``quals`` defaults to the paper's standard qualifier library.  The
+    names of ``quals`` are accepted as bare qualifier annotations (with
+    the default library, ``user`` and ``kernel`` too), and so are any
+    extra ``qualifier_names``.
     """
     from repro.core.checker.typecheck import check_program
 

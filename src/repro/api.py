@@ -575,12 +575,6 @@ class Workspace:
             "units_evicted": 0,
         }
         self.max_units = _max_unit_states()
-        #: Optional cross-request obligation dedup table (see
-        #: :mod:`repro.serve.dedup`).  The serve daemon installs one
-        #: shared table (or a pipe-backed proxy, in process-worker
-        #: mode) so concurrent prove requests single-flight identical
-        #: obligations; a plain in-process workspace leaves it None.
-        self.dedup = None
         self._quals: Optional[QualifierSet] = None
         self._qual_texts: Optional[Tuple[str, ...]] = None
         self._env_digest: str = ""
@@ -1010,15 +1004,7 @@ class Workspace:
 
             self._session_pool = SessionPool()
         pool = self._session_pool
-        # Cross-request single-flight only makes sense in the process
-        # that owns the table; a forked pool child would wait on a
-        # copied snapshot.  Incremental workspaces always run the
-        # worker in-process (jobs is forced to 1 below), so they keep
-        # the table either way.
-        dedup = (
-            self.dedup if (request.jobs <= 1 or self.incremental) else None
-        )
-        worker = self._prove_unit_worker(request, retry, cache, pool, dedup)
+        worker = self._prove_unit_worker(request, retry, cache, pool)
         if self.incremental:
             # The replay store lives in this process (same reasoning as
             # incremental check); sharded mode keeps ``jobs`` because
@@ -1032,8 +1018,7 @@ class Workspace:
         return Report("prove", batch_report)
 
     def _prove_unit_worker(
-        self, request: ProveRequest, retry: RetryPolicy, cache, pool,
-        dedup=None,
+        self, request: ProveRequest, retry: RetryPolicy, cache, pool
     ):
         def worker(path: str, deadline: Deadline) -> batch.UnitResult:
             before = cache.snapshot() if cache is not None else None
@@ -1073,7 +1058,6 @@ class Workspace:
                         cache=cache,
                         on_result=stream_obligation,
                         sessions=pool,
-                        dedup=dedup,
                     )
                 entry = report.to_dict()
                 entry["summary"] = report.summary()

@@ -80,10 +80,13 @@ class _Lowerer:
                     self.program.formal_names[f.name] = [p.name for p in f.params]
 
     def lower(self) -> ir.Program:
+        # Every initializer lowers into the one __global_init__
+        # function, so they share one state: temporaries stay distinct
+        # and each is declared with its own type.
         init_instrs: List[ir.Instruction] = []
+        self._begin_function([])
         for g in self.unit.globals:
             if g.init is not None:
-                self._begin_function([])
                 value = self._lower_expr(g.init, init_instrs, self._ctx)
                 lv = ir.Lvalue(ir.VarHost(g.name))
                 init_instrs.append(ir.Set(lv, value, g.loc))
@@ -154,7 +157,12 @@ class _Lowerer:
         return surface_name  # a global or unknown name
 
     def _fresh_temp(self, ctype: CType) -> ir.Lvalue:
+        """A new temporary, named ``__tN`` past any name already in
+        scope (a source variable may be called ``__t0`` too)."""
         name = f"__t{self.state.temp_count}"
+        while name in self._ctx.var_types:
+            self.state.temp_count += 1
+            name = f"__t{self.state.temp_count}"
         self.state.temp_count += 1
         self.state.used_names.add(name)
         self.state.locals.append((name, ctype))

@@ -215,49 +215,6 @@ def discharge_obligation(
         )
 
 
-def _discharge_shared(
-    dedup, env_key: str, obligation: Obligation, time_limit: float, discharge
-):
-    """Single-flight one obligation through a cross-request dedup table.
-
-    ``dedup`` is an object with the :class:`repro.serve.dedup.
-    ObligationDedup` contract (``acquire``/``wait``/``publish``), keyed
-    by ``(environment key, obligation fingerprint)`` — the same pair
-    the proof cache addresses by.  The first request to reach a key
-    becomes the *leader* and proves it; concurrent requests for the
-    same key wait for the leader's settled (PROVED/REFUTED) payload
-    instead of re-proving.  An unsettled or crashed leader publishes
-    ``None`` and the waiter falls back to proving for itself, so
-    sharing can never change a verdict.
-    """
-    from repro.cache import fingerprint as _fp
-    from repro.core.soundness import workitems as _workitems
-
-    key = (env_key, _fp.obligation_key(obligation.goal))
-    role, ticket = dedup.acquire(key)
-    if role != "leader":
-        payload = dedup.wait(ticket, timeout=time_limit + 30.0)
-        if payload is not None:
-            return ObligationResult(
-                obligation, _workitems.proof_result_from_dict(payload)
-            )
-        return discharge()
-    try:
-        entry = discharge()
-    except BaseException:
-        dedup.publish(key, None)  # never strand the waiters
-        raise
-    payload = None
-    if (
-        not entry.error
-        and entry.result is not None
-        and entry.result.verdict in ("PROVED", "REFUTED")
-    ):
-        payload = _workitems.proof_result_to_dict(entry.result)
-    dedup.publish(key, payload)
-    return entry
-
-
 def check_soundness(
     qdef: QualifierDef,
     quals: Optional[QualifierSet] = None,
@@ -268,7 +225,6 @@ def check_soundness(
     cache=None,
     on_result=None,
     sessions=None,
-    dedup=None,
 ) -> SoundnessReport:
     """Prove every obligation of one qualifier definition.
 
@@ -285,7 +241,8 @@ def check_soundness(
     ``cache`` (a :class:`repro.cache.ProofCache`) is consulted before
     any prover work per obligation; the qualifier definition's
     normalized source text is folded into the environment key, so an
-    edited definition can never replay its old verdicts.
+    edited definition can never replay its old verdicts, and another
+    caller's proof in flight is waited for, not repeated.
 
     ``on_result`` (if given) is called with each
     :class:`ObligationResult` the moment it settles — the streaming
@@ -300,13 +257,6 @@ def check_soundness(
     are then reused across the obligations of this qualifier's axiom
     environment (see docs/architecture.md, "obligation lifecycle");
     PROVED/REFUTED verdicts are unaffected by design.
-
-    ``dedup`` (an :class:`repro.serve.dedup.ObligationDedup`-shaped
-    object, or None) single-flights obligation discharge across
-    concurrent callers: two requests proving the same obligation under
-    the same axiom environment share one prover run in flight, not just
-    through the proof cache after the fact.  Only settled
-    PROVED/REFUTED results are shared.
     """
     if quals is None:
         quals = QualifierSet([qdef])
@@ -342,15 +292,10 @@ def check_soundness(
             max_rounds=max_rounds,
             time_limit=time_limit,
         )
-    dedup_env = None
-    if dedup is not None:
-        from repro.cache import fingerprint as _fp
-
-        dedup_env = _fp.environment_key(list(axioms), context=qdef.source)
     for obligation in obligations:
-        def discharge(_obligation=obligation):
-            return discharge_obligation(
-                _obligation,
+        settle(
+            discharge_obligation(
+                obligation,
                 qdef.source,
                 axioms,
                 session=session,
@@ -360,15 +305,7 @@ def check_soundness(
                 deadline=deadline,
                 cache=cache,
             )
-
-        if dedup is None or obligation.trivial or obligation.goal is None:
-            settle(discharge())
-        else:
-            settle(
-                _discharge_shared(
-                    dedup, dedup_env, obligation, time_limit, discharge
-                )
-            )
+        )
     report.elapsed = time.perf_counter() - start
     return report
 

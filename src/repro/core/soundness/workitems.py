@@ -133,8 +133,7 @@ def discharge_work_item(
 
 def proof_result_to_dict(result: Optional[ProofResult]) -> Optional[Dict]:
     """Flatten one ProofResult into a pickle/JSON-safe dict (the
-    ``proof`` field of an outcome; also the payload the serve dedup
-    table shares between in-flight requests)."""
+    ``proof`` field of an outcome)."""
     if result is None:
         return None
     proof = result.to_cache_payload()

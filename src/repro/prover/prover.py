@@ -68,6 +68,9 @@ _EXHAUSTED_BUDGET = {
     ROUNDS_EXHAUSTED: "max_rounds",
 }
 
+#: A proof-cache lease outlives its leader's time limit by this much.
+LEASE_SLACK = 30.0
+
 
 @dataclass
 class ProofResult:
@@ -224,26 +227,52 @@ class Prover:
         ``cache_context`` is folded into the cache's environment key
         (the soundness checker passes the qualifier definition text).
         """
-        start = time.perf_counter()
-        cache_key = None
-        if cache is not None:
-            cache_key = cache.key(
-                goal, self.axioms, extra_axioms, context=cache_context
-            )
-            payload = cache.get(cache_key)
-            if payload is not None:
-                return ProofResult.from_cache_payload(
-                    payload, elapsed=time.perf_counter() - start
+        def search() -> ProofResult:
+            with obs.span("prover.prove"):
+                result = self._prove_uncached(
+                    goal, extra_axioms, deadline, time.perf_counter()
                 )
-        with obs.span("prover.prove"):
-            result = self._prove_uncached(goal, extra_axioms, deadline, start)
-        if obs.enabled():
-            obs.incr("prover.calls")
-            obs.add_time("prover.proofs_ms", result.elapsed * 1000.0)
-            obs.incr(f"prover.verdicts.{result.verdict}")
-            obs.incr("prover.conflicts", result.conflicts)
-            obs.incr("prover.instances", result.instances)
-        return _record(cache, cache_key, result)
+            if obs.enabled():
+                obs.incr("prover.calls")
+                obs.add_time("prover.proofs_ms", result.elapsed * 1000.0)
+                obs.incr(f"prover.verdicts.{result.verdict}")
+                obs.incr("prover.conflicts", result.conflicts)
+                obs.incr("prover.instances", result.instances)
+            return result
+
+        return self._consult(
+            cache, goal, extra_axioms, cache_context, deadline, search
+        )
+
+    def _consult(
+        self, cache, goal, extra_axioms, cache_context, deadline, search
+    ) -> ProofResult:
+        """The cached verdict for ``goal`` (perhaps one another caller
+        was proving), or ``search()``'s, stored if settled.  A lease
+        the cache hands out on a miss ends here whatever ``search``
+        does: the store of a settled verdict ends it, anything else
+        (``TIMEOUT``, ``GAVE_UP``, an exception) releases it."""
+        if cache is None:
+            return search()
+        start = time.perf_counter()
+        key = cache.key(goal, self.axioms, extra_axioms, context=cache_context)
+        payload = cache.get(key)
+        if payload is None:
+            payload = cache.claim(
+                key, lease=self.time_limit + LEASE_SLACK, deadline=deadline
+            )
+        if payload is not None:
+            return ProofResult.from_cache_payload(
+                payload, elapsed=time.perf_counter() - start
+            )
+        stored = False
+        try:
+            result = search()
+            stored = cache.put(key, result.to_cache_payload())
+        finally:
+            if not stored:
+                cache.release(key)
+        return result
 
     def _prove_uncached(
         self,
@@ -333,17 +362,13 @@ class Prover:
         (a hit costs no prover work at all), and the final settled
         verdict — whatever attempt produced it — is stored back.
         """
-        cache_key = None
-        if cache is not None:
-            probe_start = time.perf_counter()
-            cache_key = cache.key(
-                goal, self.axioms, extra_axioms, context=cache_context
-            )
-            payload = cache.get(cache_key)
-            if payload is not None:
-                return ProofResult.from_cache_payload(
-                    payload, elapsed=time.perf_counter() - probe_start
-                )
+        return self._consult(
+            cache, goal, extra_axioms, cache_context, deadline,
+            lambda: self._attempts(goal, extra_axioms, retry, deadline),
+        )
+
+    def _attempts(self, goal, extra_axioms, retry, deadline) -> ProofResult:
+        """The retry loop of :meth:`prove_with_retry`, uncached."""
         deadline = (deadline or Deadline(None)).tightened(self.time_limit)
         result: Optional[ProofResult] = None
         attempts = 0
@@ -360,7 +385,7 @@ class Prover:
             result = attempt_prover.prove(goal, extra_axioms, deadline=deadline)
             result.attempts = attempts
             if result.verdict != GAVE_UP or deadline.expired():
-                return _record(cache, cache_key, result)
+                return result
             if not self._retry_grows(result.reason, retry, attempt):
                 break  # the same budgets would repeat the same search
         if result is None:  # deadline could not fund even one attempt
@@ -368,7 +393,7 @@ class Prover:
                 proved=False, reason="time limit", verdict=TIMEOUT
             )
         result.attempts = max(attempts, result.attempts)
-        return _record(cache, cache_key, result)
+        return result
 
     def _retry_grows(self, reason: str, retry: RetryPolicy, attempt: int) -> bool:
         """Would the attempt after ``attempt`` get more of the budget
@@ -504,15 +529,6 @@ class Prover:
                 Implies(Eq(p, zero), Or(Eq(a, zero), Eq(b, zero))),
             ):
                 assert_formula(db, lemma)
-
-
-def _record(cache, cache_key, result: ProofResult) -> ProofResult:
-    """Store a settled verdict back into the proof cache.  The cache
-    itself refuses budget-dependent verdicts (TIMEOUT/GAVE_UP), so a
-    slow run never poisons a later, better-funded one."""
-    if cache is not None and cache_key is not None and not result.cached:
-        cache.put(cache_key, result.to_cache_payload())
-    return result
 
 
 def _atom_terms(atom):

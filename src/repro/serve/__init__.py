@@ -8,9 +8,9 @@ requests over a unix socket and/or a TCP ``--listen host:port``
 endpoint, so an edit loop pays only for the functions that actually
 changed.  With ``--workers N`` each configuration's workspace lives in
 a persistent worker *process* (:mod:`repro.serve.workers`), so
-concurrent requests use multiple cores; a parent-side dedup table
-(:mod:`repro.serve.dedup`) single-flights identical in-flight
-obligations across requests.  The wire format is newline-delimited
+concurrent requests use multiple cores; identical in-flight
+obligations are single-flighted by the proof cache they share
+(:mod:`repro.cache.store`).  The wire format is newline-delimited
 JSON (:mod:`repro.serve.protocol`); responses embed the same schema-v1
 ``Report.to_dict()`` payloads the CLI prints, and unit results stream
 back as they settle.

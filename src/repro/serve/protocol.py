@@ -28,7 +28,10 @@ hand-rolling message shapes.  Additive evolution only: new params and
 new response keys may appear under the same protocol version; removing
 or renaming either bumps :data:`PROTOCOL_VERSION`.  Version 2 removed
 the ``prove`` params ``session`` and ``explain``; a request that still
-sends them is refused as ``bad-request`` (unknown param).
+sends them is refused as ``bad-request`` (unknown param).  Version 3
+removed the ``status`` reply's block of in-flight sharing counters:
+the sharing moved into the proof cache, whose ``waits``/``shared``
+counters appear in each prove report's ``cache`` block.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro import api
 from repro.cache import DEFAULT_CACHE_DIR
 
 #: Version of the message shapes above (reported by ``status``).
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default unix-socket path, overridable with ``REPRO_SERVE_SOCKET``.
 DEFAULT_SOCKET = ".repro-serve.sock"

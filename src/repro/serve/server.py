@@ -22,10 +22,9 @@ on the mode:
 Either way, requests against *different* configurations run
 concurrently; requests against the same workspace serialize on its
 lock (the workspace is not thread-safe, and an edit loop wants the
-second re-check to see the first one's warm state anyway).  A
-cross-request obligation dedup table (:mod:`repro.serve.dedup`) lives
-in the parent, so two in-flight prove requests discharging the same
-obligation share one prover run even across worker processes.
+second re-check to see the first one's warm state anyway).  In either
+mode, in-flight proves of one obligation against one cache directory
+share a prover run through the cache's leases (:mod:`repro.cache.store`).
 
 Streaming: unit results and progress events are enqueued from the
 worker thread via ``loop.call_soon_threadsafe`` and written back on
@@ -57,7 +56,6 @@ from collections import OrderedDict
 from repro import api, obs
 from repro.harness.supervisor import env_knob
 from repro.serve import protocol
-from repro.serve.dedup import ObligationDedup
 from repro.serve.workers import (
     INPUT_ERRORS as _INPUT_ERRORS,
     ProcessHost,
@@ -112,9 +110,6 @@ class ServeServer:
             # worker count is also the resident-workspace cap, and the
             # existing LRU eviction machinery enforces it.
             self.max_workspaces = min(self.max_workspaces, self.workers)
-        #: Cross-request obligation dedup (single-flight; parent-owned
-        #: so it spans workspaces and worker processes alike).
-        self.dedup = ObligationDedup()
         self._hosts: "OrderedDict[Tuple, object]" = OrderedDict()
         self._locks: Dict[Tuple, threading.Lock] = {}
         self._ws_guard = threading.Lock()
@@ -408,11 +403,11 @@ class ServeServer:
 
     def _spawn_host(self, config: api.SessionConfig):
         if self.workers:
-            host = ProcessHost(config, self.dedup)
+            host = ProcessHost(config)
             self.counters["workers_spawned"] += 1
             obs.incr("serve.workers_spawned")
             return host
-        return ThreadHost(config, self.dedup)
+        return ThreadHost(config)
 
     def _note_worker_crash(self, host) -> None:
         self.counters["workers_crashed"] += 1
@@ -571,7 +566,6 @@ class ServeServer:
             "shutting_down": self._shutting_down,
             "inflight": len(self._inflight),
             "counters": dict(self.counters),
-            "dedup": dict(self.dedup.counters),
             "workspaces": blocks,
         }
 

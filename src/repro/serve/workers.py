@@ -27,16 +27,9 @@ it is in.  The child protocol is a tuple-per-message pipe dialogue::
                       | ("error", code, message, stats_dict)
                       | ("invalidated", count, stats_dict)
                       | ("stats", stats_dict)
-                      | ("dedup_acquire", key)                # upcalls
-                      | ("dedup_publish", key, payload)
 
-The ``dedup_*`` upcalls are how cross-request obligation dedup keeps
-working across process boundaries: the table lives in the parent
-(:mod:`repro.serve.dedup`), the child talks to it through
-:class:`_DedupProxy`, and the parent services the upcalls inline in
-its per-request message pump — each request has a dedicated executor
-thread, so blocking that thread on a follower's wait is exactly the
-single-flight semantics the in-process table has.
+Two workers proving one obligation share it through the proof cache's
+leases (:mod:`repro.cache.store`); the parent takes no part.
 
 Worker lifecycle reuses the batch-pool supervision machinery
 (:func:`repro.harness.supervisor.pool_context` for fork-vs-spawn,
@@ -47,7 +40,7 @@ daemon as a zombie).
 from __future__ import annotations
 
 import signal
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro import api
 from repro.cfront.lexer import LexError
@@ -103,9 +96,8 @@ class RemoteError(Exception):
 class ThreadHost:
     """The in-process shape: workspace state lives in the daemon."""
 
-    def __init__(self, config: api.SessionConfig, dedup=None):
+    def __init__(self, config: api.SessionConfig):
         self.workspace = api.Workspace(config, incremental=True)
-        self.workspace.dedup = dedup
 
     @property
     def alive(self) -> bool:
@@ -138,32 +130,6 @@ class ThreadHost:
         self.workspace.close()
 
 
-class _DedupProxy:
-    """Child-side handle on the parent's dedup table (pipe upcalls).
-
-    Matches the :class:`repro.serve.dedup.ObligationDedup` contract.
-    The parent answers ``acquire`` for a follower only after its own
-    ``wait`` completes, so the proxy's ``wait`` is just the ticket —
-    the payload already crossed the pipe.
-    """
-
-    def __init__(self, conn):
-        self._conn = conn
-
-    def acquire(self, key: Tuple[str, str]):
-        self._conn.send(("dedup_acquire", key))
-        reply = self._conn.recv()  # ("dedup", "lead") | ("dedup", "outcome", p)
-        if reply[1] == "lead":
-            return "leader", None
-        return "follower", reply[2]
-
-    def wait(self, ticket, timeout: Optional[float] = None):
-        return ticket
-
-    def publish(self, key: Tuple[str, str], payload: Optional[dict]) -> None:
-        self._conn.send(("dedup_publish", key, payload))
-
-
 def worker_main(conn, config: api.SessionConfig) -> None:
     """Child entry: host one workspace, serve requests off the pipe.
 
@@ -182,7 +148,6 @@ def worker_main(conn, config: api.SessionConfig) -> None:
         except (ValueError, OSError):
             pass
     workspace = api.Workspace(config, incremental=True)
-    workspace.dedup = _DedupProxy(conn)
     try:
         while True:
             try:
@@ -233,9 +198,8 @@ def worker_main(conn, config: api.SessionConfig) -> None:
 class ProcessHost:
     """Parent-side handle on one persistent workspace worker process."""
 
-    def __init__(self, config: api.SessionConfig, dedup):
+    def __init__(self, config: api.SessionConfig):
         self.config = config
-        self._dedup = dedup
         self._dead = False
         ctx = pool_context()
         self._conn, child_conn = ctx.Pipe(duplex=True)
@@ -293,54 +257,24 @@ class ProcessHost:
         """Dispatch one batch op to the worker and pump its messages.
 
         Blocks the calling executor thread until the worker's ``done``
-        or ``error``; ``dedup_*`` upcalls are serviced inline against
-        the parent's table.  Raises :class:`WorkerCrashed` when the
-        pipe dies — the caller owns respawn policy.
+        or ``error``.  Raises :class:`WorkerCrashed` when the pipe dies
+        — the caller owns respawn policy.
         """
-        # A follower's wait is bounded by the leader's own prover time
-        # budget (plus slack); an overdue leader means the follower
-        # proves for itself rather than hanging the request.
         try:
-            wait_timeout = float(params.get("time_limit") or 45.0) + 30.0
-        except (TypeError, ValueError):
-            wait_timeout = 75.0
-        led = set()
-        try:
-            try:
-                self._conn.send(("run", op, params))
-                while True:
-                    message = self._conn.recv()
-                    kind = message[0]
-                    if kind in ("unit", "event"):
-                        emit(kind, message[1])
-                    elif kind == "done":
-                        self._stats_cache = message[2]
-                        return message[1]
-                    elif kind == "error":
-                        self._stats_cache = message[3]
-                        raise RemoteError(message[1], message[2])
-                    elif kind == "dedup_acquire":
-                        key = tuple(message[1])
-                        role, ticket = self._dedup.acquire(key)
-                        if role == "leader":
-                            led.add(key)
-                            self._conn.send(("dedup", "lead"))
-                        else:
-                            payload = self._dedup.wait(
-                                ticket, timeout=wait_timeout
-                            )
-                            self._conn.send(("dedup", "outcome", payload))
-                    elif kind == "dedup_publish":
-                        key = tuple(message[1])
-                        led.discard(key)
-                        self._dedup.publish(key, message[2])
-            except (EOFError, OSError):
-                raise self._crashed()
-        finally:
-            # Never strand followers on keys a crashed (or buggy)
-            # worker led but never published.
-            for key in led:
-                self._dedup.publish(key, None)
+            self._conn.send(("run", op, params))
+            while True:
+                message = self._conn.recv()
+                kind = message[0]
+                if kind in ("unit", "event"):
+                    emit(kind, message[1])
+                elif kind == "done":
+                    self._stats_cache = message[2]
+                    return message[1]
+                elif kind == "error":
+                    self._stats_cache = message[3]
+                    raise RemoteError(message[1], message[2])
+        except (EOFError, OSError):
+            raise self._crashed()
 
     def invalidate(self, path: Optional[str]) -> int:
         reply = self._roundtrip(

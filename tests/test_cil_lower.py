@@ -260,3 +260,56 @@ def test_logical_ops_stay_pure():
     instrs = instructions(prog.function("f"))
     assert isinstance(instrs[0].expr, ir.BinOp)
     assert instrs[0].expr.op == "||"
+
+
+TEMPS = """
+int f() { return 1; }
+int* g() { return 0; }
+int a = f() + 1; int* b = g(); int c = f() + f();
+int h() { int* __t0 = g(); int x = f() + 1; return *__t0 + x; }
+"""
+
+#: Every global initializer lowers into one __global_init__ whose
+#: temporaries are declared once each with their own type, and a
+#: temporary never takes a source variable's name.
+TEMPS_IR = """\
+int a;
+int* b;
+int c;
+
+void __global_init__() {
+  int __t0;
+  int* __t1;
+  int __t2;
+  int __t3;
+  __t0 = f();
+  a = (__t0 + 1);
+  __t1 = g();
+  b = __t1;
+  __t2 = f();
+  __t3 = f();
+  c = (__t2 + __t3);
+}
+
+int f() {
+  return 1;
+}
+
+int* g() {
+  return 0;
+}
+
+int h() {
+  int* __t0;
+  int x;
+  int __t1;
+  __t0 = g();
+  __t1 = f();
+  x = (__t1 + 1);
+  return (*(__t0) + x);
+}
+"""
+
+
+def test_temporaries_are_distinct_and_typed():
+    assert program_to_c(lower(TEMPS)) == TEMPS_IR

@@ -4,16 +4,24 @@ Covers the contract promised in docs/caching.md:
 
 * same obligation + same environment → hit (memory and disk tiers);
 * different goal / axioms / definition text / salt → different key;
-* same obligation under a *changed* environment → stale: detected,
-  purged, counted, never replayed;
+* same obligation under a *changed* environment → a miss that leaves
+  the other environment's entry in place (two qualifiers sharing an
+  obligation keep both verdicts);
+* a proof in flight is shared through the store's leases, never run
+  twice by two callers on one cache directory (``TestLeases``);
+* one cache used from several threads keeps its disk tier;
 * only settled verdicts (PROVED/REFUTED) are ever stored — TIMEOUT and
   GAVE_UP are budget artifacts and must be re-attempted;
 * a corrupted store degrades to a cold run, never to a crash.
 """
 
+import os
 import sqlite3
+import threading
 
 import pytest
+
+from repro import api
 
 from repro.cache import (
     CACHEABLE_VERDICTS,
@@ -129,17 +137,20 @@ class TestStore:
         assert cache.get(cache.key(EASY, [])) is None  # oldest fell out
         assert cache.get(cache.key(OTHER, [])) is not None
 
-    def test_stale_entries_purged_on_environment_change(self, tmp_path):
+    def test_other_environments_survive_a_miss(self, tmp_path):
         cache = ProofCache(cache_dir=str(tmp_path / "cache"))
         old = cache.key(EASY, [], context="defs-v1")
         cache.put(old, PROVED_PAYLOAD)
         new = cache.key(EASY, [], context="defs-v2")
         assert old.obligation == new.obligation
         assert cache.get(new) is None
-        assert cache.counters["stale"] == 1
-        # The superseded entry is gone from both tiers, for good.
-        assert cache.entry_count() == 0
-        assert cache.get(old) is None
+        # The entry under the other environment is still valid there:
+        # a miss leaves it alone in both tiers.
+        assert cache.counters["stale"] == 0
+        assert cache.entry_count() == 1
+        assert cache.get(old) is not None
+        with ProofCache(cache_dir=str(tmp_path / "cache")) as reopened:
+            assert reopened.get(old) is not None
 
     def test_corrupted_database_degrades_to_cold_run(self, tmp_path):
         where = tmp_path / "cache"
@@ -289,7 +300,12 @@ class TestProverIntegration:
         self.prover().prove(EASY, cache=cache, cache_context="one")
         rerun = self.prover().prove(EASY, cache=cache, cache_context="two")
         assert not rerun.cached
-        assert cache.counters["stale"] == 1
+        assert cache.counters["stale"] == 0
+        # both environments now replay
+        for context in ("one", "two"):
+            assert self.prover().prove(
+                EASY, cache=cache, cache_context=context
+            ).cached
 
 
 # ---------------------------------------------- soundness-checker integration
@@ -327,8 +343,6 @@ class TestCheckerIntegration:
         with ProofCache(cache_dir=where) as cache:
             edited = check_soundness(parse_one(QUAL_EDITED), cache=cache)
             assert edited.cached_count == 0
-            # ... and the original, if re-checked, re-proves too (its
-            # entries were only purged where obligations collide).
             assert cache.counters["misses"] >= 1
 
     def test_budget_starved_run_caches_nothing(self, tmp_path):
@@ -345,3 +359,71 @@ class TestCheckerIntegration:
         with ProofCache(cache_dir=where) as cache:
             full = check_soundness(qdef, cache=cache)
             assert full.sound and full.cached_count == 0
+
+
+# ------------------------------------------------------ workspace integration
+
+#: Two qualifiers with the same clause and invariant: the same
+#: obligations, proved under two environments (the definition text
+#: differs in the name).
+TWINS = QUAL + QUAL.replace("tagged", "twin")
+
+POSNEG = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "examples", "posneg.qual",
+)
+
+
+class TestWorkspaceIntegration:
+    def prove(self, path, where, workspace=None):
+        request = api.ProveRequest(files=(path,), cache_dir=where)
+        if workspace is not None:
+            return workspace.prove(request).to_dict()
+        with api.Workspace() as ws:
+            return ws.prove(request).to_dict()
+
+    def test_twin_qualifiers_do_not_evict_each_other(self, tmp_path):
+        """Re-proving a library with two qualifiers that share an
+        obligation replays every verdict: a miss under one environment
+        never purges the other's entry."""
+        tagged, twin = parse_qualifiers(TWINS)
+        goals = [
+            {
+                ProofCache(cache_dir=None).key(r.obligation.goal, []).obligation
+                for r in check_soundness(q).results
+                if not r.obligation.trivial
+            }
+            for q in (tagged, twin)
+        ]
+        assert goals[0] and goals[0] == goals[1]  # same obligations
+        path = tmp_path / "twins.qual"
+        path.write_text(TWINS)
+        where = str(tmp_path / "cache")
+        cold = self.prove(str(path), where)["cache"]
+        assert cold["stores"] == 2 * len(goals[0])
+        for _ in range(2):
+            warm = self.prove(str(path), where)["cache"]
+            assert warm["stale"] == 0
+            assert warm["misses"] == 0
+            assert warm["hits"] == cold["misses"]
+        assert warm["entries"] == cold["stores"]
+
+    def test_second_thread_keeps_the_disk_tier(self, tmp_path):
+        """A resident cache used from another thread (the daemon runs
+        requests on executor threads) keeps serving its database."""
+        where = str(tmp_path / "cache")
+        with api.Workspace() as ws:
+            first = self.prove(POSNEG, where, ws)["cache"]
+            assert first["entries"] > 0
+            second = {}
+            thread = threading.Thread(
+                target=lambda: second.update(self.prove(POSNEG, where, ws))
+            )
+            thread.start()
+            thread.join(timeout=60)
+        cache = second["cache"]
+        assert cache["degraded"] == 0 and cache["errors"] == 0
+        assert cache["entries"] == first["entries"]
+        assert cache["hits"] == first["misses"]
+        with ProofCache(cache_dir=where) as fresh:
+            assert fresh.entry_count() == first["entries"]

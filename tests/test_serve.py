@@ -526,10 +526,11 @@ def test_serve_prove_counters_match_in_process(daemon, tmp_path):
 
 def test_serve_prove_session_and_shard_params(daemon, tmp_path):
     """Protocol v2 dropped ``session`` and ``explain``: an old client
-    sending them gets ``bad-request``; ``shard`` is still accepted."""
+    sending them gets ``bad-request``; ``shard`` is still accepted.
+    (v3 dropped the ``status`` reply's single-flight block.)"""
     sock, _server = daemon
     path = write_qual(tmp_path)
-    assert protocol.PROTOCOL_VERSION == 2
+    assert protocol.PROTOCOL_VERSION == 3
     with connect(sock) as client:
         plain = client.request(
             "prove", {"files": [path], "cache": False}
@@ -547,7 +548,9 @@ def test_serve_prove_session_and_shard_params(daemon, tmp_path):
             "prove", {"files": [path], "cache": False, "shard": False}
         )["report"]
         assert _obligations(unsharded) == _obligations(plain)
-        assert client.request("status")["result"]["protocol"] == 2
+        status = client.request("status")["result"]
+        assert status["protocol"] == 3
+        assert "dedup" not in status
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Process-mode ``repro serve``: worker-process sharding, the TCP
-transport, cross-request obligation dedup, and crash isolation — plus
+transport, cross-request obligation dedup (the proof cache's leases),
+and crash isolation — plus
 the serve/supervisor lifecycle bugfixes that shipped with them
 (stale-socket probing, env-knob fallback, mid-stream disconnects)."""
 
@@ -12,6 +13,7 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -20,19 +22,22 @@ import time
 import pytest
 
 from repro import api
-from repro.cache import fingerprint as _fp
+from repro.cache import ProofCache, ProofKey
 from repro.core.qualifiers.ast import QualifierSet
 from repro.core.qualifiers.parser import parse_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
 from repro.core.soundness.checker import check_soundness
 from repro.core.soundness.obligations import generate_obligations
-from repro.core.soundness.workitems import proof_result_to_dict
 from repro.harness import supervisor
+from repro.harness.watchdog import Deadline
 from repro.serve import connect, protocol
 from repro.serve import server as serve_server
 from repro.serve.client import ServeError
-from repro.serve.dedup import ObligationDedup
 from repro.serve.server import ServeServer
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 THREE_FUNCS = """\
 int pos f(int pos x) { return x + 1; }
@@ -269,48 +274,135 @@ def test_env_knob_explicit_env_mapping():
     assert supervisor.env_knob("K", 4, int, env={}) == 4
 
 
-# -------------------------------------------------------- dedup (table)
+# ------------------------------------------ dedup (proof-cache leases)
+
+KEY = ProofKey("obligation", "environment")
+PROVED = {"proved": True, "verdict": "PROVED", "reason": ""}
 
 
-def test_dedup_single_flight_contract():
-    table = ObligationDedup()
-    key = ("env", "obligation")
-    role, ticket = table.acquire(key)
-    assert (role, ticket) == ("leader", None)
-    role2, ticket2 = table.acquire(key)
-    assert role2 == "follower"
-    table.publish(key, {"verdict": "PROVED"})
-    assert table.wait(ticket2, timeout=1.0) == {"verdict": "PROVED"}
-    assert table.counters == {
-        "leaders": 1,
-        "waits": 1,
-        "shared": 1,
-        "misses": 0,
+def _wait_for(predicate, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def _follow(cache, key, **kwargs):
+    """``cache.claim(key, ...)`` on a side thread; the outcome dict gets
+    the claim's return value under ``"payload"``."""
+    outcome = {}
+    thread = threading.Thread(
+        target=lambda: outcome.update(payload=cache.claim(key, **kwargs)),
+        daemon=True,
+    )
+    thread.start()
+    _wait_for(lambda: cache.counters["waits"] == 1, "follower never waited")
+    return thread, outcome
+
+
+def _pending_rows(where):
+    conn = sqlite3.connect(os.path.join(where, "proofs.sqlite"))
+    try:
+        return conn.execute("SELECT owner FROM pending").fetchall()
+    finally:
+        conn.close()
+
+
+def test_dedup_single_flight_contract(tmp_path):
+    """Two caches on one directory: the first to miss leads, the
+    second waits and replays the leader's verdict, and the verdict's
+    commit ends the lease."""
+    where = str(tmp_path / "cache")
+    leader, follower = ProofCache(where), ProofCache(where)
+    assert leader.get(KEY) is None
+    assert leader.claim(KEY, lease=60.0) is None  # leads
+    assert follower.get(KEY) is None
+    thread, outcome = _follow(follower, KEY, lease=60.0)
+    assert leader.put(KEY, PROVED)
+    thread.join(timeout=10)
+    assert outcome["payload"]["verdict"] == "PROVED"
+    assert {
+        name: follower.counters[name]
+        for name in ("hits", "misses", "waits", "shared", "stale", "stores")
+    } == {
+        "hits": 0, "misses": 1, "waits": 1, "shared": 1, "stale": 0,
+        "stores": 0,
     }
-    # publish removed the key: the next request leads again (and would
-    # hit the proof cache, which now holds the settled verdict)
-    assert table.acquire(key)[0] == "leader"
+    assert _pending_rows(where) == []
+    # the next caller hits the store the ordinary way
+    assert ProofCache(where).get(KEY)["verdict"] == "PROVED"
 
 
-def test_dedup_empty_handed_leader_is_a_miss():
-    table = ObligationDedup()
-    key = ("env", "obligation")
-    table.acquire(key)
-    _, ticket = table.acquire(key)
-    table.publish(key, None)  # leader had nothing shareable
-    assert table.wait(ticket, timeout=1.0) is None
-    assert table.counters["misses"] == 1
-    assert table.counters["shared"] == 0
+def test_dedup_empty_handed_leader_is_a_miss(tmp_path):
+    """A leader with nothing settled releases its lease: the follower
+    stops waiting and leads in its place (a takeover, not a stale one)."""
+    where = str(tmp_path / "cache")
+    leader, follower = ProofCache(where), ProofCache(where)
+    assert leader.claim(KEY, lease=60.0) is None
+    thread, outcome = _follow(follower, KEY, lease=60.0)
+    leader.release(KEY)
+    thread.join(timeout=10)
+    assert outcome == {"payload": None}  # prove it yourself
+    assert follower.counters["shared"] == 0
+    assert follower.counters["stale"] == 0
+    assert len(_pending_rows(where)) == 1  # the follower's own lease
+    follower.release(KEY)
+    assert _pending_rows(where) == []
 
 
-def test_dedup_overdue_leader_is_a_miss():
-    table = ObligationDedup()
-    key = ("env", "obligation")
-    table.acquire(key)
-    _, ticket = table.acquire(key)
-    assert table.wait(ticket, timeout=0.05) is None  # gave up waiting
-    assert table.counters["misses"] == 1
-    table.publish(key, {"verdict": "PROVED"})  # late publish is harmless
+def test_dedup_overdue_leader_is_a_miss(tmp_path):
+    """A lease past its expiry is taken over and counted stale; a
+    follower whose own deadline runs out proves without a lease."""
+    where = str(tmp_path / "cache")
+    leader, follower, hurried = (ProofCache(where) for _ in range(3))
+    assert leader.claim(KEY, lease=0.05) is None
+    assert follower.claim(KEY, lease=60.0) is None  # waited, took over
+    assert follower.counters["waits"] == 1
+    assert follower.counters["stale"] == 1
+    assert hurried.claim(KEY, lease=60.0, deadline=Deadline.after(0.05)) is None
+    assert hurried.counters["waits"] == 1
+    assert hurried.counters["stale"] == 0
+    hurried.release(KEY)  # holds nothing: the follower's lease stays
+    assert len(_pending_rows(where)) == 1
+    assert leader.put(KEY, PROVED)  # a late verdict is harmless
+    assert _pending_rows(where) == []
+    assert follower.put(KEY, PROVED)
+
+
+def test_dedup_killed_leader_is_taken_over_before_expiry(tmp_path):
+    """A SIGKILLed leader cannot release its lease; the follower sees
+    its process gone and proves for itself long before the lease
+    would have expired."""
+    where = str(tmp_path / "cache")
+    script = (
+        "import sys, time\n"
+        "from repro.cache import ProofCache, ProofKey\n"
+        "cache = ProofCache(sys.argv[1])\n"
+        "key = ProofKey('obligation', 'environment')\n"
+        "assert cache.claim(key, lease=600.0) is None\n"
+        "print('leading', flush=True)\n"
+        "time.sleep(600)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    leader = subprocess.Popen(
+        [sys.executable, "-c", script, where], stdout=subprocess.PIPE, env=env
+    )
+    try:
+        assert leader.stdout.readline().strip() == b"leading"
+        follower = ProofCache(where)
+        thread, outcome = _follow(follower, KEY, lease=60.0)
+        killed = time.monotonic()
+        leader.kill()
+        leader.wait(timeout=10)
+        thread.join(timeout=30)
+        assert time.monotonic() - killed < 10.0  # not the 600 s lease
+    finally:
+        leader.kill()
+        leader.wait(timeout=10)
+        leader.stdout.close()
+    assert outcome == {"payload": None}
+    assert follower.counters["stale"] == 1
+    assert len(_pending_rows(where)) == 1  # the follower's own lease
 
 
 # ------------------------------------------- client: connection-lost
@@ -480,22 +572,23 @@ def test_tcp_and_unix_transports_serve_identical_reports(
     worker = status["workspaces"][0]["worker"]
     assert worker["alive"] is True
     assert isinstance(worker["pid"], int) and worker["pid"] != os.getpid()
-    assert set(status["dedup"]) == {"leaders", "waits", "shared", "misses"}
+    assert "dedup" not in status  # protocol v3: sharing lives in the cache
 
 
 def test_worker_crash_mid_request_poisons_only_its_workspace(
     procdaemon, tmp_path
 ):
     """Kill a worker while its request is provably in flight (parked
-    as a dedup follower on a key the test leads): the request answers
-    ``worker-crashed``, other workspaces keep serving, and the next
-    request on the poisoned configuration respawns transparently."""
+    as a follower on a proof-cache lease the test holds): the request
+    answers ``worker-crashed``, other workspaces keep serving, and the
+    next request on the poisoned configuration respawns transparently."""
     sock, server = procdaemon
     small = write_c(tmp_path, "small.c", "int f(int x) { return x; }\n")
     other = write_c(tmp_path, "other.c", "int g(int y) { return y; }\n")
     qual = tmp_path / "nn2.qual"
     qual.write_text(NN2)
-    keys, _ = _dedup_keys_and_payloads(NN2)
+    where = str(tmp_path / "cache")
+    keys, _ = _keys_and_payloads(NN2)
     with connect(sock) as client:
         client.request("check", {"files": [small]})
         status = client.status()
@@ -503,15 +596,16 @@ def test_worker_crash_mid_request_poisons_only_its_workspace(
     assert status["workspaces"][0]["worker"]["alive"]
 
     # lead the prove's first obligation so the worker's request blocks
-    # mid-flight, waiting on the test's publish
-    assert server.dedup.acquire(keys[0])[0] == "leader"
+    # mid-flight, waiting for the test's verdict
+    leader = ProofCache(where)
+    assert leader.claim(keys[0], lease=600.0) is None
     outcome = {}
 
     def prove():
         with connect(sock) as client:
             try:
                 outcome["report"] = client.request(
-                    "prove", {"files": [str(qual)], "cache": False}
+                    "prove", {"files": [str(qual)], "cache_dir": where}
                 )["report"]
             except ServeError as exc:
                 outcome["error"] = exc
@@ -519,12 +613,9 @@ def test_worker_crash_mid_request_poisons_only_its_workspace(
     thread = threading.Thread(target=prove, daemon=True)
     thread.start()
     try:
-        deadline = time.monotonic() + 30.0
-        while server.dedup.counters["waits"] < 1:
-            assert time.monotonic() < deadline, "prove never reached dedup"
-            time.sleep(0.01)
+        time.sleep(0.5)  # the prove parks on the lease; it cannot pass
+        assert thread.is_alive(), "prove finished past a held lease"
         os.kill(pid, signal.SIGKILL)
-        time.sleep(0.3)  # let the kill land before waking the pump
 
         # the other configuration's workspace keeps serving throughout
         with connect(sock) as client:
@@ -533,8 +624,7 @@ def test_worker_crash_mid_request_poisons_only_its_workspace(
             )["report"]
         assert unaffected["units"][0]["verdict"] in ("OK", "WARN")
     finally:
-        # wake the parked request; its reply hits the dead pipe
-        server.dedup.publish(keys[0], None)
+        leader.release(keys[0])
 
     thread.join(timeout=60)
     assert not thread.is_alive()
@@ -581,87 +671,135 @@ def test_idle_worker_death_respawns_invisibly(procdaemon, tmp_path):
     assert server.counters["workers_crashed"] == 1
 
 
-def _dedup_keys_and_payloads(qual_text):
-    """The exact dedup keys a prove of ``qual_text`` acquires, in
-    discharge order, with shareable payloads from a one-shot run."""
+def _keys_and_payloads(qual_text):
+    """The proof-cache keys a prove of ``qual_text`` looks up, in
+    discharge order, with the verdicts of a one-shot run."""
     quals = QualifierSet(list(parse_qualifiers(qual_text)))
     (qdef,) = list(quals)
-    env = _fp.environment_key(
-        list(semantics_axioms()), context=qdef.source
-    )
+    cache = ProofCache(cache_dir=None)
+    axioms = list(semantics_axioms())
     obligations = [
         ob
         for ob in generate_obligations(qdef, quals)
         if not ob.trivial and ob.goal is not None
     ]
-    keys = [(env, _fp.obligation_key(ob.goal)) for ob in obligations]
+    keys = [cache.key(ob.goal, axioms, context=qdef.source) for ob in obligations]
     report = check_soundness(qdef, quals, cache=None)
-    payloads = {}
-    for entry in report.results:
-        ob = entry.obligation
-        if ob.trivial or ob.goal is None:
-            continue
-        if entry.result is not None and entry.result.verdict in (
-            "PROVED",
-            "REFUTED",
-        ):
-            payloads[(env, _fp.obligation_key(ob.goal))] = (
-                proof_result_to_dict(entry.result)
-            )
+    payloads = {
+        cache.key(entry.obligation.goal, axioms, context=qdef.source):
+            entry.result.to_cache_payload()
+        for entry in report.results
+        if not entry.obligation.trivial
+        and entry.result.verdict in ("PROVED", "REFUTED")
+    }
     return keys, [payloads.get(key) for key in keys]
 
 
 def test_dedup_single_flight_spans_worker_processes(procdaemon, tmp_path):
-    """A prove whose obligations are already led by another request
-    waits (follower), then reuses the published payloads — across the
-    process boundary, through the pipe-backed proxy."""
+    """A prove whose obligations another process is proving waits for
+    each verdict in the shared store and replays it: every obligation
+    is shared, and the worker runs the prover for none of them."""
     sock, server = procdaemon
     qual = tmp_path / "nn2.qual"
     qual.write_text(NN2)
-    keys, payloads = _dedup_keys_and_payloads(NN2)
+    where = str(tmp_path / "cache")
+    keys, payloads = _keys_and_payloads(NN2)
     assert keys, "nn2 should yield non-trivial obligations"
     assert all(payloads), "one-shot run should settle every obligation"
+    quals = QualifierSet(list(parse_qualifiers(NN2)))
+    assert len(keys) == len(list(generate_obligations(list(quals)[0], quals)))
+    with connect(sock) as client:  # spawn the worker up front
+        client.request("check", {"files": [write_c(tmp_path)]})
 
     # the test plays the concurrent leader for every obligation
+    leader = ProofCache(where)
     for key in keys:
-        role, _ = server.dedup.acquire(key)
-        assert role == "leader"
-    baseline_waits = server.dedup.counters["waits"]
-
+        assert leader.claim(key, lease=600.0) is None
+    settled = []
     outcome = {}
 
     def prove():
         with connect(sock) as client:
             outcome["report"] = client.request(
-                "prove", {"files": [str(qual)], "cache": False}
+                "prove",
+                {"files": [str(qual)], "cache_dir": where},
+                on_event=lambda e: settled.append(e["verdict"]),
             )["report"]
 
     thread = threading.Thread(target=prove, daemon=True)
     thread.start()
     try:
         # obligations discharge serially in generation order, so the
-        # follower blocks on one key at a time: publish each as the
-        # waits counter shows it arrive
+        # follower waits on one key at a time: settle each once the
+        # previous one's progress event shows the worker moved on
         for i, (key, payload) in enumerate(zip(keys, payloads)):
-            deadline = time.monotonic() + 60.0
-            while server.dedup.counters["waits"] < baseline_waits + i + 1:
-                assert (
-                    time.monotonic() < deadline
-                ), f"prove never waited on obligation {i}"
-                time.sleep(0.01)
-            server.dedup.publish(key, payload)
+            _wait_for(
+                lambda: len(settled) >= i, f"prove never reached obligation {i}"
+            )
+            time.sleep(0.3)  # let the worker reach this key's lease
+            assert leader.put(key, payload)
     finally:
-        for key in keys:  # unstick followers if an assertion fired
-            server.dedup.publish(key, None)
+        for key in keys:  # unstick the follower if an assertion fired
+            leader.release(key)
     thread.join(timeout=120)
     assert not thread.is_alive()
 
-    counters = server.dedup.counters
-    assert counters["waits"] == baseline_waits + len(keys)
-    assert counters["shared"] == len(keys)
-    assert counters["misses"] == 0
+    cache = outcome["report"]["cache"]
+    assert cache["shared"] == cache["waits"] == len(keys)
+    assert cache["stores"] == 0  # no prover call settled anything
+    assert cache["stale"] == 0
     qualifiers = outcome["report"]["units"][0]["detail"]["qualifiers"]
     assert [q["sound"] for q in qualifiers] == [True]
+    assert sum(o["cached"] for o in qualifiers[0]["obligations"]) == len(keys)
+
+
+def test_two_workers_prove_each_obligation_once(procdaemon, tmp_path):
+    """Two worker processes (two configurations) proving the same
+    library against one cache directory run the prover once per
+    obligation between them: whoever misses first leads, the other
+    waits for the verdict or finds it stored."""
+    sock, server = procdaemon
+    qual = tmp_path / "nn2.qual"
+    qual.write_text(NN2)
+    where = str(tmp_path / "cache")
+    keys, _ = _keys_and_payloads(NN2)
+    configs = ({}, {"trust_constants": True})
+    with connect(sock) as client:  # one worker per configuration
+        for config in configs:
+            client.request("check", {"files": [write_c(tmp_path)], **config})
+    # park both proves on the first obligation, then let them race
+    gate = ProofCache(where)
+    assert gate.claim(keys[0], lease=600.0) is None
+    reports = []
+
+    def prove(config):
+        with connect(sock) as client:
+            reports.append(
+                client.request(
+                    "prove",
+                    {"files": [str(qual)], "cache_dir": where, **config},
+                )["report"]
+            )
+
+    threads = [
+        threading.Thread(target=prove, args=(config,), daemon=True)
+        for config in configs
+    ]
+    for thread in threads:
+        thread.start()
+    time.sleep(1.0)
+    gate.release(keys[0])
+    for thread in threads:
+        thread.join(timeout=120)
+    assert len(reports) == 2
+    caches = [report["cache"] for report in reports]
+    assert sum(c["stores"] for c in caches) == len(keys)
+    assert sum(c["shared"] for c in caches) >= 1
+    assert sum(c["stale"] for c in caches) == 0
+    assert [r["exit_code"] for r in reports] == [0, 0]
+    with connect(sock) as client:
+        workers = {w["worker"]["pid"] for w in client.status()["workspaces"]}
+    assert len(workers) == 2
 
 
 def test_eviction_skips_busy_workspace(tmp_path):
@@ -680,27 +818,25 @@ def test_eviction_skips_busy_workspace(tmp_path):
         small = write_c(tmp_path, "small.c", "int f(int x) { return x; }\n")
         qual = tmp_path / "nn2.qual"
         qual.write_text(NN2)
-        keys, payloads = _dedup_keys_and_payloads(NN2)
+        where = str(tmp_path / "cache")
+        keys, payloads = _keys_and_payloads(NN2)
         # lead the prove's first obligation: the first configuration's
-        # request parks mid-flight, provably busy, until we publish
-        assert server.dedup.acquire(keys[0])[0] == "leader"
+        # request parks mid-flight, provably busy, until we settle it
+        leader = ProofCache(where)
+        assert leader.claim(keys[0], lease=600.0) is None
         outcome = {}
 
         def long_prove():
             with connect(sock) as client:
                 outcome["report"] = client.request(
-                    "prove", {"files": [str(qual)], "cache": False}
+                    "prove", {"files": [str(qual)], "cache_dir": where}
                 )["report"]
 
         busy = threading.Thread(target=long_prove, daemon=True)
         busy.start()
         try:
-            wait_until = time.monotonic() + 30.0
-            while server.dedup.counters["waits"] < 1:
-                assert (
-                    time.monotonic() < wait_until
-                ), "long prove never started"
-                time.sleep(0.01)
+            time.sleep(0.5)
+            assert busy.is_alive(), "prove finished past a held lease"
             # a second configuration lands while the first is busy
             with connect(sock) as client:
                 other = client.request(
@@ -708,7 +844,7 @@ def test_eviction_skips_busy_workspace(tmp_path):
                 )["report"]
             assert other["units"][0]["verdict"] in ("OK", "WARN")
         finally:
-            server.dedup.publish(keys[0], payloads[0])
+            leader.put(keys[0], payloads[0])
         busy.join(timeout=120)
         assert not busy.is_alive()
         assert outcome["report"]["schema_version"] == api.SCHEMA_VERSION

@@ -86,6 +86,16 @@ assert report["exit_code"] == 0, report["exit_code"]
 print(f"   {len(units)} unit(s) OK")
 '
 
+echo "== every examples/*.py script runs to completion (expect exit 0)"
+for script in examples/*.py; do
+    python "$script" > "$tmpdir/example.out" 2>&1 || {
+        cat "$tmpdir/example.out"
+        echo "   $script failed"
+        exit 1
+    }
+    echo "   $script OK"
+done
+
 echo "== prove the standard qualifier library (expect exit 0)"
 python -m repro prove examples/posneg.qual --keep-going --time-limit 30 \
     --cache-dir "$tmpdir/warmup-cache"
