@@ -69,8 +69,11 @@ if TYPE_CHECKING:
 
 
 def _load_front_end() -> None:
-    global lower_unit, parse_c
+    global blanked_functions, body_extents, lower_unit, parse_c, preprocess
+    global reduce_text
+    from repro.cfront.bodies import blanked_functions, body_extents, reduce_text
     from repro.cfront.parser import parse_c
+    from repro.cfront.preprocess import preprocess
     from repro.cil.lower import lower_unit
 
 
@@ -483,11 +486,22 @@ class _FunctionRecord:
 class _UnitState:
     """Per-unit incremental state: the raw-source digest (a match skips
     even the parse), the qualifier-environment digest it was checked
-    under, and the per-function verdict records in program order."""
+    under, and the per-function verdict records in program order (their
+    keys are the function names in that order).
+
+    For the next edit's reduced re-parse it also keeps what the last
+    parse saw: the preprocessed text, the macro table, each body's
+    extent in that text (:mod:`repro.cfront.bodies`), the typedefs and
+    the unit's interface digest."""
 
     source: str
     env: str
     functions: Dict[str, _FunctionRecord] = field(default_factory=dict)
+    text: str = ""
+    defines: Dict[str, str] = field(default_factory=dict)
+    bodies: List[Tuple[int, int]] = field(default_factory=list)
+    typedefs: dict = field(default_factory=dict)
+    interface: str = ""
 
 
 @dataclass
@@ -573,6 +587,8 @@ class Workspace:
             "obligations_replayed": 0,
             "session_reuse": 0,
             "units_evicted": 0,
+            "units_reparsed_partially": 0,
+            "partial_fallbacks": 0,
         }
         self.max_units = _max_unit_states()
         self._quals: Optional[QualifierSet] = None
@@ -774,40 +790,54 @@ class Workspace:
             source_digest = _fingerprint.source_digest(source)
             key = (path, request.flow_sensitive)
             state = self._lru_get(self._units, key)
-            if (
-                state is not None
-                and state.source == source_digest
-                and state.env == env
-            ):
+            if state is not None and state.env != env:
+                state = None
+            if state is not None and state.source == source_digest:
                 # Nothing changed: skip even the parse.
                 self.counters["units_replayed"] += 1
                 self.counters["functions_replayed"] += len(state.functions)
                 obs.incr("serve.incremental_hits", len(state.functions))
                 return self._replay_unit(path, state, unit_replayed=True)
-            with obs.span("parse", unit=path):
-                unit = parse_c(
-                    source,
-                    qualifier_names=quals.names,
-                    recover=True,
-                    filename=path,
-                )
-            deadline.check("after parse")
-            with obs.span("lower", unit=path):
-                program = lower_unit(unit)
-            if unit.errors:
-                # Broken units are checked in full and never cached:
-                # panic-mode recovery can attribute diagnostics across
-                # function boundaries, so replay would not be sound.
-                self._units.pop(key, None)
-                return self._broken_unit_result(path, unit, program, quals, request)
+            pre = preprocess(source)
+            reduced = None
+            if state is not None:
+                reduced = self._reduced_parse(path, state, pre, quals)
+            if reduced is not None:
+                unit, program, extents, blanked = reduced
+                interface = state.interface
+                todo = {f.name for f in program.functions} - blanked
+            else:
+                with obs.span("parse", unit=path):
+                    unit = parse_c(
+                        pre.text,
+                        qualifier_names=quals.names,
+                        run_preprocessor=False,
+                        recover=True,
+                        filename=path,
+                    )
+                deadline.check("after parse")
+                with obs.span("lower", unit=path):
+                    program = lower_unit(unit)
+                if unit.errors:
+                    # Broken units are checked in full and never cached:
+                    # panic-mode recovery can attribute diagnostics
+                    # across function boundaries, so replay would not be
+                    # sound.
+                    self._units.pop(key, None)
+                    return self._broken_unit_result(
+                        path, unit, program, quals, request
+                    )
+                extents = body_extents(pre.text, unit._bodies)
+                interface = _fingerprint.interface_digest(program)
+                todo = None
             fingerprints = _fingerprint.unit_function_fingerprints(
-                program, env, flow_sensitive=request.flow_sensitive
+                program,
+                env,
+                flow_sensitive=request.flow_sensitive,
+                interface=interface,
+                functions=todo,
             )
-            old = (
-                state.functions
-                if state is not None and state.env == env
-                else {}
-            )
+            old = state.functions if state is not None else {}
             changed = {
                 name
                 for name, digest in fingerprints.items()
@@ -842,7 +872,14 @@ class Workspace:
             self.counters["functions_replayed"] += replayed
             obs.incr("serve.incremental_hits", replayed)
             new_state = _UnitState(
-                source=source_digest, env=env, functions=records
+                source=source_digest,
+                env=env,
+                functions=records,
+                text=pre.text,
+                defines=pre.defines,
+                bodies=extents,
+                typedefs=unit._typedefs,
+                interface=interface,
             )
             self._lru_put(self._units, key, new_state)
             return self._replay_unit(
@@ -850,6 +887,45 @@ class Workspace:
             )
 
         return worker
+
+    def _reduced_parse(self, path: str, state: _UnitState, pre, quals):
+        """Parse and lower ``pre.text`` with every body the edit did not
+        touch blanked (:func:`repro.cfront.bodies.reduce_text`), or
+        return None when the reduced program may differ from a full
+        parse outside the kept bodies.  It stands in for the full parse
+        only if the macro table is unchanged, the reduced parse has no
+        errors and finds every blanked body where it was put, and the
+        typedefs (a blanked body may use one), the interface digest and
+        the function names in program order equal the stored ones.
+        Returns ``(unit, program, body extents, names of the blanked
+        functions)``."""
+        result = None
+        if pre.defines == state.defines:
+            reduced = reduce_text(state.text, pre.text, state.bodies)
+            with obs.span("parse", unit=path, reduced=True):
+                unit = parse_c(
+                    reduced.text,
+                    qualifier_names=quals.names,
+                    run_preprocessor=False,
+                    recover=True,
+                    filename=path,
+                )
+            found = None
+            if not unit.errors and unit._typedefs == state.typedefs:
+                found = blanked_functions(
+                    reduced.text, unit._bodies, reduced.blanked
+                )
+            if found is not None:
+                with obs.span("lower", unit=path, reduced=True):
+                    program = lower_unit(unit)
+                if (
+                    _fingerprint.interface_digest(program) == state.interface
+                    and [f.name for f in program.functions] == list(state.functions)
+                ):
+                    result = (unit, program, *found)
+        key = "units_reparsed_partially" if result else "partial_fallbacks"
+        self.counters[key] += 1
+        return result
 
     def _replay_unit(
         self,

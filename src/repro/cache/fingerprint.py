@@ -318,13 +318,20 @@ def function_fingerprint(
 
 
 def unit_function_fingerprints(
-    program, env: str, flow_sensitive: bool = False
+    program,
+    env: str,
+    flow_sensitive: bool = False,
+    interface: str = "",
+    functions=None,
 ) -> "dict[str, str]":
-    """Fingerprint every function in a lowered unit (name -> digest)."""
-    interface = interface_digest(program)
+    """Fingerprint every function in a lowered unit (name -> digest),
+    or only those named in ``functions``.  ``interface`` is the unit's
+    :func:`interface_digest` when the caller already has it."""
+    interface = interface or interface_digest(program)
     return {
         f.name: function_fingerprint(
             f, interface, env, flow_sensitive=flow_sensitive
         )
         for f in program.functions
+        if functions is None or f.name in functions
     }

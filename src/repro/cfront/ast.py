@@ -457,8 +457,13 @@ class GlobalDecl(Node):
 class TranslationUnit(Node):
     # ``errors``: syntax errors recovered from in panic mode
     # (parse_c(recover=True)); empty when parsing succeeded outright or
-    # recovery was off.
-    __slots__ = ("structs", "globals", "functions", "errors")
+    # recovery was off.  ``_bodies`` and ``_typedefs`` are private
+    # state, not fields: the parser's record of each definition's body
+    # extent and of the typedefs in scope at the end of the unit
+    # (repro.cfront.bodies).
+    __slots__ = (
+        "structs", "globals", "functions", "errors", "_bodies", "_typedefs",
+    )
 
     def __init__(
         self,
@@ -471,6 +476,8 @@ class TranslationUnit(Node):
         self.globals = [] if globals is None else globals
         self.functions = [] if functions is None else functions
         self.errors = [] if errors is None else errors
+        self._bodies = []
+        self._typedefs = {}
 
     def struct(self, name: str) -> StructDef:
         for s in self.structs:

@@ -93,6 +93,9 @@ class Parser:
         self.recover = recover
         self.filename = filename
         self.errors: List[ParseError] = []
+        # (name, line, col of "{", line, col of "}") per definition, in
+        # text order: see repro.cfront.bodies.
+        self.bodies: List[Tuple[str, int, int, int, int]] = []
 
     # ------------------------------------------------------------ utilities
 
@@ -158,6 +161,8 @@ class Parser:
                 obs.incr("parse.recoveries")
                 self._synchronize_top_level()
         unit.errors = list(self.errors)
+        unit._bodies = self.bodies
+        unit._typedefs = self.typedefs
         if obs.enabled():
             obs.incr("parse.units")
             obs.incr("parse.tokens", len(self.tokens))
@@ -387,7 +392,10 @@ class Parser:
         self._expect(")")
         body: Optional[A.Block] = None
         if self._at("{"):
+            open_ = self._peek()
             body = self._parse_block()
+            close = self.tokens[self.pos - 1]
+            self.bodies.append((name, open_.line, open_.col, close.line, close.col))
         else:
             self._expect(";")
         return A.FuncDef(

@@ -32,6 +32,7 @@ _INCLUDE_RE = re.compile(r'^\s*#\s*include\s+[<"]([^>"]+)[>"]')
 _IFDEF_RE = re.compile(r"^\s*#\s*(ifdef|ifndef)\s+(\w+)")
 _ENDIF_RE = re.compile(r"^\s*#\s*endif")
 _ELSE_RE = re.compile(r"^\s*#\s*else")
+_WORD_RE = re.compile(r"\w+")
 
 
 def preprocess(source: str, predefined: Dict[str, str] | None = None) -> PreprocessResult:
@@ -41,6 +42,9 @@ def preprocess(source: str, predefined: Dict[str, str] | None = None) -> Preproc
     out_lines: List[str] = []
     # Stack of booleans: is the current conditional region active?
     active_stack: List[bool] = []
+    # Matches any defined name as a whole word; rebuilt when a
+    # ``#define`` changes the table (None while it is empty).
+    names = _names_pattern(defines)
 
     for line in source.splitlines():
         stripped = line.strip()
@@ -68,6 +72,7 @@ def preprocess(source: str, predefined: Dict[str, str] | None = None) -> Preproc
             m = _DEFINE_RE.match(line)
             if m:
                 defines[m.group(1)] = (m.group(2) or "").strip()
+                names = _names_pattern(defines)
                 out_lines.append("")
                 continue
             m = _INCLUDE_RE.match(line)
@@ -83,12 +88,26 @@ def preprocess(source: str, predefined: Dict[str, str] | None = None) -> Preproc
         if active_stack and not all(active_stack):
             out_lines.append("")
             continue
-        out_lines.append(_expand(line, defines))
+        out_lines.append(line if names is None else _expand(line, defines, names))
 
     return PreprocessResult("\n".join(out_lines), defines, includes)
 
 
-def _expand(line: str, defines: Dict[str, str], active: frozenset = frozenset()) -> str:
+def _names_pattern(defines: Dict[str, str]) -> "re.Pattern[str] | None":
+    """One alternation of the defined names, each matched only as a
+    whole word (as ``\\b\\w+\\b`` would find it)."""
+    words = [name for name in defines if _WORD_RE.fullmatch(name)]
+    if not words:
+        return None
+    return re.compile(r"\b(?:" + "|".join(map(re.escape, words)) + r")\b")
+
+
+def _expand(
+    line: str,
+    defines: Dict[str, str],
+    names: "re.Pattern[str]",
+    active: frozenset = frozenset(),
+) -> str:
     """Expand object-like macros on one line.
 
     As in C, a macro is not re-expanded inside its own replacement text
@@ -98,8 +117,8 @@ def _expand(line: str, defines: Dict[str, str], active: frozenset = frozenset())
 
     def repl(match: "re.Match[str]") -> str:
         name = match.group(0)
-        if name in defines and name not in active:
-            return _expand(defines[name], defines, active | {name})
-        return name
+        if name in active:
+            return name
+        return _expand(defines[name], defines, names, active | {name})
 
-    return re.sub(r"\b\w+\b", repl, line)
+    return names.sub(repl, line)

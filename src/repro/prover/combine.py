@@ -430,7 +430,13 @@ def _propagate(
 
         # EUF -> LA: congruent shared atoms become arithmetic equalities
         # (tagged, in explain mode, with the literals that merged them).
-        for rep, members in cc.classes().items():
+        # Classes as ``cc.classes()`` orders them, members in term
+        # insertion order: the first member is paired with the rest,
+        # and a set's order would follow PYTHONHASHSEED.
+        classes: Dict[Term, List[Term]] = {}
+        for t in cc.terms:
+            classes.setdefault(cc.find(t), []).append(t)
+        for members in classes.values():
             arith_members = [m for m in members if _arithmetic(m, shared)]
             for i in range(1, len(arith_members)):
                 pair = _norm_pair(arith_members[0], arith_members[i])

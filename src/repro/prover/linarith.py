@@ -275,7 +275,9 @@ def _solve(constraints: List[Constraint], limit: int = 4000) -> Optional[Tags]:
                     ups[v] = ups.get(v, 0) + 1
                 else:
                     downs[v] = downs.get(v, 0) + 1
-        variables = set(ups) | set(downs)
+        # First-seen order, not a set's: ``min`` keeps the first of equal
+        # costs, and set order would follow PYTHONHASHSEED.
+        variables = list(dict.fromkeys([*ups, *downs]))
         if not variables:
             return None
         # Choose the variable with the fewest pairings to limit blowup.

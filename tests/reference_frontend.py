@@ -7,12 +7,16 @@ compiled-regex ``repro.cfront.lexer.Lexer`` replaced;
 lexer, with the per-level binary-operator recursion and the postfix
 loop that precedence climbing replaced.  ``tests/test_lexer_differential.py``
 checks that the current front end produces the same tokens, positions,
-``LexError``s and ASTs.  Do not use these outside the tests.
+``LexError``s and ASTs.  ``reference_expand`` is the preprocessor's
+macro expansion before the defined-names alternation replaced its
+callback on every word (``tests/test_preprocess.py``).  Do not use
+these outside the tests.
 """
 
 from __future__ import annotations
 
-from typing import List
+import re
+from typing import Dict, List
 
 from repro.cfront import ast as A
 from repro.cfront.lexer import LexError, Token
@@ -246,3 +250,17 @@ def reference_parse_c(source: str, qualifier_names=(), recover: bool = False,
     source = preprocess(source).text
     parser = ReferenceParser(source, qualifier_names, recover, filename)
     return parser.parse_translation_unit()
+
+
+def reference_expand(line: str, defines: Dict[str, str],
+                     active: frozenset = frozenset()) -> str:
+    """Expand object-like macros on one line, calling back on every
+    word; a macro is not re-expanded inside its own replacement."""
+
+    def repl(match: "re.Match[str]") -> str:
+        name = match.group(0)
+        if name in defines and name not in active:
+            return reference_expand(defines[name], defines, active | {name})
+        return name
+
+    return re.sub(r"\b\w+\b", repl, line)

@@ -1,0 +1,518 @@
+"""Edit sequences through one warm incremental workspace.
+
+An edit inside function bodies re-parses a reduced copy of the unit
+with every untouched body blanked (``repro.cfront.bodies``); any other
+edit falls back to a full parse.  Seeded edit sequences run over the
+examples, the dfa and bftpd corpus units, difftest programs and a probe
+unit, and after every edit the incremental report is compared with:
+
+* the same workspace with the reduced parse switched off (the full
+  incremental path): equal in every field but timings, including the
+  ``incremental`` block and the stale spans of replayed functions;
+* a cold one-shot check: equal in every field but timings and
+  incremental bookkeeping.  Replayed diagnostics keep the spans they
+  were recorded with (docs/serve.md), so once an edit has moved lines
+  the comparison leaves diagnostic locations out, until a broken unit
+  drops the stored state and everything is checked afresh;
+* the path the workspace counters say ran, for every edit whose path
+  is determined.
+"""
+
+import copy
+import glob
+import os
+import random
+import re
+
+import pytest
+
+from repro import api
+from repro.cfront import bodies
+from repro.cfront.parser import parse_c
+from repro.core.qualifiers.library import standard_qualifiers
+from repro.corpus import generate_bftpd, generate_dfa_module
+from repro.difftest.generator import GenConfig, ProgramGenerator
+
+EXAMPLES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.c"))
+)
+NAMES = standard_qualifiers().names
+
+#: A unit whose last function sits past the reach of the declarations
+#: it depends on: only the interface guard notices when ``next``'s
+#: prototype or ``limit``'s type loses its ``pos``, and only the typedef
+#: guard when ``count_t`` gains one.
+PROBE = """\
+typedef int count_t;
+int pos limit = 4;
+int pos next(int pos a);
+
+int first(int a) {
+  return a + 1;
+}
+
+int pos twice(int pos a) {
+  int pos b = next(a);
+  count_t c = a - 5;
+  limit = c;
+  return b;
+}
+"""
+
+PARTIAL, FALLBACK, FULL = "partial", "fallback", "full"
+
+
+def _sources():
+    out = []
+    for path in EXAMPLES:
+        with open(path, encoding="utf-8") as handle:
+            out.append((os.path.basename(path), handle.read(), False))
+    out.append(("dfa.c", generate_dfa_module(3, 3, 3, 2, 8, seed=5), False))
+    out.append(("bftpd.c", generate_bftpd(4, 3, 3), False))
+    for index in range(2):
+        text = ProgramGenerator(
+            random.Random(f"edit-sequence:{index}"),
+            GenConfig(size=40, n_qualifiers=0),
+            [],
+        ).generate()
+        out.append((f"gen{index}.c", text, True))
+    out.append(("probe.c", PROBE, False))
+    return out
+
+
+# ------------------------------------------------------------------ edits
+
+_LITERAL = re.compile(r"(?<![\w.'\"])\d+(?![\w.])")
+_GLOBAL = re.compile(r"^int (pos )?(\w+)( = [^;]*)?;$")
+_FUNC_HEAD = re.compile(r"^int (pos )?(\w+)\(")
+_PARAM = re.compile(r"\(int (\w+)([,)])")
+
+
+class Editor:
+    """Seeded edits of one C text.  Each edits ``text`` and returns the
+    path the re-check should take, or None where that depends on the
+    edit's content."""
+
+    def __init__(self, text: str, rng: random.Random):
+        self.text = text
+        self.rng = rng
+        self.serial = 0
+        self.added = []  # names of functions this editor appended
+
+    # -- where things are ---------------------------------------------------
+
+    def _lines(self):
+        return self.text.split("\n")
+
+    def _bodies(self):
+        """(first interior line, last interior line + 1) of every
+        body, 0-based, from a parse of the current text."""
+        unit = parse_c(self.text, qualifier_names=NAMES, recover=True)
+        return [(ol, cl - 1) for _name, ol, _oc, cl, _cc in unit._bodies if cl - 1 > ol]
+
+    def _top_level_lines(self):
+        inside = set()
+        for first, end in self._bodies():
+            inside.update(range(first - 1, end + 1))
+        return [i for i in range(len(self._lines())) if i not in inside]
+
+    def _fresh(self, stem: str) -> str:
+        self.serial += 1
+        return f"__{stem}{self.serial}"
+
+    # -- in-body edits ------------------------------------------------------
+
+    def _literal_in(self, body):
+        lines = self._lines()
+        spots = [
+            (i, m)
+            for i in range(*body)
+            if "case" not in lines[i]
+            for m in _LITERAL.finditer(lines[i])
+        ]
+        if not spots:
+            return False
+        i, m = self.rng.choice(spots)
+        new = str(self.rng.randrange(1, 60))
+        lines[i] = lines[i][: m.start()] + new + lines[i][m.end():]
+        self.text = "\n".join(lines)
+        return True
+
+    def _insert_in(self, body):
+        lines = self._lines()
+        first, end = body
+        spots = [
+            i
+            for i in range(first, end + 1)
+            if lines[i - 1].rstrip().endswith((";", "{", "}"))
+            and not lines[i].lstrip().startswith(("else", "while", "case", "default"))
+        ]
+        if not spots:
+            return False
+        name = self._fresh("e")
+        line = self.rng.choice([
+            f"  int pos {name} = -{self.rng.randrange(1, 9)};",
+            f"  int {name} = {self.rng.randrange(0, 9)};",
+            "  ;",
+            "",
+            "  /* a comment */",
+        ])
+        lines.insert(self.rng.choice(spots), line)
+        self.text = "\n".join(lines)
+        return True
+
+    def literal(self):
+        bodies = self._bodies()
+        self.rng.shuffle(bodies)
+        if not any(self._literal_in(body) for body in bodies):
+            self._insert_in(bodies[0])
+        return PARTIAL
+
+    def insert(self):
+        self._insert_in(self.rng.choice(self._bodies()))
+        return PARTIAL
+
+    def delete(self):
+        lines = self._lines()
+        ours = [i for i, line in enumerate(lines) if "__e" in line]
+        blank = [
+            i
+            for first, end in self._bodies()
+            for i in range(first, end)
+            if not lines[i].strip()
+        ]
+        if ours or blank:
+            del lines[self.rng.choice(ours or blank)]
+            self.text = "\n".join(lines)
+        return PARTIAL
+
+    def two_bodies(self):
+        bodies = self._bodies()
+        if len(bodies) < 2:
+            return self.literal()
+        # Edit the later body first so the earlier one's lines stay put.
+        first, second = sorted(self.rng.sample(bodies, 2))
+        for body in (second, first):
+            if not self._literal_in(body):
+                self._insert_in(body)
+        return PARTIAL
+
+    def param(self):
+        """Rename a parameter in a definition's header only: the body
+        is untouched, but now reads an unbound name."""
+        lines = self._lines()
+        heads = [first - 1 for first, _end in self._bodies()]
+        spots = [i for i in heads if _PARAM.search(lines[i])]
+        if not spots:
+            return PARTIAL
+        i = self.rng.choice(spots)
+        lines[i] = _PARAM.sub(r"(int \1_renamed\2", lines[i], count=1)
+        self.text = "\n".join(lines)
+        return PARTIAL
+
+    # -- interface and order edits -----------------------------------------
+
+    def typedef(self):
+        """Toggle ``pos`` on a typedef's type."""
+        for old, new in (("typedef int pos ", "typedef int "), ("typedef int ", "typedef int pos ")):
+            if old in self.text:
+                self.text = self.text.replace(old, new, 1)
+                return FALLBACK
+        return FULL
+
+    def global_(self):
+        """Toggle ``pos`` on a global int, or move its initializer."""
+        lines = self._lines()
+        spots = [i for i in self._top_level_lines() if _GLOBAL.match(lines[i])]
+        if not spots:
+            return self.signature()
+        i = self.rng.choice(spots)
+        m = _GLOBAL.match(lines[i])
+        if m.group(3) and self.rng.random() < 0.3:
+            lines[i] = f"int {m.group(1) or ''}{m.group(2)} = {self.rng.randrange(1, 9)};"
+            expect = PARTIAL  # only __global_init__ changes
+        else:
+            qual = "" if m.group(1) else "pos "
+            lines[i] = f"int {qual}{m.group(2)}{m.group(3) or ''};"
+            expect = FALLBACK
+        self.text = "\n".join(lines)
+        return expect
+
+    def signature(self):
+        """Toggle ``pos`` on a function's return type (a prototype with
+        qualifiers may win over it, so the path is not fixed)."""
+        lines = self._lines()
+        spots = [i for i in self._top_level_lines() if _FUNC_HEAD.match(lines[i])]
+        if not spots:
+            return None
+        i = self.rng.choice(spots)
+        m = _FUNC_HEAD.match(lines[i])
+        qual = "" if m.group(1) else "pos "
+        lines[i] = f"int {qual}{m.group(2)}(" + lines[i][m.end():]
+        self.text = "\n".join(lines)
+        return None
+
+    def add(self):
+        """Append a function, with a prototype for it and for a twin
+        name that ``rename`` can move it to."""
+        name = self._fresh("f")
+        self.added.append(name)
+        k = self.rng.randrange(1, 9)
+        self.text = self.text.rstrip("\n") + (
+            f"\n\nint {name}(int a);\nint {name}_twin(int a);\n"
+            f"int {name}(int a) {{\n  int pos r = a - {k};\n  return r;\n}}\n"
+        )
+        return FALLBACK
+
+    def rename(self):
+        """Rename an appended function to its twin: the interface is
+        unchanged (both names have prototypes), the body is untouched,
+        and only the function order differs."""
+        if not self.added:
+            return self.add()
+        name = self.added.pop()
+        self.text = self.text.replace(f"int {name}(int a) {{", f"int {name}_twin(int a) {{")
+        self.added.append(f"{name}_twin")
+        return FALLBACK
+
+    def remove(self):
+        """Remove an appended function's definition."""
+        if not self.added:
+            return self.add()
+        name = self.added.pop()
+        self.text = re.sub(
+            rf"\nint {name}\(int a\) \{{\n.*?\n\}}\n", "\n", self.text, flags=re.S
+        )
+        return FALLBACK
+
+    # -- breaking and repairing --------------------------------------------
+
+    def _break(self, line):
+        lines = self._lines()
+        first, end = self.rng.choice(self._bodies())
+        lines.insert(first, line)
+        self.text = "\n".join(lines)
+        return FALLBACK
+
+    def local_decl(self):
+        return self._break(self.rng.choice([
+            f"  struct {self._fresh('s')} {{ int a; }};",
+            f"  int {self._fresh('p')}(int a);",
+        ]))
+
+    def syntax(self):
+        return self._break("  int = ;")
+
+    def repair(self):
+        lines = [
+            line for line in self._lines()
+            if line not in ("  int = ;",) and not re.match(r"  (struct __s|int __p)\d", line)
+        ]
+        self.text = "\n".join(lines)
+        return FULL  # the broken unit's state was dropped
+
+
+SEQUENCE = (
+    "literal", "insert", "two_bodies", "global_", "literal", "signature",
+    "typedef", "add", "literal", "rename", "insert", "local_decl", "repair",
+    "delete", "param", "syntax", "repair", "remove", "two_bodies", "literal",
+)
+
+#: Edit kinds that can move lines below them.
+SHIFTS = {"insert", "delete", "add", "remove", "local_decl", "syntax", "repair"}
+
+
+# ------------------------------------------------------------- comparison
+
+
+def _timeless(payload: dict) -> dict:
+    out = copy.deepcopy(payload)
+    for key in ("elapsed", "timings"):
+        out.pop(key, None)
+    out.get("dataflow", {}).pop("ms", None)
+    for unit in out.get("units", ()):
+        unit.pop("elapsed", None)
+        dataflow = unit.get("detail", {}).get("dataflow")
+        if dataflow:
+            dataflow["totals"].pop("ms", None)
+            for stats in dataflow["functions"].values():
+                stats.pop("ms", None)
+    return out
+
+
+def _cold_shape(payload: dict, spans: bool) -> dict:
+    out = _timeless(payload)
+    out.pop("incremental", None)
+    for unit in out.get("units", ()):
+        unit.get("detail", {}).pop("incremental", None)
+        if not spans:
+            for diag in unit.get("diagnostics", ()):
+                if "loc" in diag:
+                    diag["text"] = diag["text"].replace(diag["loc"], "<loc>")
+                    diag["loc"] = "<loc>"
+    return out
+
+
+def _counters(ws):
+    return (
+        ws.counters["units_reparsed_partially"],
+        ws.counters["partial_fallbacks"],
+    )
+
+
+def _path(before, after):
+    partial = after[0] - before[0]
+    fallback = after[1] - before[1]
+    assert partial + fallback <= 1
+    return PARTIAL if partial else FALLBACK if fallback else FULL
+
+
+def _run_sequences(tmp_path, seeds):
+    ws = api.Workspace(incremental=True)
+    full = api.Workspace(incremental=True)
+    full._reduced_parse = lambda *args: None  # today's full path only
+    paths_seen = set()
+    try:
+        for seed in seeds:
+            for name, text, flow in _sources():
+                rng = random.Random(f"{seed}:{name}")
+                path = str(tmp_path / name)
+                request = api.CheckRequest(files=(path,), flow_sensitive=flow)
+                editor = Editor(text, rng)
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                ws.invalidate(path)
+                full.invalidate(path)
+                ws.check(request)
+                full.check(request)
+                stale = False
+                stored = True  # the workspace holds the unit's state
+                for step, kind in enumerate(SEQUENCE):
+                    previous = editor.text
+                    expect = getattr(editor, kind)()
+                    if editor.text == previous:
+                        expect = FULL  # an unchanged file replays whole
+                    with open(path, "w", encoding="utf-8") as handle:
+                        handle.write(editor.text)
+                    before = _counters(ws)
+                    warm = ws.check(request).to_dict()
+                    took = _path(before, _counters(ws))
+                    reference = full.check(request).to_dict()
+                    with api.Workspace() as cold_ws:
+                        cold = cold_ws.check(request).to_dict()
+                    where = f"seed {seed}, {name}, step {step} ({kind})"
+                    assert _timeless(warm) == _timeless(reference), where
+                    broken = cold["units"][0]["verdict"] == "ERROR"
+                    stale = stale or kind in SHIFTS
+                    assert _cold_shape(warm, not stale) == _cold_shape(
+                        cold, not stale
+                    ), where
+                    if broken and expect == PARTIAL:
+                        expect = FALLBACK
+                    if not stored and expect is not None:
+                        expect = FULL  # nothing stored to reduce against
+                    if broken:
+                        stale = False  # the next check starts from scratch
+                    stored = not broken
+                    if expect is not None:
+                        assert took == expect, where
+                    paths_seen.add(took)
+    finally:
+        ws.close()
+        full.close()
+    return paths_seen
+
+
+def test_edit_sequences_match_full_and_cold_checks(tmp_path):
+    assert _run_sequences(tmp_path, seeds=(0, 1)) == {PARTIAL, FALLBACK, FULL}
+
+
+def test_counters_reach_workspace_stats(tmp_path):
+    path = tmp_path / "u.c"
+    path.write_text(PROBE, encoding="utf-8")
+    with api.Workspace(incremental=True) as ws:
+        request = api.CheckRequest(files=(str(path),))
+        ws.check(request)
+        path.write_text(PROBE.replace("a + 1", "a + 2"), encoding="utf-8")
+        ws.check(request)
+        path.write_text(
+            PROBE.replace("a + 1", "a + 2").replace("int pos next", "int next"),
+            encoding="utf-8",
+        )
+        report = ws.check(request)
+        counters = ws.stats()["counters"]
+    assert counters["units_reparsed_partially"] == 1
+    assert counters["partial_fallbacks"] == 1
+    assert report.results[0].verdict == "WARNINGS"
+
+
+@pytest.mark.parametrize("kind", ["literal", "two_bodies"])
+def test_in_body_edit_rechecks_only_the_edited_functions(tmp_path, kind):
+    text = generate_bftpd(4, 3, 3)
+    path = tmp_path / "bftpd.c"
+    path.write_text(text, encoding="utf-8")
+    editor = Editor(text, random.Random(kind))
+    with api.Workspace(incremental=True) as ws:
+        request = api.CheckRequest(files=(str(path),))
+        ws.check(request)
+        getattr(editor, kind)()
+        path.write_text(editor.text, encoding="utf-8")
+        inc = ws.check(request).results[0].detail["incremental"]
+    assert ws.counters["units_reparsed_partially"] == 1
+    assert 1 <= inc["rechecked"] <= 2 < inc["functions"]
+
+
+# ---------------------------------------------------- the pure functions
+
+
+def test_changed_span_rebuilds_the_new_text():
+    rng = random.Random(3)
+    for _ in range(300):
+        old = "".join(rng.choice("ab\n{}") for _ in range(rng.randrange(0, 30)))
+        new = list(old)
+        for _ in range(rng.randrange(0, 4)):
+            pos = rng.randrange(0, len(new) + 1)
+            if new and rng.random() < 0.5:
+                del new[min(pos, len(new) - 1)]
+            else:
+                new.insert(pos, rng.choice("ab\n{}"))
+        new = "".join(new)
+        start, old_end, new_end = bodies.changed_span(old, new)
+        assert start <= old_end and start <= new_end
+        assert old[:start] + new[start:new_end] + old[old_end:] == new
+        assert len(old) - old_end == len(new) - new_end
+
+
+def test_reduced_text_keeps_every_line_and_column():
+    old = generate_bftpd(4, 3, 3)
+    unit = parse_c(old, qualifier_names=NAMES)
+    extents = bodies.body_extents(old, unit._bodies)
+    editor = Editor(old, random.Random(5))
+    editor.two_bodies()
+    new = editor.text
+    reduced = bodies.reduce_text(old, new, extents)
+    assert len(reduced.text) == len(new)
+    assert bodies.line_starts(reduced.text) == bodies.line_starts(new)
+    assert 0 < len(reduced.blanked) <= len(extents) - 2
+    blank = set()
+    for open_, close in reduced.blanked:
+        assert (reduced.text[open_], reduced.text[close]) == ("{", "}")
+        assert not reduced.text[open_ + 1 : close].strip()
+        blank.update(range(open_ + 1, close))
+    assert all(
+        reduced.text[i] == new[i] for i in range(len(new)) if i not in blank
+    )
+    parsed = parse_c(reduced.text, qualifier_names=NAMES)
+    found = bodies.blanked_functions(reduced.text, parsed._bodies, reduced.blanked)
+    assert found is not None
+    _extents, names = found
+    assert len(names) == len(reduced.blanked)
+
+
+def test_a_blanked_body_the_parse_did_not_find_rejects_the_reduced_parse():
+    text = "int f(void) {\n  return 1;\n}\n"
+    unit = parse_c(text)
+    (extent,) = bodies.body_extents(text, unit._bodies)
+    assert bodies.blanked_functions(text, unit._bodies, [extent]) == ([extent], {"f"})
+    moved = (extent[0] + 1, extent[1])
+    assert bodies.blanked_functions(text, unit._bodies, [moved]) is None

@@ -82,3 +82,125 @@ def test_defines_inside_inactive_region_ignored():
 def test_unknown_directive_dropped():
     result = preprocess("#pragma once\nint x;")
     assert "pragma" not in result.text and "int x;" in result.text
+
+
+# ------------------------------------------------ differential expansion
+#
+# The preprocessor expands only the defined names, through one compiled
+# alternation; ``reference_expand`` is the expansion it replaced, which
+# called back on every word.  Both must give the same text for every
+# line and macro table.
+
+import glob  # noqa: E402
+import importlib  # noqa: E402
+import os  # noqa: E402
+import random  # noqa: E402
+import re  # noqa: E402
+
+from repro.corpus import generate_bftpd, generate_dfa_module  # noqa: E402
+from repro.difftest.generator import generate_case  # noqa: E402
+
+from tests.reference_frontend import reference_expand  # noqa: E402
+
+# The module, not the package attribute of the same name (the function).
+pp = importlib.import_module("repro.cfront.preprocess")
+
+_EXAMPLES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.c"))
+)
+
+
+def _corpus_texts():
+    texts = []
+    for path in _EXAMPLES:
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    texts.append(generate_dfa_module(2, 2, 2, 2, 4, seed=3))
+    texts.append(generate_bftpd(3, 2, 2))
+    texts.extend(generate_case(11, i).c_source for i in range(6))
+    return texts
+
+
+def _random_table(rng: random.Random, words):
+    """Defined names drawn from the text's own words, with prefixes of
+    them, and replacements that mention other defined names (chains,
+    cycles, self-reference) or nothing at all."""
+    names = set(rng.sample(words, min(len(words), rng.randint(1, 8))))
+    for word in list(names):
+        if len(word) > 1 and rng.random() < 0.5:
+            names.add(word[: rng.randint(1, len(word) - 1)])
+    names = sorted(names)
+    table = {}
+    for name in names:
+        parts = []
+        for _ in range(rng.randint(0, 3)):
+            choice = rng.random()
+            if choice < 0.4:
+                parts.append(rng.choice(names))
+            elif choice < 0.5:
+                parts.append(name)
+            else:
+                parts.append(rng.choice(["1", "(x)", "__attribute__((pos))", "+", "q_"]))
+        table[name] = " ".join(parts)
+    return table
+
+
+def test_expand_matches_reference_on_corpus_with_random_tables():
+    rng = random.Random(7)
+    compared = 0
+    for text in _corpus_texts():
+        lines = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
+        words = sorted(set(re.findall(r"\b\w+\b", text)))
+        for _ in range(12):
+            table = _random_table(rng, words)
+            names = pp._names_pattern(table)
+            for line in rng.sample(lines, min(len(lines), 40)):
+                assert pp._expand(line, table, names) == reference_expand(line, table), (
+                    line, table)
+                compared += 1
+    assert compared > 2000
+
+
+def test_expand_edge_cases_match_reference():
+    cases = [
+        ("int NN = N + N1 + xN;", {"N": "4", "NN": "N"}),
+        ("a ab abc b", {"a": "ab", "ab": "abc", "abc": "a"}),
+        ("int pos x;", {"pos": "__attribute__((pos))"}),
+        ("A B", {"A": "B", "B": "A"}),
+        ("f(x) x1 1x _x x_", {"x": "x x", "1": "one"}),
+        ("héllo é", {"é": "e", "h": "H"}),
+        ("K", {"K": ""}),
+    ]
+    for line, table in cases:
+        assert pp._expand(line, table, pp._names_pattern(table)) == reference_expand(
+            line, table
+        )
+
+
+def test_whole_file_preprocess_matches_reference_expansion():
+    """``#define`` lines spread through a file: each line expands under
+    the table in effect at that line."""
+    rng = random.Random(11)
+    for text in _corpus_texts()[:6]:
+        words = sorted(set(re.findall(r"\b\w+\b", text)))
+        table = _random_table(rng, words)
+        lines = text.splitlines()
+        source_lines, expected, current = [], [], {}
+        for line in lines:
+            if line.lstrip().startswith("#"):
+                line = ""
+            if table and rng.random() < 0.05:
+                name = rng.choice(sorted(table))
+                source_lines.append(f"#define {name} {table[name]}")
+                current[name] = table[name].strip()
+                expected.append("")
+            source_lines.append(line)
+            expected.append(reference_expand(line, current) if current else line)
+        assert pp.preprocess("\n".join(source_lines)).text == "\n".join(expected)
+
+
+def test_non_word_predefined_name_never_matches():
+    # The word scan the alternation replaced could only ever see whole
+    # words, so a predefined name with other characters never expands.
+    result = preprocess("int v = a-b;", predefined={"a-b": "1", "v": "w"})
+    assert result.text == "int w = a-b;"

@@ -390,13 +390,43 @@ int idf(int z) { return z + 0; }
 EOF
 python -m repro check "$tmpdir/serve_unit.c" \
     --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve2.json"
+# A signature edit: the reduced re-parse must fall back to a full one.
+cat > "$tmpdir/serve_unit.c" <<'EOF'
+int add1(int x) { return x + 1; }
+int pos dbl(int y) { return y * 2; }
+int idf(int z) { return z + 0; }
+EOF
+# Both checks report a warning (exit 1) for dbl's return.
+python -m repro check "$tmpdir/serve_unit.c" \
+    --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve3.json" \
+    || test $? -eq 1
+python -m repro check "$tmpdir/serve_unit.c" --format json \
+    > "$tmpdir/local3.json" || test $? -eq 1
 python -m repro serve --status --socket "$tmpdir/serve.sock" \
     > "$tmpdir/serve_status.json"
 python -c '
 import json, sys
-first = json.load(open(sys.argv[1]))
-second = json.load(open(sys.argv[2]))
-status = json.load(open(sys.argv[3]))
+
+
+def strip(report):
+    report.pop("elapsed", None)
+    report.pop("incremental", None)
+    for unit in report.get("units", ()):
+        unit.pop("elapsed", None)
+        detail = unit.get("detail", {})
+        detail.pop("incremental", None)
+        if "dataflow" in detail:
+            detail["dataflow"]["totals"].pop("ms", None)
+            for stats in detail["dataflow"]["functions"].values():
+                stats.pop("ms", None)
+    if isinstance(report.get("dataflow"), dict):
+        report["dataflow"].pop("ms", None)
+    return report
+
+
+first, second, third, local, status = (
+    json.load(open(path)) for path in sys.argv[1:6]
+)
 for report in (first, second):
     assert report["schema_version"] == 1, report["schema_version"]
     assert report["exit_code"] == 0, report
@@ -405,12 +435,21 @@ assert first["incremental"]["rechecked"] == 3, first["incremental"]
 # the edit touched one function body: only it re-checked
 assert second["incremental"]["rechecked"] == 1, second["incremental"]
 assert second["incremental"]["replayed"] == 2, second["incremental"]
+# the signature edit changed the interface: everything re-checked
+assert third["incremental"]["rechecked"] == 3, third["incremental"]
+assert [u["verdict"] for u in third["units"]] == ["WARNINGS"], third["units"]
+assert strip(third) == strip(local), "served report drifted from one-shot"
 counters = status["workspaces"][0]["counters"]
 assert counters["functions_replayed"] == 2, counters
-assert counters["functions_checked"] == 4, counters
+assert counters["functions_checked"] == 7, counters
+# the body edit took the reduced re-parse, the signature edit fell back
+assert counters["units_reparsed_partially"] == 1, counters
+assert counters["partial_fallbacks"] == 1, counters
 assert status["counters"]["errors"] == 0, status["counters"]
-print("   incremental re-check: 1 function re-proved, 2 replayed")
-' "$tmpdir/serve1.json" "$tmpdir/serve2.json" "$tmpdir/serve_status.json"
+print("   body edit: reduced re-parse, 1 function re-checked, 2 replayed")
+print("   signature edit: full re-parse, report identical to one-shot")
+' "$tmpdir/serve1.json" "$tmpdir/serve2.json" "$tmpdir/serve3.json" \
+  "$tmpdir/local3.json" "$tmpdir/serve_status.json"
 python -m repro serve --stop --socket "$tmpdir/serve.sock" > /dev/null
 tries=0
 while kill -0 "$serve_pid" 2> /dev/null; do
