@@ -20,6 +20,9 @@ appends the same record to ``BENCH_prover.json``'s history, growing
 the committed perf trajectory.
 """
 
+import os
+import platform
+
 import pytest
 
 from repro.core.qualifiers.library import NONNULL, POS, UNIQUE, standard_qualifiers
@@ -256,15 +259,23 @@ def _cold_sweep_record(args) -> dict:
     }
 
 
+def machine_info() -> dict:
+    """The ``machine`` block of a recorded measurement."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _append_history(path: str, record: dict) -> None:
     """Append a timestamped cold-sweep entry to the ``history`` list of
     ``BENCH_prover.json`` (creating the file if absent), preserving
-    everything else the ``python -m repro bench`` runner wrote.  The
-    entry carries the ``machine`` block of the host that measured it."""
+    everything else in the file.  The entry carries the ``machine``
+    block of the host that measured it."""
     import json
     import time as time_mod
-
-    from repro.obs.bench import machine_info
 
     payload = {}
     try:

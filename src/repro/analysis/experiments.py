@@ -2,8 +2,10 @@
 
 Each function reproduces one table or claim and returns a row-oriented
 dict mirroring the paper's layout, alongside the paper's published
-numbers for comparison.  The benchmark harness and EXPERIMENTS.md are
-generated from these.
+numbers for comparison.  EXPERIMENTS.md is generated from these
+(``tools/generate_experiments_md.py``), and
+``tests/test_experiments_module.py`` holds each row to the paper's
+shape or to its exact columns.
 """
 
 from __future__ import annotations

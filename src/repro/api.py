@@ -384,7 +384,7 @@ def _obligation_verdicts(results) -> List[str]:
 def _start_profile(request: BatchOptions) -> Optional[dict]:
     """Begin profiling one invocation if asked to (``request.profile``)
     or if the collector is already on (``--profile`` at the CLI, or a
-    surrounding bench run).  Returns the token ``_finish_profile``
+    caller that enabled it).  Returns the token ``_finish_profile``
     needs, or ``None`` when profiling stays off."""
     if not (request.profile or obs.enabled()):
         return None
@@ -453,19 +453,36 @@ class SessionConfig:
     def qualifier_set(self) -> QualifierSet:
         """The composed qualifier set for this configuration (re-read
         from the definition files on every call)."""
-        defs: List[QualifierDef] = []
-        if not self.no_std:
-            defs.extend(standard_qualifiers(trust_constants=self.trust_constants))
-        for path in self.quals:
-            for qdef in parse_qualifiers(_read_source(path)):
-                defs = [d for d in defs if d.name != qdef.name]
-                defs.append(qdef)
-        return QualifierSet(defs)
+        return _compose_qualifiers(self, (_read_source(p) for p in self.quals))
 
     def key(self) -> Tuple:
         """A hashable identity (the serve daemon routes requests to one
         workspace per distinct configuration)."""
         return (self.quals, self.no_std, self.trust_constants)
+
+
+def _compose_qualifiers(config: SessionConfig, texts) -> QualifierSet:
+    """The standard library (unless ``config.no_std``) followed by the
+    definitions in ``texts``, in order: a definition with an
+    already-seen name replaces the earlier one."""
+    defs: List[QualifierDef] = []
+    if not config.no_std:
+        defs.extend(
+            standard_qualifiers(trust_constants=config.trust_constants)
+        )
+    for text in texts:
+        for qdef in parse_qualifiers(text):
+            defs = [d for d in defs if d.name != qdef.name]
+            defs.append(qdef)
+    return QualifierSet(defs)
+
+
+def _unit_qualifiers(defs: List[QualifierDef], std: QualifierSet):
+    """A ``.qual`` unit's prove environment: the standard library plus
+    the unit's own definitions whose names the library does not use."""
+    return QualifierSet(
+        list(std) + [d for d in defs if d.name not in std.names]
+    )
 
 
 # ------------------------------------------------- incremental verdict store
@@ -610,18 +627,7 @@ class Workspace:
         function fingerprint moves with it)."""
         texts = tuple(_read_source(p) for p in self.config.quals)
         if self._quals is None or texts != self._qual_texts:
-            defs: List[QualifierDef] = []
-            if not self.config.no_std:
-                defs.extend(
-                    standard_qualifiers(
-                        trust_constants=self.config.trust_constants
-                    )
-                )
-            for text in texts:
-                for qdef in parse_qualifiers(text):
-                    defs = [d for d in defs if d.name != qdef.name]
-                    defs.append(qdef)
-            self._quals = QualifierSet(defs)
+            self._quals = _compose_qualifiers(self.config, texts)
             self._qual_texts = texts
             self._env_digest = _fingerprint.qualifier_env_digest(self._quals)
         return self._quals
@@ -1090,7 +1096,12 @@ class Workspace:
         batch_report = self._run(
             request, worker, on_result=on_result, on_event=on_event
         )
-        self._finish_prove_meta(batch_report, cache)
+        self._finish_prove_meta(
+            batch_report,
+            cache,
+            batch_report.sum_detail_counters("cache"),
+            batch_report.sum_detail_counters("sessions"),
+        )
         return Report("prove", batch_report)
 
     def _prove_unit_worker(
@@ -1101,10 +1112,7 @@ class Workspace:
             sessions_before = pool.counters()
             with obs.span("parse_quals", unit=path):
                 defs = parse_qualifiers(_read_source(path))
-            quals = QualifierSet(
-                list(standard_qualifiers())
-                + [d for d in defs if d.name not in standard_qualifiers().names]
-            )
+            quals = _unit_qualifiers(defs, standard_qualifiers())
             verdicts = [batch.OK]
             summaries: List[dict] = []
             for qdef in defs:
@@ -1311,9 +1319,7 @@ class Workspace:
                 source = _read_source(path)
                 with obs.span("parse_quals", unit=path):
                     defs = parse_qualifiers(source)
-                quals = QualifierSet(
-                    list(std) + [d for d in defs if d.name not in std.names]
-                )
+                quals = _unit_qualifiers(defs, std)
                 staged[path] = (source, defs, quals)
                 return batch.UnitResult(unit=path, verdict=batch.OK)
 
@@ -1434,52 +1440,51 @@ class Workspace:
                         on_result(result)
                     except Exception:
                         pass
-            if cache is not None:
-                batch_report.meta["cache"] = {
-                    "enabled": True,
-                    "dir": cache.cache_dir,
-                    "entries": cache.entry_count(),
-                    **(stats.get("cache") or {}),
-                }
-            else:
-                batch_report.meta["cache"] = {"enabled": False}
-            sessions = stats["sessions"]
-            batch_report.meta["sessions"] = {"enabled": True, **sessions}
-            self.counters["session_reuse"] += int(
-                sessions.get("session_reuse", 0)
+            self._finish_prove_meta(
+                batch_report,
+                cache,
+                stats.get("cache") or {},
+                stats["sessions"],
+                scheduler={
+                    key: stats.get(key, 0)
+                    for key in (
+                        "groups", "rounds", "obligations", "requeued",
+                        "quarantined",
+                    )
+                },
             )
-            batch_report.meta["scheduler"] = {
-                key: stats.get(key, 0)
-                for key in (
-                    "groups", "rounds", "obligations", "requeued",
-                    "quarantined",
-                )
-            }
-            if self.incremental:
-                _aggregate_prove_incremental_meta(batch_report)
         except BaseException:
             _abort_profile(prof)
             raise
         _finish_profile(prof, batch_report)
         return Report("prove", batch_report)
 
-    def _finish_prove_meta(self, batch_report: batch.BatchReport, cache) -> None:
-        """Run-level meta for the serial prove path (the sharded path
-        builds the same keys from its scheduler stats)."""
+    def _finish_prove_meta(
+        self,
+        batch_report: batch.BatchReport,
+        cache,
+        cache_counters: dict,
+        sessions: dict,
+        scheduler: Optional[dict] = None,
+    ) -> None:
+        """Run-level meta of a prove: the proof cache's and the prover
+        sessions' counters for the run, the sharded path's
+        ``scheduler`` block, and the incremental totals."""
         if cache is not None:
             batch_report.meta["cache"] = {
                 "enabled": True,
                 "dir": cache.cache_dir,
                 "entries": cache.entry_count(),
-                **batch_report.sum_detail_counters("cache"),
+                **cache_counters,
             }
         else:
             batch_report.meta["cache"] = {"enabled": False}
-        sessions = batch_report.sum_detail_counters("sessions")
         batch_report.meta["sessions"] = {"enabled": True, **sessions}
         self.counters["session_reuse"] += int(
             sessions.get("session_reuse", 0)
         )
+        if scheduler is not None:
+            batch_report.meta["scheduler"] = scheduler
         if self.incremental:
             _aggregate_prove_incremental_meta(batch_report)
 

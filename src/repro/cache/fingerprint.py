@@ -274,8 +274,10 @@ def qualifier_env_digest(quals) -> str:
 
 def interface_digest(program) -> str:
     """Content hash of one unit's declared surface: every signature,
-    struct/union layout, and global type.  Folded into every function
-    fingerprint in the unit, so an interface edit re-checks them all."""
+    formal parameter name, struct/union layout, and global type.
+    Folded into every function fingerprint in the unit, so an interface
+    edit re-checks them all (a call's diagnostics name the callee's
+    formals)."""
     from repro.cil.printer import type_to_str
 
     parts = ["iface", CHECKER_SALT]
@@ -290,6 +292,8 @@ def interface_digest(program) -> str:
         parts.append(f"global {g.name}:{type_to_str(g.ctype)}")
     for name in sorted(program.signatures):
         parts.append(f"sig {name}:{type_to_str(program.signatures[name])}")
+    for name in sorted(program.formal_names):
+        parts.append(f"formals {name}:{','.join(program.formal_names[name])}")
     return _digest(parts)
 
 

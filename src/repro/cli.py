@@ -497,12 +497,6 @@ def cmd_difftest(args) -> int:
     return report.exit_code
 
 
-def cmd_bench(args) -> int:
-    from repro.obs import bench
-
-    return bench.main(args)
-
-
 def cmd_cache(args) -> int:
     if args.cache_command == "clear":
         removed = api.cache_clear(cache_dir=args.cache_dir)
@@ -781,55 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_flags(p_diff)
     profile_flags(p_diff)
     p_diff.set_defaults(fn=cmd_difftest)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark suites and write BENCH_<name>.json",
-        description=(
-            "Unified benchmark runner: executes the benchmarks/bench_*.py "
-            "suites (no pytest needed) with warmup and repeat control, "
-            "profiling enabled, and writes one BENCH_<name>.json with "
-            "per-suite wall times, the prover-theory breakdown, cache "
-            "counters, and machine info (see docs/observability.md)."
-        ),
-    )
-    p_bench.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this suite (a benchmarks/bench_<NAME>.py file); "
-        "may be repeated",
-    )
-    p_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="quick well-formedness run: the smallest suites, one round "
-        "each, written as BENCH_smoke.json",
-    )
-    p_bench.add_argument(
-        "--warmup", type=int, default=1, metavar="N",
-        help="warmup rounds per case before timing (default 1)",
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=3, metavar="N",
-        help="timed rounds per case (default 3; min is kept)",
-    )
-    p_bench.add_argument(
-        "--name",
-        default=None,
-        metavar="NAME",
-        help="output stem: BENCH_<NAME>.json (default: 'all', or "
-        "'smoke' with --smoke)",
-    )
-    p_bench.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="directory for BENCH_<name>.json (default: cwd)",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list suites and exit"
-    )
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",

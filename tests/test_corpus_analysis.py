@@ -174,3 +174,42 @@ def test_unique_global_passed_to_procedure_fails():
             g.ctype = g.ctype.with_quals(["unique"])
     report = check_program(prog, QualifierSet([UNIQUE]))
     assert any(d.kind == "disallow" for d in report.diagnostics)
+
+
+# -------------------------------------------------------------- scaling
+
+
+@pytest.mark.slow
+def test_checking_time_grows_subquadratically():
+    """The checker is one pass with memoized qualifier judgments: a dfa
+    module about four times larger costs well under the square of that
+    in checking time (best of three runs at each size)."""
+    import time
+
+    from repro.core.checker.typecheck import QualifierChecker
+    from repro.core.qualifiers.library import standard_qualifiers
+
+    quals = standard_qualifiers()
+    points = []
+    for kwargs in (
+        dict(
+            n_transition_helpers=8, n_analysis_helpers=8, n_guarded_helpers=7,
+            n_builders=5, n_scalar_helpers=26,
+        ),
+        dict(
+            n_transition_helpers=34, n_analysis_helpers=30,
+            n_guarded_helpers=28, n_builders=20, n_scalar_helpers=104,
+        ),
+    ):
+        source = generate_dfa_module(**kwargs)
+        prog = compile_c(source)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            QualifierChecker(prog, quals).check()
+            times.append(time.perf_counter() - start)
+        points.append((count_lines(source), min(times)))
+    (small_lines, small_s), (large_lines, large_s) = points
+    size_ratio = large_lines / small_lines
+    assert size_ratio > 3
+    assert large_s / small_s < size_ratio ** 2

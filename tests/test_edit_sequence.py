@@ -199,7 +199,9 @@ class Editor:
 
     def param(self):
         """Rename a parameter in a definition's header only: the body
-        is untouched, but now reads an unbound name."""
+        is untouched, but now reads an unbound name.  Formal names are
+        part of the interface (a call's diagnostics name them), so the
+        reduced parse falls back."""
         lines = self._lines()
         heads = [first - 1 for first, _end in self._bodies()]
         spots = [i for i in heads if _PARAM.search(lines[i])]
@@ -208,7 +210,7 @@ class Editor:
         i = self.rng.choice(spots)
         lines[i] = _PARAM.sub(r"(int \1_renamed\2", lines[i], count=1)
         self.text = "\n".join(lines)
-        return PARTIAL
+        return FALLBACK
 
     # -- interface and order edits -----------------------------------------
 
@@ -444,6 +446,32 @@ def test_counters_reach_workspace_stats(tmp_path):
     assert counters["units_reparsed_partially"] == 1
     assert counters["partial_fallbacks"] == 1
     assert report.results[0].verdict == "WARNINGS"
+
+
+def test_renamed_formal_is_reported_under_its_new_name(tmp_path):
+    """A call's diagnostic names the callee's formal, so renaming one
+    in a prototype re-checks the caller instead of replaying it."""
+    text = (
+        "void sink(int * nonnull a);\n"
+        "void caller(int *p) {\n"
+        "  sink(p);\n"
+        "}\n"
+    )
+    path = tmp_path / "u.c"
+    path.write_text(text, encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+
+    def messages(report):
+        return [d["message"] for d in report.to_dict()["units"][0]["diagnostics"]]
+
+    with api.Workspace(incremental=True) as ws:
+        assert any("argument 'a' of sink" in m for m in messages(ws.check(request)))
+        path.write_text(text.replace("nonnull a", "nonnull b"), encoding="utf-8")
+        warm = messages(ws.check(request))
+    with api.Workspace() as cold_ws:
+        cold = messages(cold_ws.check(request))
+    assert any("argument 'b' of sink" in m for m in cold)
+    assert warm == cold
 
 
 @pytest.mark.parametrize("kind", ["literal", "two_bodies"])

@@ -1,5 +1,6 @@
-"""Tests for the experiments module (the rows the benchmark harness and
-EXPERIMENTS.md are generated from)."""
+"""Tests for the experiments module: the paper's section 6 rows that
+EXPERIMENTS.md is generated from, each held to the shape or the exact
+columns the paper reports."""
 
 import pytest
 

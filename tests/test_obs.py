@@ -411,41 +411,3 @@ class TestMinimizerErrorRecording:
         )
         assert minimize_finding(case, finding, time_limit=1.0) is None
 
-
-# ------------------------------------------------------------ bench shim
-
-
-class TestBenchRunner:
-    def test_discovers_the_repo_suites(self):
-        from repro.obs import bench
-
-        suites = bench.discover_suites()
-        assert "typecheck_time" in suites
-        assert all(p.endswith(".py") for p in suites.values())
-        for smoke_suite in bench.SMOKE_SUITES:
-            assert smoke_suite in suites
-
-    def test_shim_times_and_returns_the_result(self):
-        from repro.obs.bench import BenchmarkShim
-
-        shim = BenchmarkShim(warmup=1, repeat=2)
-        calls = []
-        result = shim(lambda: calls.append(1) or "value")
-        assert result == "value"
-        assert len(calls) == 3  # 1 warmup + 2 timed rounds
-        assert shim.stats["rounds"] == 2
-        assert shim.stats["mean"] >= 0
-
-    def test_parametrize_expansion_with_ids(self):
-        import pytest as _pytest
-
-        from repro.obs.bench import _expand_cases
-
-        @_pytest.mark.parametrize("n", [1, 2], ids=lambda v: f"v{v}")
-        def case(benchmark, n):
-            pass
-
-        expanded = _expand_cases(case)
-        assert [(s, b["n"]) for s, b in expanded] == [
-            ("[v1]", 1), ("[v2]", 2),
-        ]

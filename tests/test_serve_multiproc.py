@@ -671,6 +671,93 @@ def test_idle_worker_death_respawns_invisibly(procdaemon, tmp_path):
     assert server.counters["workers_crashed"] == 1
 
 
+#: Two configurations, so the daemon routes each to its own worker.
+DISTINCT_CONFIGS = ({}, {"trust_constants": True})
+
+
+def _unit_text(functions, tag):
+    return "".join(
+        f"int f{i}(int x{i}) {{ return x{i} + {tag}; }}\n"
+        for i in range(functions)
+    )
+
+
+def _check_distinct_configs(sock, paths, tag, functions):
+    """Write fresh text to each path (so nothing replays) and check the
+    two configurations concurrently; returns their served reports."""
+    reports = [None] * len(paths)
+    failures = []
+
+    def run(index):
+        with open(paths[index], "w") as handle:
+            handle.write(_unit_text(functions, tag))
+        try:
+            with connect(sock) as client:
+                reports[index] = client.request(
+                    "check", {"files": [paths[index]], **DISTINCT_CONFIGS[index]}
+                )["report"]
+        except Exception as exc:  # raised below, on the test's thread
+            failures.append(exc)
+
+    jobs = [threading.Thread(target=run, args=(i,)) for i in range(len(paths))]
+    for job in jobs:
+        job.start()
+    for job in jobs:
+        job.join(timeout=120)
+        assert not job.is_alive(), "a served check never answered"
+    if failures:
+        raise failures[0]
+    return reports
+
+
+def test_concurrent_distinct_configs_match_in_process(procdaemon, tmp_path):
+    """Two checks in flight at once, one per configuration and so one
+    per worker: each served report equals the in-process one."""
+    sock, server = procdaemon
+    paths = [str(tmp_path / "a.c"), str(tmp_path / "b.c")]
+    for tag in (1, 2):  # a cold and a warm workspace
+        served = _check_distinct_configs(sock, paths, tag, functions=40)
+        for path, config, report in zip(paths, DISTINCT_CONFIGS, served):
+            assert report["exit_code"] == 0
+            with api.Workspace(
+                api.SessionConfig(**config), incremental=False
+            ) as ws:
+                local = ws.check(api.CheckRequest(files=(path,))).to_dict()
+            assert _strip_volatile(report) == _strip_volatile(local), path
+    with connect(sock) as client:
+        status = client.status()
+    pids = {ws["worker"]["pid"] for ws in status["workspaces"]}
+    assert len(pids) == 2
+    assert server.counters["workers_crashed"] == 0
+
+
+@pytest.mark.slow
+def test_concurrent_distinct_configs_use_distinct_cores(procdaemon, tmp_path):
+    """On two or more cores, a pair of concurrent distinct-config
+    checks takes under 1.6x one check's wall clock (best of three
+    each), because the two workers run in parallel."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs two cores")
+    sock, server = procdaemon
+    paths = [str(tmp_path / "a.c"), str(tmp_path / "b.c")]
+    tags = iter(range(1000))
+    # Warm both workspaces: spawning a worker is start-up, not throughput.
+    _check_distinct_configs(sock, paths, next(tags), functions=600)
+    single, pair = [], []
+    for _ in range(3):
+        started = time.perf_counter()
+        _check_distinct_configs(sock, paths[:1], next(tags), functions=600)
+        single.append(time.perf_counter() - started)
+    for _ in range(3):
+        started = time.perf_counter()
+        reports = _check_distinct_configs(sock, paths, next(tags), functions=600)
+        pair.append(time.perf_counter() - started)
+        assert [r["exit_code"] for r in reports] == [0, 0]
+    assert server.counters["workers_crashed"] == 0
+    ratio = min(pair) / min(single)
+    assert ratio < 1.6, f"pair {min(pair):.3f} s vs one {min(single):.3f} s"
+
+
 def _keys_and_payloads(qual_text):
     """The proof-cache keys a prove of ``qual_text`` looks up, in
     discharge order, with the verdicts of a one-shot run."""

@@ -208,3 +208,43 @@ def test_ref_qualifiers_prove_within_paper_bound(reports):
     """Paper: reference qualifiers prove in under 30 seconds."""
     for name in ("unique", "unaliased"):
         assert reports[name].elapsed < 30, f"{name}: {reports[name].elapsed}s"
+
+
+# ------------------------------------------------------------- budgets
+#
+# The prover's budgets mean what they say (DESIGN.md §5): below the
+# instantiation depth a proof needs, or without the sign lemmas, the
+# answer is "not proven", never a wrong "sound".
+
+
+@pytest.mark.parametrize("max_rounds", [0, 2, 4, 6])
+def test_pos_is_sound_from_two_rounds_and_never_at_zero(max_rounds):
+    report = check_soundness(POS, QUALS, max_rounds=max_rounds, time_limit=20)
+    # With zero rounds no axiom can instantiate: incomplete, not unsound.
+    assert report.sound == (max_rounds >= 2), report.summary()
+
+
+@pytest.mark.parametrize("max_rounds", [3, 6])
+def test_unaliased_is_sound_from_three_instantiation_rounds(max_rounds):
+    report = check_soundness(UNALIASED, QUALS, max_rounds=max_rounds, time_limit=25)
+    assert report.sound, report.summary()
+
+
+def test_pos_product_rule_needs_the_sign_lemmas(monkeypatch):
+    from repro.core.soundness.axioms import semantics_axioms
+    from repro.prover import prover as prover_mod
+
+    (product,) = [
+        ob for ob in generate_obligations(POS, QUALS) if "E1 * E2" in ob.rule
+    ]
+
+    def prove():
+        prover = prover_mod.Prover(time_limit=20)
+        prover.add_axioms(semantics_axioms())
+        return prover.prove(product.goal).proved
+
+    assert prove()
+    monkeypatch.setattr(
+        prover_mod.Prover, "_add_product_lemmas", lambda self, db, done: None
+    )
+    assert not prove()

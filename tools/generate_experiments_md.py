@@ -26,15 +26,15 @@ def main() -> str:
 
     w("# EXPERIMENTS — paper vs. measured\n\n")
     w("All numbers regenerated by `python tools/generate_experiments_md.py`\n")
-    w("on this machine; the benchmark harness (`pytest benchmarks/\n")
-    w("--benchmark-only`) re-runs the same experiments with timing\n")
-    w("statistics.  The corpus substitutes synthetic programs for the\n")
-    w("paper's open-source subjects (DESIGN.md §2), so size columns match\n")
-    w("in scale and the result columns must match in shape (Table 1) or\n")
-    w("exactly (Table 2).\n\n")
+    w("on this machine; the test named in each heading holds the same\n")
+    w("numbers to the paper's shape or exact columns, and the e2e benchmark\n")
+    w("(`benchmarks/e2e`) times the pipeline.  The corpus substitutes\n")
+    w("synthetic programs for the paper's open-source subjects (DESIGN.md\n")
+    w("§2), so size columns match in scale and the result columns must\n")
+    w("match in shape (Table 1) or exactly (Table 2).\n\n")
 
     # ------------------------------------------------------------- table 1
-    w("## Table 1 — nonnull on grep's dfa.c (bench_table1_nonnull.py)\n\n")
+    w("## Table 1 — nonnull on grep's dfa.c (tests/test_experiments_module.py)\n\n")
     t1 = table1_nonnull()
     w("| | paper | measured |\n|---|---:|---:|\n")
     for key in ("lines", "dereferences", "annotations", "casts", "errors"):
@@ -47,7 +47,7 @@ def main() -> str:
     w("sites, casts below annotations, zero residual errors — all hold.\n\n")
 
     # ------------------------------------------------------------- table 2
-    w("## Table 2 — untainted format strings (bench_table2_untainted.py)\n\n")
+    w("## Table 2 — untainted format strings (tests/test_experiments_module.py)\n\n")
     t2 = table2_untainted()
     w("| program | lines (paper/ours) | printf calls (paper/ours) | "
       "annotations (paper/ours) | casts | errors (paper/ours) |\n")
@@ -69,7 +69,7 @@ def main() -> str:
     w("\n")
 
     # -------------------------------------------------------- section 6.2
-    w("## Section 6.2 — uniqueness of the dfa global (bench_uniqueness.py)\n\n")
+    w("## Section 6.2 — uniqueness of the dfa global (tests/test_experiments_module.py)\n\n")
     u = uniqueness_experiment()
     w("| | paper | measured |\n|---|---:|---:|\n")
     w(f"| validated references | {u['paper']['validated_references']} "
@@ -82,7 +82,7 @@ def main() -> str:
     w("`test_unique_global_passed_to_procedure_fails`.\n\n")
 
     # ---------------------------------------------------------- section 4
-    w("## Section 4 — automated soundness proofs (bench_soundness.py)\n\n")
+    w("## Section 4 — automated soundness proofs (tests/test_soundness.py)\n\n")
     w("Paper: each value qualifier proven sound in < 1 s, each reference\n")
     w("qualifier in < 30 s (Simplify, 2005 hardware).  Ours is a pure-\n")
     w("Python prover; the shape to preserve is value ≪ ref, both within\n")
@@ -109,7 +109,7 @@ def main() -> str:
       f"(failing rule: {bad_unique_report.failures[0].obligation.rule})\n\n")
 
     # ---------------------------------------------------------- section 6
-    w("## Section 6 — qualifier-checking time (bench_typecheck_time.py)\n\n")
+    w("## Section 6 — qualifier-checking time (tests/test_experiments_module.py)\n\n")
     w('Paper: "the extra compile time for performing qualifier checking in\n')
     w('CIL is under one second."\n\n')
     tt = typecheck_timings()
@@ -130,7 +130,7 @@ def main() -> str:
     program = compile_corpus(generate_dfa_module())
     fi = annotate_nonnull(program)
     fs = annotate_nonnull(program, flow_sensitive=True)
-    w("**Flow-sensitive guard refinement** (bench_flow_ablation.py): the\n")
+    w("**Flow-sensitive guard refinement** (tests/test_flow_sensitive.py): the\n")
     w("paper attributes its Table 1 casts chiefly to flow-insensitivity\n")
     w("(§6.1) and plans flow-sensitivity as future work.  Measured effect\n")
     w("on the Table 1 corpus:\n\n")
