@@ -5,12 +5,11 @@ These isolate the prover's cost drivers so regressions in any layer
 independently of the soundness-checker pipeline.
 
 Also runnable standalone, to measure the proof cache's effect and the
-sharded/session sweep::
+obligation-scheduler sweep::
 
     PYTHONPATH=src python benchmarks/bench_prover.py          # cold only
     PYTHONPATH=src python benchmarks/bench_prover.py --warm   # cold + warm
     PYTHONPATH=src python benchmarks/bench_prover.py --cold --jobs 8
-    PYTHONPATH=src python benchmarks/bench_prover.py --cold --no-shard
     PYTHONPATH=src python benchmarks/bench_prover.py --cold --quick --json
 
 ``--cold --json`` emits a machine-readable record (theory/explain
@@ -137,7 +136,7 @@ def test_quantified_store_reasoning(benchmark):
 @pytest.mark.benchmark(group="prover")
 def test_session_sweep_standard_library(benchmark):
     """Full soundness sweep with incremental prover sessions — the
-    number the sharded scheduler's workers see per environment group."""
+    number the obligation scheduler's workers see per environment group."""
     from repro.core.soundness.checker import check_soundness
     from repro.prover.session import SessionPool
 
@@ -183,8 +182,8 @@ def _sweep_quals(quick: bool):
     return quals[:QUICK_COUNT] if quick else quals
 
 
-def _sharded_sweep(jobs: int, shard: bool, quick: bool = False) -> tuple:
-    """One cache-less sweep through the obligation pipeline; returns
+def _sharded_sweep(jobs: int, quick: bool = False) -> tuple:
+    """One cache-less sweep through the obligation scheduler; returns
     (wall seconds, obligation count, stats, verdict map)."""
     import time
 
@@ -194,26 +193,12 @@ def _sharded_sweep(jobs: int, shard: bool, quick: bool = False) -> tuple:
     items = []
     for qdef in _sweep_quals(quick):
         items.extend(generate_work_items(qdef, QUALS, AXIOMS, unit=qdef.name))
-    verdicts = {}
     start = time.perf_counter()
-    if shard:
-        outcomes, stats = shard_mod.run_obligations(
-            items, AXIOMS, jobs=jobs, time_limit=30
-        )
-        verdicts = {key: out["verdict"] for key, out in outcomes.items()}
-    else:
-        from repro.core.soundness.checker import check_soundness
-        from repro.prover.session import SessionPool
-
-        pool = SessionPool()
-        for qdef in _sweep_quals(quick):
-            report = check_soundness(
-                qdef, QUALS, time_limit=30, sessions=pool
-            )
-            for index, res in enumerate(report.results):
-                verdicts[f"{qdef.name}|{qdef.name}|{index}"] = res.verdict
-        stats = {"sessions": pool.counters()}
+    outcomes, stats = shard_mod.run_obligations(
+        items, AXIOMS, jobs=jobs, time_limit=30
+    )
     elapsed = time.perf_counter() - start
+    verdicts = {key: out["verdict"] for key, out in outcomes.items()}
     return elapsed, len(items), stats, verdicts
 
 
@@ -229,7 +214,7 @@ def _cold_sweep_record(args) -> dict:
     marker = obs.mark()
     try:
         elapsed, count, stats, verdicts = _sharded_sweep(
-            args.jobs, args.shard, quick=args.quick
+            args.jobs, quick=args.quick
         )
         counters = obs.since(marker).get("counters", {})
     finally:
@@ -240,10 +225,11 @@ def _cold_sweep_record(args) -> dict:
         "kind": "cold_sweep",
         "workload": "quick" if args.quick else "full",
         "jobs": args.jobs,
-        # Sessions and explained cores are always on; the constant
-        # fields keep records comparable with the committed history.
+        # Sessions, explained cores and the obligation scheduler are
+        # always on; the constant fields keep records comparable with
+        # the committed history.
         "sessions": True,
-        "shard": args.shard,
+        "shard": True,
         "explain": True,
         "obligations": count,
         "elapsed_s": round(elapsed, 3),
@@ -320,17 +306,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cold",
         action="store_true",
-        help="time one cache-less sweep through the sharded obligation "
+        help="time one cache-less sweep through the obligation "
         "scheduler instead of the cache benchmark",
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for the sharded sweep (with --cold)",
-    )
-    parser.add_argument(
-        "--no-shard", dest="shard", action="store_false", default=True,
-        help="discharge serially via check_soundness instead of the "
-        "obligation scheduler",
+        help="worker processes for the scheduler sweep (with --cold)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -367,7 +348,6 @@ def main(argv=None) -> int:
                 f"cold sweep: {record['obligations']} obligation(s) in "
                 f"{record['elapsed_s']:.3f} s "
                 f"(workload={record['workload']}, jobs={args.jobs}, "
-                f"shard={'on' if args.shard else 'off'}, "
                 f"theory_ms={record['theory_ms']:.1f}, "
                 f"explain_ms={record['explain_ms']:.1f}, "
                 f"session_reuse={sessions.get('session_reuse', 0)}, "

@@ -140,14 +140,7 @@ class CheckRequest(BatchOptions):
 
 @dataclass(frozen=True)
 class ProveRequest(BatchOptions):
-    """One ``prove`` invocation: soundness-check ``.qual`` files.
-
-    ``shard=False`` (``--no-shard``) keeps parallelism at file
-    granularity: with ``jobs > 1`` the default is to shard the
-    *obligation stream* across the pool instead (see
-    docs/architecture.md, "obligation lifecycle").  The flag cannot
-    change a PROVED/REFUTED verdict.
-    """
+    """One ``prove`` invocation: soundness-check ``.qual`` files."""
 
     files: Tuple[str, ...] = ()
     qualifier: Optional[str] = None  # prove only this qualifier
@@ -155,7 +148,6 @@ class ProveRequest(BatchOptions):
     retries: int = 0
     cache: bool = True
     cache_dir: str = DEFAULT_CACHE_DIR
-    shard: bool = True
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,7 @@ def _sum_dataflow(per_function: Dict[str, dict]) -> dict:
 
 def _aggregate_dataflow_meta(batch_report: batch.BatchReport) -> None:
     """Sum each unit's dataflow totals into run-level meta (additive
-    key; ``sum_detail_counters`` cannot reach the nested dict)."""
+    key)."""
     run = {"functions": 0, "blocks": 0, "edges": 0, "iterations": 0, "ms": 0.0}
     seen = False
     for result in batch_report.results:
@@ -528,7 +520,7 @@ class _ProveUnitState:
     :func:`repro.cache.fingerprint.prove_environment_digest`), how many
     obligations the stored report covers, and the settled
     :class:`batch.UnitResult` itself (stored without its run-scoped
-    ``cache``/``sessions``/``incremental`` detail keys)."""
+    ``incremental`` detail key)."""
 
     source: str
     env: str
@@ -1067,111 +1059,170 @@ class Workspace:
         unit, consulting the content-addressed proof cache before any
         prover work and recording settled verdicts back into it.
 
-        With ``jobs > 1`` (and ``shard`` left on) the obligation stream
-        is sharded across the worker pool instead of whole files; an
-        incremental workspace additionally replays a unit's stored
-        report when neither its source nor the prove environment
-        changed.  Neither mode changes any verdict (the CI identity
-        stage asserts this)."""
+        Every ``jobs`` value takes one path (see docs/architecture.md,
+        "obligation lifecycle"): the units' work items are generated
+        here, discharged through :func:`repro.harness.shard.
+        run_obligations` (in process at ``jobs`` 1, in at most ``jobs``
+        pool children otherwise) and re-assembled into per-unit
+        reports.  ``unit_timeout`` bounds each qualifier's obligation
+        group.  An incremental workspace additionally replays a unit's
+        stored report when neither its source nor the prove
+        environment changed."""
+        from repro.core.soundness import workitems
+        from repro.core.soundness.axioms import semantics_axioms
+        from repro.harness import shard as _shard
+
         self.counters["requests"] += 1
         retry = RetryPolicy(max_attempts=request.retries + 1)
         cache = self._proof_cache(request)
-        if request.shard and request.jobs > 1:
-            return self._prove_sharded(
-                request, retry, cache, on_result, on_event
-            )
-        _load_prover()
         if self._session_pool is None:
             from repro.prover.session import SessionPool
 
             self._session_pool = SessionPool()
-        pool = self._session_pool
-        worker = self._prove_unit_worker(request, retry, cache, pool)
-        if self.incremental:
-            # The replay store lives in this process (same reasoning as
-            # incremental check); sharded mode keeps ``jobs`` because
-            # its store is consulted in the parent anyway.
-            request = replace(request, jobs=1)
-            worker = self._incremental_prove_wrapper(request, worker)
-        batch_report = self._run(
-            request, worker, on_result=on_result, on_event=on_event
-        )
-        self._finish_prove_meta(
-            batch_report,
-            cache,
-            batch_report.sum_detail_counters("cache"),
-            batch_report.sum_detail_counters("sessions"),
-        )
-        return Report("prove", batch_report)
+        prof = _start_profile(request)
+        start = time.perf_counter()
+        try:
+            axioms = semantics_axioms()
+            std = standard_qualifiers()
+            env = self._prove_env_digest(request) if self.incremental else ""
+            staged: Dict[str, tuple] = {}
 
-    def _prove_unit_worker(
-        self, request: ProveRequest, retry: RetryPolicy, cache, pool
-    ):
-        def worker(path: str, deadline: Deadline) -> batch.UnitResult:
-            before = cache.snapshot() if cache is not None else None
-            sessions_before = pool.counters()
-            with obs.span("parse_quals", unit=path):
-                defs = parse_qualifiers(_read_source(path))
-            quals = _unit_qualifiers(defs, standard_qualifiers())
-            verdicts = [batch.OK]
-            summaries: List[dict] = []
-            for qdef in defs:
-                if request.qualifier and qdef.name != request.qualifier:
+            def parse_worker(path: str, deadline: Deadline) -> batch.UnitResult:
+                source = _read_source(path)
+                with obs.span("parse_quals", unit=path):
+                    defs = parse_qualifiers(source)
+                quals = _unit_qualifiers(defs, std)
+                staged[path] = (
+                    source,
+                    quals,
+                    [
+                        (qdef, workitems.generate_work_items(
+                            qdef, quals, axioms, unit=path
+                        ))
+                        for qdef in defs
+                        if not request.qualifier
+                        or qdef.name == request.qualifier
+                    ],
+                )
+                return batch.UnitResult(unit=path, verdict=batch.OK)
+
+            results_by_path: Dict[str, batch.UnitResult] = {}
+            all_items: List[workitems.ObligationWorkItem] = []
+            skip_rest = False
+            for path in request.files:
+                if skip_rest:
+                    results_by_path[path] = batch.UnitResult(
+                        unit=path, verdict=batch.SKIPPED
+                    )
                     continue
-                def stream_obligation(res, _qname=qdef.name):
-                    # One progress event per settled obligation: the
-                    # pool forwards it to the parent over the result
-                    # pipe; a sequential run hands it to ``on_event``.
-                    batch.emit_progress(
-                        {
-                            "event": "obligation",
-                            "unit": path,
-                            "qualifier": _qname,
-                            "rule": res.obligation.rule,
-                            "verdict": res.verdict,
-                        }
-                    )
+                if self.incremental:
+                    self.counters["prove_units"] += 1
+                    try:
+                        source_digest = _fingerprint.source_digest(
+                            _read_source(path)
+                        )
+                    except Exception:
+                        source_digest = None
+                    if source_digest is not None:
+                        replayed = self._prove_replay(path, source_digest, env)
+                        if replayed is not None:
+                            results_by_path[path] = replayed
+                            continue
+                # run_one supplies the batch engine's fault taxonomy
+                # (input error -> ERROR, etc.) for parsing and
+                # obligation generation.
+                parse_result = batch.run_one(
+                    path, parse_worker, request.unit_timeout
+                )
+                if path not in staged:
+                    results_by_path[path] = parse_result
+                    if (
+                        not request.keep_going
+                        and parse_result.severity
+                        >= batch._SEVERITY[batch.ERROR]
+                    ):
+                        skip_rest = True
+                    continue
+                for _qdef, items in staged[path][2]:
+                    all_items.extend(items)
 
-                with obs.span("prove", qualifier=qdef.name):
-                    report = check_soundness(
-                        qdef,
-                        quals,
-                        time_limit=request.time_limit,
-                        retry=retry,
-                        deadline=deadline,
-                        cache=cache,
-                        on_result=stream_obligation,
-                        sessions=pool,
-                    )
-                entry = report.to_dict()
-                entry["summary"] = report.summary()
-                summaries.append(entry)
-                verdicts.extend(_obligation_verdicts(report.results))
-            # Per-unit session counter delta (additive key), shaped
-            # exactly like the sharded path's per-group counters.
-            detail: dict = {
-                "qualifiers": summaries,
-                "sessions": {
-                    key: value - (sessions_before.get(key) or 0)
-                    for key, value in pool.counters().items()
-                    if isinstance(value, (int, float))
-                },
-            }
-            if cache is not None:
-                # Per-unit counter delta: crosses the process-pool
-                # boundary inside the UnitResult, and is folded into
-                # the store's lifetime totals here (in whichever
-                # process ran the unit).
-                delta = cache.delta(before)
-                cache.flush_counters(delta)
-                detail["cache"] = delta
-            return batch.UnitResult(
-                unit=path,
-                verdict=_worst(verdicts),
-                detail=detail,
+            outcomes, stats = _shard.run_obligations(
+                all_items,
+                axioms,
+                jobs=request.jobs,
+                unit_timeout=request.unit_timeout,
+                time_limit=request.time_limit,
+                retry=retry,
+                cache=cache,
+                sessions=self._session_pool,
+                on_event=on_event,
             )
 
-        return worker
+            for path, (source, quals, per_qdef) in staged.items():
+                if any(
+                    item.key not in outcomes
+                    for _qdef, items in per_qdef
+                    for item in items
+                ):
+                    # Interrupted before every obligation settled.
+                    results_by_path[path] = batch.UnitResult(
+                        unit=path, verdict=batch.SKIPPED
+                    )
+                    continue
+                verdicts = [batch.OK]
+                summaries: List[dict] = []
+                unit_elapsed = 0.0
+                for qdef, items in per_qdef:
+                    q_elapsed = sum(
+                        (outcomes[i.key].get("proof") or {}).get("elapsed", 0.0)
+                        for i in items
+                    )
+                    unit_elapsed += q_elapsed
+                    qreport = workitems.assemble_report(
+                        qdef, quals, items, outcomes, elapsed=q_elapsed
+                    )
+                    entry = qreport.to_dict()
+                    entry["summary"] = qreport.summary()
+                    summaries.append(entry)
+                    verdicts.extend(_obligation_verdicts(qreport.results))
+                result = batch.UnitResult(
+                    unit=path,
+                    verdict=_worst(verdicts),
+                    elapsed=unit_elapsed,
+                    detail={"qualifiers": summaries},
+                )
+                if self.incremental:
+                    self._store_prove_state(
+                        path, _fingerprint.source_digest(source), env, result
+                    )
+                results_by_path[path] = result
+
+            results = [results_by_path[p] for p in request.files]
+            if not request.keep_going:
+                severe = False
+                for index, result in enumerate(results):
+                    if severe:
+                        results[index] = batch.UnitResult(
+                            unit=result.unit, verdict=batch.SKIPPED
+                        )
+                    elif result.severity >= batch._SEVERITY[batch.ERROR]:
+                        severe = True
+            batch_report = batch.BatchReport(results=results)
+            batch_report.elapsed = time.perf_counter() - start
+            if stats.get("interrupted"):
+                batch_report.meta["interrupted"] = True
+            if on_result is not None:
+                for result in results:
+                    try:
+                        on_result(result)
+                    except Exception:
+                        pass
+            self._finish_prove_meta(batch_report, cache, stats)
+        except BaseException:
+            _abort_profile(prof)
+            raise
+        _finish_profile(prof, batch_report)
+        return Report("prove", batch_report)
 
     # ------------------------------------------- prove replay (incremental)
 
@@ -1246,7 +1297,7 @@ class Workspace:
             stored_detail = {
                 key: value
                 for key, value in result.detail.items()
-                if key not in ("cache", "sessions", "incremental")
+                if key != "incremental"
             }
             self._lru_put(
                 self._prove_units,
@@ -1271,220 +1322,32 @@ class Workspace:
             "unit_replayed": False,
         }
 
-    def _incremental_prove_wrapper(self, request: ProveRequest, inner):
-        env = self._prove_env_digest(request)
-
-        def worker(path: str, deadline: Deadline) -> batch.UnitResult:
-            self.counters["prove_units"] += 1
-            source_digest = _fingerprint.source_digest(_read_source(path))
-            replayed = self._prove_replay(path, source_digest, env)
-            if replayed is not None:
-                return replayed
-            result = inner(path, deadline)
-            self._store_prove_state(path, source_digest, env, result)
-            return result
-
-        return worker
-
-    # --------------------------------------------------- sharded prove path
-
-    def _prove_sharded(
-        self, request: ProveRequest, retry: RetryPolicy, cache,
-        on_result, on_event,
-    ) -> Report:
-        """Obligation-level fan-out: generate every unit's work items in
-        the parent, shard them across the pool grouped by environment
-        digest (one prover session per group), and re-assemble per-unit
-        reports shaped exactly like the serial path's (see
-        docs/architecture.md, "obligation lifecycle").
-
-        Differences from the serial path are additive-only: per-unit
-        ``cache``/``sessions`` detail deltas are reported at run level
-        instead (group work cannot be attributed to one unit), and
-        ``unit_timeout`` bounds each obligation *group* rather than
-        each file."""
-        from repro.core.soundness import workitems
-        from repro.core.soundness.axioms import semantics_axioms
-        from repro.harness import shard as _shard
-
-        prof = _start_profile(request)
-        start = time.perf_counter()
-        try:
-            axioms = semantics_axioms()
-            std = standard_qualifiers()
-            env = self._prove_env_digest(request) if self.incremental else ""
-            staged: Dict[str, tuple] = {}
-
-            def parse_worker(path: str, deadline: Deadline) -> batch.UnitResult:
-                source = _read_source(path)
-                with obs.span("parse_quals", unit=path):
-                    defs = parse_qualifiers(source)
-                quals = _unit_qualifiers(defs, std)
-                staged[path] = (source, defs, quals)
-                return batch.UnitResult(unit=path, verdict=batch.OK)
-
-            results_by_path: Dict[str, batch.UnitResult] = {}
-            prove_plan: Dict[str, tuple] = {}
-            all_items: List[workitems.ObligationWorkItem] = []
-            skip_rest = False
-            for path in request.files:
-                if skip_rest:
-                    results_by_path[path] = batch.UnitResult(
-                        unit=path, verdict=batch.SKIPPED
-                    )
-                    continue
-                if self.incremental:
-                    self.counters["prove_units"] += 1
-                    try:
-                        source_digest = _fingerprint.source_digest(
-                            _read_source(path)
-                        )
-                    except Exception:
-                        source_digest = None
-                    if source_digest is not None:
-                        replayed = self._prove_replay(path, source_digest, env)
-                        if replayed is not None:
-                            results_by_path[path] = replayed
-                            continue
-                # run_one supplies the exact parse-stage fault taxonomy
-                # of the serial path (input error -> ERROR, etc.).
-                parse_result = batch.run_one(
-                    path, parse_worker, request.unit_timeout
-                )
-                if path not in staged:
-                    results_by_path[path] = parse_result
-                    if (
-                        not request.keep_going
-                        and parse_result.severity
-                        >= batch._SEVERITY[batch.ERROR]
-                    ):
-                        skip_rest = True
-                    continue
-                source, defs, quals = staged[path]
-                per_qdef = []
-                for qdef in defs:
-                    if request.qualifier and qdef.name != request.qualifier:
-                        continue
-                    items = workitems.generate_work_items(
-                        qdef, quals, axioms, unit=path
-                    )
-                    per_qdef.append((qdef, items))
-                    all_items.extend(items)
-                prove_plan[path] = (source, quals, per_qdef)
-
-            def forward(event) -> None:
-                if on_event is None:
-                    return
-                if isinstance(event, dict) and event.get("event") != "obligation":
-                    # The pool's lifecycle events name synthetic
-                    # ``obl:*`` units; only obligation progress makes
-                    # sense to a prove caller.
-                    return
-                on_event(event)
-
-            outcomes, stats = _shard.run_obligations(
-                all_items,
-                axioms,
-                jobs=request.jobs,
-                unit_timeout=request.unit_timeout,
-                time_limit=request.time_limit,
-                retry=retry,
-                cache=cache,
-                on_event=forward,
-            )
-
-            for path, (source, quals, per_qdef) in prove_plan.items():
-                verdicts = [batch.OK]
-                summaries: List[dict] = []
-                unit_elapsed = 0.0
-                for qdef, items in per_qdef:
-                    q_elapsed = sum(
-                        (outcomes[i.key].get("proof") or {}).get("elapsed", 0.0)
-                        for i in items
-                    )
-                    unit_elapsed += q_elapsed
-                    qreport = workitems.assemble_report(
-                        qdef, quals, items, outcomes, elapsed=q_elapsed
-                    )
-                    entry = qreport.to_dict()
-                    entry["summary"] = qreport.summary()
-                    summaries.append(entry)
-                    verdicts.extend(_obligation_verdicts(qreport.results))
-                result = batch.UnitResult(
-                    unit=path,
-                    verdict=_worst(verdicts),
-                    elapsed=unit_elapsed,
-                    detail={"qualifiers": summaries},
-                )
-                if self.incremental:
-                    self._store_prove_state(
-                        path, _fingerprint.source_digest(source), env, result
-                    )
-                results_by_path[path] = result
-
-            results = [results_by_path[p] for p in request.files]
-            if not request.keep_going:
-                severe = False
-                for index, result in enumerate(results):
-                    if severe:
-                        results[index] = batch.UnitResult(
-                            unit=result.unit, verdict=batch.SKIPPED
-                        )
-                    elif result.severity >= batch._SEVERITY[batch.ERROR]:
-                        severe = True
-            batch_report = batch.BatchReport(results=results)
-            batch_report.elapsed = time.perf_counter() - start
-            if on_result is not None:
-                for result in results:
-                    try:
-                        on_result(result)
-                    except Exception:
-                        pass
-            self._finish_prove_meta(
-                batch_report,
-                cache,
-                stats.get("cache") or {},
-                stats["sessions"],
-                scheduler={
-                    key: stats.get(key, 0)
-                    for key in (
-                        "groups", "rounds", "obligations", "requeued",
-                        "quarantined",
-                    )
-                },
-            )
-        except BaseException:
-            _abort_profile(prof)
-            raise
-        _finish_profile(prof, batch_report)
-        return Report("prove", batch_report)
-
     def _finish_prove_meta(
-        self,
-        batch_report: batch.BatchReport,
-        cache,
-        cache_counters: dict,
-        sessions: dict,
-        scheduler: Optional[dict] = None,
+        self, batch_report: batch.BatchReport, cache, stats: dict
     ) -> None:
-        """Run-level meta of a prove: the proof cache's and the prover
-        sessions' counters for the run, the sharded path's
-        ``scheduler`` block, and the incremental totals."""
+        """Run-level meta of a prove: the proof cache's, the prover
+        sessions' and the obligation scheduler's counters for the run,
+        and the incremental totals."""
         if cache is not None:
             batch_report.meta["cache"] = {
                 "enabled": True,
                 "dir": cache.cache_dir,
                 "entries": cache.entry_count(),
-                **cache_counters,
+                **stats.get("cache", {}),
             }
         else:
             batch_report.meta["cache"] = {"enabled": False}
+        sessions = stats["sessions"]
         batch_report.meta["sessions"] = {"enabled": True, **sessions}
         self.counters["session_reuse"] += int(
             sessions.get("session_reuse", 0)
         )
-        if scheduler is not None:
-            batch_report.meta["scheduler"] = scheduler
+        batch_report.meta["scheduler"] = {
+            key: stats.get(key, 0)
+            for key in (
+                "groups", "rounds", "obligations", "requeued", "quarantined",
+            )
+        }
         if self.incremental:
             _aggregate_prove_incremental_meta(batch_report)
 

@@ -158,7 +158,6 @@ def _server_params(args, op: str) -> dict:
             retries=args.retries,
             cache=args.cache,
             cache_dir=args.cache_dir,
-            shard=args.shard,
         )
     return params
 
@@ -287,7 +286,6 @@ def cmd_prove(args) -> int:
                 retries=args.retries,
                 cache=args.cache,
                 cache_dir=args.cache_dir,
-                shard=args.shard,
                 keep_going=args.keep_going,
                 jobs=args.jobs,
                 unit_timeout=args.unit_timeout,
@@ -686,14 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
         help=f"proof cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    p_prove.add_argument(
-        "--no-shard",
-        dest="shard",
-        action="store_false",
-        default=True,
-        help="with --jobs N, parallelize at file granularity instead "
-        "of sharding the obligation stream across the pool",
     )
     batch_flags(p_prove)
     profile_flags(p_prove)

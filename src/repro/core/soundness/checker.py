@@ -162,7 +162,7 @@ def discharge_obligation(
     cache=None,
 ) -> ObligationResult:
     """Discharge one obligation — the single prover entry point shared
-    by the serial path and the sharded obligation scheduler.
+    by :func:`check_soundness` and the obligation scheduler.
 
     ``context`` is the qualifier definition's source text (folded into
     the proof-cache environment key).  ``session`` is an optional

@@ -14,7 +14,7 @@ workers, and re-assembles the streamed verdicts into ordinary
 Outcomes cross the process boundary as plain dicts (pickle/JSON-safe);
 :func:`result_from_outcome` reconstructs a faithful
 :class:`ObligationResult` on the parent side, so an assembled report is
-shaped exactly like a serially-computed one.
+shaped exactly like a ``check_soundness`` one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,14 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro import obs
 from repro.core.qualifiers.ast import QualifierDef, QualifierSet
+from repro.core.qualifiers.validate import validate_definition
+from repro.core.soundness.checker import (
+    ObligationResult,
+    SoundnessReport,
+    discharge_obligation,
+)
 from repro.core.soundness.obligations import Obligation, generate_obligations
 from repro.harness.watchdog import NO_RETRY, Deadline, RetryPolicy
 from repro.prover.prover import GAVE_UP, ProofResult
@@ -32,12 +39,10 @@ from repro.prover.terms import Formula
 
 @dataclass(frozen=True)
 class ObligationWorkItem:
-    """One proof obligation, self-contained and fingerprinted.
+    """One proof obligation, self-contained.
 
     ``env_digest`` groups items whose proofs may share solver state (the
-    proof-cache environment key: axioms + qualifier definition text);
-    ``fingerprint`` is the obligation's own content address (the
-    proof-cache obligation key), empty for trivial obligations.
+    proof-cache environment key: axioms + qualifier definition text).
     """
 
     unit: str
@@ -48,7 +53,6 @@ class ObligationWorkItem:
     goal: Optional[Formula]
     context: str
     env_digest: str
-    fingerprint: str
 
     @property
     def key(self) -> str:
@@ -75,26 +79,22 @@ def generate_work_items(
     env_digest = fingerprint.environment_key(
         list(axioms), context=qdef.source
     )
-    items: List[ObligationWorkItem] = []
-    for index, obligation in enumerate(generate_obligations(qdef, quals)):
-        items.append(
-            ObligationWorkItem(
-                unit=unit,
-                qualifier=qdef.name,
-                index=index,
-                rule=obligation.rule,
-                trivial=obligation.trivial,
-                goal=obligation.goal,
-                context=qdef.source,
-                env_digest=env_digest,
-                fingerprint=(
-                    ""
-                    if obligation.trivial
-                    else fingerprint.obligation_key(obligation.goal)
-                ),
-            )
+    with obs.span("obligations", qualifier=qdef.name):
+        obligations = list(generate_obligations(qdef, quals))
+    obs.incr("soundness.obligations", len(obligations))
+    return [
+        ObligationWorkItem(
+            unit=unit,
+            qualifier=qdef.name,
+            index=index,
+            rule=obligation.rule,
+            trivial=obligation.trivial,
+            goal=obligation.goal,
+            context=qdef.source,
+            env_digest=env_digest,
         )
-    return items
+        for index, obligation in enumerate(obligations)
+    ]
 
 
 def discharge_work_item(
@@ -115,8 +115,6 @@ def discharge_work_item(
     The fault-handling contract is ``check_soundness``'s: exceptions
     become CRASH outcomes, expired deadlines TIMEOUT outcomes.
     """
-    from repro.core.soundness.checker import discharge_obligation
-
     result = discharge_obligation(
         item.to_obligation(),
         item.context,
@@ -179,8 +177,6 @@ def outcome_from_result(item: ObligationWorkItem, entry) -> Dict:
 
 def result_from_outcome(item: ObligationWorkItem, outcome: Dict):
     """Reconstruct the ObligationResult an outcome dict came from."""
-    from repro.core.soundness.checker import ObligationResult
-
     result = proof_result_from_dict(outcome.get("proof"))
     return ObligationResult(
         item.to_obligation(), result, error=outcome.get("error", "")
@@ -198,11 +194,8 @@ def assemble_report(
 
     ``items`` are this qualifier's work items in generation order;
     ``outcomes`` maps item keys to outcome dicts.  The result is shaped
-    exactly like a report from the serial ``check_soundness`` path.
+    exactly like a report from ``check_soundness``.
     """
-    from repro.core.qualifiers.validate import validate_definition
-    from repro.core.soundness.checker import SoundnessReport
-
     report = SoundnessReport(qualifier=qdef.name)
     report.lint = validate_definition(qdef, quals)
     for item in sorted(items, key=lambda i: i.index):

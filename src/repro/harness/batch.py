@@ -167,21 +167,6 @@ class BatchReport:
             out[r.verdict] = out.get(r.verdict, 0) + 1
         return out
 
-    def sum_detail_counters(self, key: str) -> Dict[str, int]:
-        """Aggregate a per-unit ``detail[key]`` counter dict over all
-        units (units without it contribute nothing).  Works in pool
-        mode too: each child ships its counters home inside the
-        picklable :class:`UnitResult`."""
-        totals: Dict[str, int] = {}
-        for r in self.results:
-            counters = r.detail.get(key)
-            if not isinstance(counters, dict):
-                continue
-            for name, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    totals[name] = totals.get(name, 0) + int(value)
-        return totals
-
     def to_dict(self) -> dict:
         return {
             "units": [r.to_dict() for r in self.results],
@@ -225,6 +210,20 @@ _EMITTER_STATE = threading.local()
 def set_emitter(emitter: Optional[EventCallback]) -> None:
     """Install (or clear) the calling thread's progress emitter."""
     _EMITTER_STATE.emitter = emitter
+
+
+def restart_unit_clock() -> None:
+    """Start a fresh ``unit_timeout`` budget for the rest of the running
+    unit (a unit made of separately budgeted parts calls this before
+    each part).  In a pool child it resets the supervisor's kill clock;
+    in process there is no clock to reset."""
+    restart = getattr(_EMITTER_STATE, "restart_clock", None)
+    if restart is None:
+        return
+    try:
+        restart()
+    except Exception:
+        pass
 
 
 def emit_progress(event: dict) -> None:
@@ -451,7 +450,8 @@ def _child_entry(
 
     Messages on the pipe are ``("hb", seq)`` liveness beacons from a
     daemon thread, ``("ev", dict)`` progress events from
-    :func:`emit_progress` call sites inside the worker, and finally one
+    :func:`emit_progress` call sites inside the worker, ``("clock",
+    None)`` from :func:`restart_unit_clock`, and finally one
     ``("result", UnitResult)``.  When profiling is on, the child's
     collector snapshot (spans + counters; the fork-inherited parent
     data is discarded by the collector's pid check) rides home inside
@@ -484,7 +484,12 @@ def _child_entry(
         with lock:
             conn.send(("ev", event))
 
+    def restart_clock() -> None:
+        with lock:
+            conn.send(("clock", None))
+
     set_emitter(emit)
+    _EMITTER_STATE.restart_clock = restart_clock
     try:
         result = run_one(unit, worker, unit_timeout, recursion_limit)
         result.attempts = attempt
@@ -506,6 +511,7 @@ def _child_entry(
             pass
     finally:
         set_emitter(None)
+        _EMITTER_STATE.restart_clock = None
         stop_heartbeat.set()
         conn.close()
 

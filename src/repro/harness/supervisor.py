@@ -40,6 +40,9 @@ room before the next attempt.
 Liveness is heartbeats: children beat every ``heartbeat_interval``
 seconds (a ``("hb", seq)`` message from a daemon thread); any message
 — beat, progress event, result — refreshes the unit's liveness clock.
+A ``("clock", None)`` message (:func:`repro.harness.batch.
+restart_unit_clock`) restarts the unit's ``unit_timeout`` budget, for
+units made of separately budgeted parts.
 Progress events stream to the caller's ``on_event`` as they arrive,
 and settled units stream to ``on_result`` in completion order while
 the report itself stays in input order.
@@ -400,6 +403,8 @@ class Supervisor:
                     slot.last_seen = time.perf_counter()
                     if kind == "result":
                         outcome = payload
+                    elif kind == "clock":
+                        slot.started = slot.last_seen
                     elif kind == "ev" and on_event is not None:
                         try:
                             on_event(payload)

@@ -127,7 +127,8 @@ class ProverSession:
     """Persistent solver state for one axiom environment.
 
     Construct with the axiom list (and the qualifier definition text as
-    ``context``, mirroring the proof cache's environment key), then call
+    ``context``, mirroring the proof cache's environment key; pass that
+    key as ``env_digest`` when the caller already has it), then call
     :meth:`prove` / :meth:`prove_with_retry` per obligation exactly as
     on a plain :class:`Prover`.  :meth:`reset` drops all learned state;
     a :class:`SessionPool` calls it implicitly by handing out a fresh
@@ -143,6 +144,7 @@ class ProverSession:
         time_limit: float = 60.0,
         max_cores: int = MAX_CORES,
         memo_limit: int = MEMO_LIMIT,
+        env_digest: Optional[str] = None,
     ):
         self.axioms: List[Formula] = list(axioms)
         self.context = context
@@ -155,7 +157,9 @@ class ProverSession:
         # every obligation of this environment, so successive checks
         # retract/assert only the literals that differ.
         self.theory_state = combine.TheoryState()
-        self.env_digest = _environment_digest(self.axioms, context)
+        self.env_digest = env_digest or _environment_digest(
+            self.axioms, context
+        )
         self.trigger_cache: Dict[object, tuple] = {}
         self.counters: Dict[str, int] = {
             "proofs": 0,
@@ -343,8 +347,12 @@ class SessionPool:
         max_rounds: int = 6,
         max_conflicts: int = 4000,
         time_limit: float = 60.0,
+        digest: Optional[str] = None,
     ) -> ProverSession:
-        digest = _environment_digest(list(axioms), context)
+        """The resident session for ``axioms`` + ``context``, or a fresh
+        one.  ``digest`` is their environment key when the caller
+        already computed it (a work item's ``env_digest``)."""
+        digest = digest or _environment_digest(list(axioms), context)
         session = self._sessions.get(digest)
         if session is not None:
             self._sessions.move_to_end(digest)
@@ -358,6 +366,7 @@ class SessionPool:
             max_rounds=max_rounds,
             max_conflicts=max_conflicts,
             time_limit=time_limit,
+            env_digest=digest,
         )
         self._sessions[digest] = session
         while len(self._sessions) > self.max_sessions:

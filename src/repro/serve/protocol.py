@@ -31,7 +31,10 @@ the ``prove`` params ``session`` and ``explain``; a request that still
 sends them is refused as ``bad-request`` (unknown param).  Version 3
 removed the ``status`` reply's block of in-flight sharing counters:
 the sharing moved into the proof cache, whose ``waits``/``shared``
-counters appear in each prove report's ``cache`` block.
+counters appear in each prove report's ``cache`` block.  Version 4
+removed the ``prove`` param ``shard``: every ``jobs`` value runs the
+one obligation scheduler, so a request that still sends it is refused
+as ``bad-request``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from repro import api
 from repro.cache import DEFAULT_CACHE_DIR
 
 #: Version of the message shapes above (reported by ``status``).
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Default unix-socket path, overridable with ``REPRO_SERVE_SOCKET``.
 DEFAULT_SOCKET = ".repro-serve.sock"
@@ -111,10 +114,7 @@ _BATCH_KEYS = frozenset(("files", "keep_going", "jobs", "unit_timeout"))
 _OP_KEYS = {
     "check": _BATCH_KEYS | {"flow_sensitive"},
     "prove": _BATCH_KEYS
-    | {
-        "qualifier", "time_limit", "retries", "cache", "cache_dir",
-        "shard",
-    },
+    | {"qualifier", "time_limit", "retries", "cache", "cache_dir"},
     "infer": _BATCH_KEYS | {"qualifier", "flow_sensitive"},
     "invalidate": frozenset(("path",)),
     "status": frozenset(),
@@ -211,7 +211,6 @@ def batch_request(op: str, params: Any):
                 retries=_nonnegative(params, "retries", int, 0),
                 cache=bool(params.get("cache", True)),
                 cache_dir=str(params.get("cache_dir", DEFAULT_CACHE_DIR)),
-                shard=bool(params.get("shard", True)),
                 **common,
             )
         if op == "infer":

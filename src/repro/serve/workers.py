@@ -206,7 +206,10 @@ class ProcessHost:
         self.process = ctx.Process(
             target=worker_main,
             args=(child_conn, config),
-            daemon=True,
+            # Not daemonic: a daemonic process may not have children,
+            # and a prove with ``jobs > 1`` forks a pool.  close() and
+            # the server's reaping still join and kill it.
+            daemon=False,
             name=f"repro-serve-worker-{config.key()}",
         )
         self.process.start()

@@ -246,7 +246,9 @@ class TestSchemaContract:
                     files=(qual_file,), cache_dir=str(tmp_path / "cache")
                 )
             ).to_dict()
-        assert set(payload) == self.CHECK_TOP | {"cache", "sessions"}
+        assert set(payload) == self.CHECK_TOP | {
+            "cache", "sessions", "scheduler",
+        }
         assert payload["command"] == "prove"
         assert {
             "enabled", "dir", "entries",

@@ -525,18 +525,18 @@ def test_serve_prove_counters_match_in_process(daemon, tmp_path):
 
 
 def test_serve_prove_session_and_shard_params(daemon, tmp_path):
-    """Protocol v2 dropped ``session`` and ``explain``: an old client
-    sending them gets ``bad-request``; ``shard`` is still accepted.
-    (v3 dropped the ``status`` reply's single-flight block.)"""
+    """Protocol v2 dropped ``session`` and ``explain``, v4 dropped
+    ``shard``: an old client sending them gets ``bad-request``.  (v3
+    dropped the ``status`` reply's single-flight block.)"""
     sock, _server = daemon
     path = write_qual(tmp_path)
-    assert protocol.PROTOCOL_VERSION == 3
+    assert protocol.PROTOCOL_VERSION == 4
     with connect(sock) as client:
         plain = client.request(
             "prove", {"files": [path], "cache": False}
         )["report"]
         assert plain["sessions"]["enabled"] is True
-        for retired in ("session", "explain"):
+        for retired in ("session", "explain", "shard"):
             with pytest.raises(ServeError) as exc:
                 client.request(
                     "prove",
@@ -544,12 +544,8 @@ def test_serve_prove_session_and_shard_params(daemon, tmp_path):
                 )
             assert exc.value.code == protocol.E_BAD_REQUEST
             assert retired in str(exc.value)
-        unsharded = client.request(
-            "prove", {"files": [path], "cache": False, "shard": False}
-        )["report"]
-        assert _obligations(unsharded) == _obligations(plain)
         status = client.request("status")["result"]
-        assert status["protocol"] == 3
+        assert status["protocol"] == 4
         assert "dedup" not in status
 
 

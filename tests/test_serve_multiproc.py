@@ -731,6 +731,40 @@ def test_concurrent_distinct_configs_match_in_process(procdaemon, tmp_path):
     assert server.counters["workers_crashed"] == 0
 
 
+def test_process_worker_runs_a_parallel_prove(procdaemon, tmp_path):
+    """A workspace worker process may fork a prove's pool: a served
+    ``jobs`` 2 prove answers the in-process verdicts (the workers used
+    to be daemonic, and a daemonic process may not have children)."""
+    sock, server = procdaemon
+    paths = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.qual"
+        path.write_text(NN2.replace("nn2", f"nn2{name}"))
+        paths.append(str(path))
+    with connect(sock) as client:
+        served = client.request(
+            "prove", {"files": paths, "cache": False, "jobs": 2}
+        )["report"]
+    with api.Workspace(incremental=False) as ws:
+        local = ws.prove(
+            api.ProveRequest(files=tuple(paths), cache=False, jobs=2)
+        ).to_dict()
+
+    def rows(report):
+        return [
+            (unit["unit"], unit["verdict"], entry["qualifier"],
+             obligation["rule"], obligation["verdict"])
+            for unit in report["units"]
+            for entry in unit["detail"]["qualifiers"]
+            for obligation in entry["obligations"]
+        ]
+
+    assert served["exit_code"] == 0
+    assert rows(served) == rows(local) != []
+    assert served["scheduler"] == local["scheduler"]
+    assert server.counters["workers_crashed"] == 0
+
+
 @pytest.mark.slow
 def test_concurrent_distinct_configs_use_distinct_cores(procdaemon, tmp_path):
     """On two or more cores, a pair of concurrent distinct-config

@@ -1,19 +1,21 @@
 """Obligation-level sharding: scheduler semantics and report identity.
 
-The sharded prove path re-plumbs everything — generation in the
-parent, discharge in pool workers, reassembly from streamed outcomes —
-so its one non-negotiable property is that reports come out identical
-to the serial path.  The scheduler's failure semantics (retry and
-quarantine at *obligation* granularity, timeouts final) are pinned by
-fault-injecting ``discharge_work_item`` itself.
+Every prove runs one path — generation in the parent, discharge through
+the obligation scheduler (in process at ``jobs`` 1, in pool workers
+otherwise), reassembly from streamed outcomes — so its one
+non-negotiable property is that ``jobs`` never changes a report.  The
+scheduler's failure semantics (retry and quarantine at *obligation*
+granularity, timeouts final) are pinned by fault-injecting
+``discharge_work_item`` itself.
 """
 
 import json
 import re
+import shutil
 
 import pytest
 
-from repro import api
+from repro import api, cli
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
 from repro.core.soundness.workitems import (
@@ -174,19 +176,6 @@ def _scrub(node):
     return node
 
 
-def _normalize(payload):
-    """A prove payload minus the documented additive differences
-    between the serial and sharded paths (run-level counter blocks and
-    per-unit counter detail)."""
-    payload = _scrub(payload)
-    for key in ("sessions", "cache", "scheduler", "incremental"):
-        payload.pop(key, None)
-    for unit in payload["units"]:
-        for key in ("sessions", "cache", "incremental"):
-            (unit.get("detail") or {}).pop(key, None)
-    return payload
-
-
 def _prove(files, **options) -> dict:
     """One uncached prove on a fresh one-shot workspace, as the CLI runs it."""
     with api.Workspace(incremental=False) as ws:
@@ -207,21 +196,18 @@ class TestShardedProve:
     def test_sharded_report_matches_serial_golden(self, qual_files):
         serial = _prove(qual_files)
         sharded = _prove(qual_files, jobs=2)
-        assert json.dumps(_normalize(serial), sort_keys=True) == json.dumps(
-            _normalize(sharded), sort_keys=True
-        )
+        assert json.dumps(_scrub(serial)) == json.dumps(_scrub(sharded))
         assert sharded["scheduler"]["groups"] >= 2
         assert sharded["scheduler"]["obligations"] > 0
         assert sharded["sessions"]["enabled"] is True
         assert sharded["sessions"]["session_reuse"] > 0
-        # Counter blocks aggregate field-identically across the paths.
-        assert set(serial["sessions"]) == set(sharded["sessions"])
 
-    def test_shard_escape_hatch_keeps_pool_path(self, qual_files):
-        report = _prove(qual_files, jobs=2, shard=False)
-        assert "scheduler" not in report
-        serial = _prove(qual_files)
-        assert _normalize(report) == _normalize(serial)
+    def test_shard_escape_hatch_keeps_pool_path(self, qual_files, capsys):
+        """``--no-shard`` is gone: argparse refuses it (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prove", *qual_files, "--jobs", "2", "--no-shard"])
+        assert exc.value.code == 2
+        assert "--no-shard" in capsys.readouterr().err
 
     def test_sharded_groups_always_use_sessions(self, qual_files):
         """Sessions are not optional: every scheduled group gets one,
@@ -250,3 +236,64 @@ class TestShardedProve:
         assert sharded["exit_code"] == serial["exit_code"]
         # keep_going=False: everything after the failing unit skips.
         assert {u["verdict"] for u in sharded["units"][1:]} == {"SKIPPED"}
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize(
+        "incremental", [True, False], ids=["incremental", "one-shot"]
+    )
+    def test_jobs_do_not_change_the_report(
+        self, qual_files, tmp_path, cache, incremental
+    ):
+        """``--jobs 1`` and ``--jobs 2`` print the same report, minus
+        timings, with the proof cache on or off and on one-shot or
+        incremental workspaces; with the cache on, its lifetime totals
+        agree too.  A repeat request on the same workspace agrees on
+        every verdict and run-level block but ``sessions``: at ``jobs``
+        1 the workspace's sessions are warm from the first request (so
+        the summaries' conflict counts drop), while pool children start
+        from the parent's."""
+
+        def repeat_view(payload):
+            payload.pop("sessions")
+            for unit in payload["units"]:
+                for entry in (unit.get("detail") or {}).get("qualifiers", ()):
+                    entry.pop("summary")
+            return payload
+
+        cache_dir = str(tmp_path / "cache")
+        runs = {}
+        for jobs in (1, 2):
+            shutil.rmtree(cache_dir, ignore_errors=True)
+            request = api.ProveRequest(
+                files=qual_files, cache=cache, cache_dir=cache_dir, jobs=jobs
+            )
+            with api.Workspace(incremental=incremental) as ws:
+                first = ws.prove(request).to_dict()
+                repeat = repeat_view(ws.prove(request).to_dict())
+            lifetime = api.cache_stats(cache_dir)["lifetime"]
+            runs[jobs] = json.dumps(_scrub([first, repeat, lifetime]))
+        assert runs[1] == runs[2]
+
+    def test_cache_counters_flush_once_per_request(
+        self, qual_files, tmp_path, monkeypatch
+    ):
+        """The groups' cache deltas are folded in the parent and
+        written to the store's lifetime totals in one flush."""
+        from repro.cache.store import ProofCache
+
+        flushes = []
+        real = ProofCache.flush_counters
+
+        def counting(cache, delta=None):
+            flushes.append(dict(delta or {}))
+            return real(cache, delta)
+
+        monkeypatch.setattr(ProofCache, "flush_counters", counting)
+        with api.Workspace(incremental=False) as ws:
+            payload = ws.prove(
+                api.ProveRequest(
+                    files=qual_files, cache_dir=str(tmp_path / "c"), jobs=2
+                )
+            ).to_dict()
+        assert len(flushes) == 1
+        assert flushes[0]["stores"] == payload["cache"]["stores"] > 0

@@ -136,50 +136,44 @@ print(f"   {hits} hit(s), "
       f"{len(replayed)} PROVED obligation(s) replayed, verdicts identical")
 ' "$tmpdir/cold.json" "$tmpdir/warm.json"
 
-echo "== sharded prove: --jobs 2 verdicts identical to serial, sessions reused"
+echo "== one prove path: --jobs 1 and --jobs 2 reports identical, sessions reused"
 python -m repro prove examples/*.qual --keep-going --time-limit 30 \
-    --no-cache --format json > "$tmpdir/serial.json"
+    --no-cache --format json > "$tmpdir/jobs1.json"
 python -m repro prove examples/*.qual --keep-going --time-limit 30 \
-    --no-cache --jobs 2 --format json > "$tmpdir/sharded.json"
-python -m repro prove examples/*.qual --keep-going --time-limit 30 \
-    --no-cache --jobs 2 --no-shard --format json > "$tmpdir/pooled.json"
+    --no-cache --jobs 2 --format json > "$tmpdir/jobs2.json"
 python -c '
-import json, sys
-serial = json.load(open(sys.argv[1]))
-sharded = json.load(open(sys.argv[2]))
-pooled = json.load(open(sys.argv[3]))
+import json, re, sys
 
 
-def obligations(report):
-    return [
-        (u["unit"], q["qualifier"], o["rule"], o["verdict"], o["proved"],
-         o["reason"])
-        for u in report["units"]
-        for q in u["detail"]["qualifiers"]
-        for o in q["obligations"]
-    ]
+def untimed(node):
+    """The report minus wall-clock figures: every "elapsed" and
+    "timings" key, and the seconds printed in summary lines."""
+    if isinstance(node, dict):
+        return {k: untimed(v) for k, v in node.items()
+                if k not in ("elapsed", "timings")}
+    if isinstance(node, list):
+        return [untimed(v) for v in node]
+    if isinstance(node, str):
+        return re.sub(r"[0-9.]+ m?s\b", "_", node)
+    return node
 
 
-want = obligations(serial)
-assert want, "no obligations proved"
-assert obligations(sharded) == want, "sharded verdict drift vs serial"
-assert obligations(pooled) == want, "--no-shard verdict drift vs serial"
-assert [u["verdict"] for u in sharded["units"]] == [
-    u["verdict"] for u in serial["units"]
-], "unit verdict drift"
-assert sharded["exit_code"] == serial["exit_code"], "exit code drift"
-for report, label in ((serial, "serial"), (sharded, "sharded")):
-    sessions = report["sessions"]
-    assert sessions["enabled"] is True, (label, sessions)
-    assert sessions["session_reuse"] > 0, (label, sessions)
-scheduler = sharded["scheduler"]
-assert scheduler["groups"] > 0 and scheduler["obligations"] > 0, scheduler
-assert "scheduler" not in serial and "scheduler" not in pooled
-reuse = sharded["sessions"]["session_reuse"]
-groups = scheduler["groups"]
-print(f"   {len(want)} obligation(s) identical across serial/sharded/pooled, "
+serial, sharded = (json.load(open(p)) for p in sys.argv[1:3])
+assert json.dumps(untimed(serial)) == json.dumps(untimed(sharded)), (
+    "--jobs 2 report differs from --jobs 1"
+)
+obligations = sum(
+    len(q["obligations"])
+    for u in serial["units"] for q in u["detail"]["qualifiers"]
+)
+assert obligations, "no obligations proved"
+reuse = serial["sessions"]["session_reuse"]
+assert reuse > 0, serial["sessions"]
+groups = serial["scheduler"]["groups"]
+assert groups > 0 and serial["scheduler"]["obligations"] > 0, serial
+print(f"   {obligations} obligation(s), reports identical at --jobs 1/2, "
       f"session_reuse={reuse}, groups={groups}")
-' "$tmpdir/serial.json" "$tmpdir/sharded.json" "$tmpdir/pooled.json"
+' "$tmpdir/jobs1.json" "$tmpdir/jobs2.json"
 
 echo "== conflict cores: no explain fallbacks, no perf regression"
 python benchmarks/bench_prover.py --cold --quick --json \
