@@ -164,6 +164,61 @@ class TestScheduler:
         assert stats["requeued"] == 0 and stats["quarantined"] == 0
         assert stats["rounds"] == 1
 
+    def test_unit_timeout_restarts_for_each_group_of_a_chunk(
+        self, monkeypatch
+    ):
+        """A pool child proving several groups gets a fresh
+        ``unit_timeout`` per group: two 0.7 s groups in one chunk
+        outlive a 1.2 s budget without being killed."""
+        import time
+
+        items = _items({"pos", "neg", "nonzero", "untainted"})
+        real = shard.discharge_work_item
+        firsts = {}
+        for item in items:
+            if not item.trivial:
+                firsts.setdefault(item.env_digest, item.key)
+        assert len(firsts) >= 3  # two chunks at jobs 2, one holds two
+
+        def slow(item, axioms, **kwargs):
+            if item.key in firsts.values():
+                time.sleep(0.7)
+            return real(item, axioms, **kwargs)
+
+        monkeypatch.setattr(shard, "discharge_work_item", slow)
+        outcomes, stats = shard.run_obligations(
+            items, AXIOMS, jobs=2, unit_timeout=1.2, time_limit=15
+        )
+        assert {o["verdict"] for o in outcomes.values()} == {"PROVED"}
+        assert stats["rounds"] == 1 and stats["requeued"] == 0
+
+    def test_interrupt_stops_at_a_group_boundary(self, monkeypatch):
+        """SIGINT during the first group: that group finishes, the rest
+        never starts and has no outcome, and the stats say so."""
+        import os
+        import signal
+
+        items = _items({"pos", "nonzero"})
+        real = shard.discharge_work_item
+        fired = []
+
+        def interrupt(item, axioms, **kwargs):
+            if not fired:
+                fired.append(item.env_digest)
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(item, axioms, **kwargs)
+
+        monkeypatch.setattr(shard, "discharge_work_item", interrupt)
+        outcomes, stats = shard.run_obligations(
+            items, AXIOMS, jobs=1, time_limit=15
+        )
+        assert stats["interrupted"] is True
+        for item in items:
+            if item.trivial or item.env_digest == fired[0]:
+                assert outcomes[item.key]["verdict"] == "PROVED"
+            else:
+                assert item.key not in outcomes
+
 
 def _scrub(node):
     """Drop wall-clock fields; everything else must match exactly."""
