@@ -84,11 +84,6 @@ def _load_checker() -> None:
     from repro.core.checker.typecheck import QualifierChecker
 
 
-def _load_prover() -> None:
-    global check_soundness
-    from repro.core.soundness.checker import check_soundness
-
-
 #: Version of the report payload shape (``Report.to_dict`` and the
 #: CLI's ``--format json`` output).  Bump only on breaking changes —
 #: removing or renaming a field, changing a field's type — never for
@@ -314,13 +309,16 @@ def _aggregate_dataflow_meta(batch_report: batch.BatchReport) -> None:
         batch_report.meta["dataflow"] = run
 
 
-def _aggregate_incremental_meta(batch_report: batch.BatchReport) -> None:
+def _aggregate_incremental_meta(
+    batch_report: batch.BatchReport, count: str
+) -> None:
     """Sum each unit's incremental counters into run-level meta (only
     present on incremental-workspace runs, so one-shot payloads — and
-    their goldens — are unchanged)."""
+    their goldens — are unchanged).  ``count`` names what a unit is
+    made of: ``functions`` for check, ``obligations`` for prove."""
     totals = {
         "units": 0, "units_replayed": 0,
-        "functions": 0, "rechecked": 0, "replayed": 0,
+        count: 0, "rechecked": 0, "replayed": 0,
     }
     seen = False
     for result in batch_report.results:
@@ -330,28 +328,7 @@ def _aggregate_incremental_meta(batch_report: batch.BatchReport) -> None:
         seen = True
         totals["units"] += 1
         totals["units_replayed"] += 1 if inc.get("unit_replayed") else 0
-        for key in ("functions", "rechecked", "replayed"):
-            totals[key] += inc.get(key, 0)
-    if seen:
-        batch_report.meta["incremental"] = totals
-
-
-def _aggregate_prove_incremental_meta(batch_report: batch.BatchReport) -> None:
-    """Sum per-unit prove replay counters into run-level meta (mirrors
-    :func:`_aggregate_incremental_meta`, at obligation granularity)."""
-    totals = {
-        "units": 0, "units_replayed": 0,
-        "obligations": 0, "rechecked": 0, "replayed": 0,
-    }
-    seen = False
-    for result in batch_report.results:
-        inc = result.detail.get("incremental")
-        if not isinstance(inc, dict):
-            continue
-        seen = True
-        totals["units"] += 1
-        totals["units_replayed"] += 1 if inc.get("unit_replayed") else 0
-        for key in ("obligations", "rechecked", "replayed"):
+        for key in (count, "rechecked", "replayed"):
             totals[key] += inc.get(key, 0)
     if seen:
         batch_report.meta["incremental"] = totals
@@ -417,6 +394,59 @@ def _parse_error_dict(err: Exception) -> dict:
         "severity": "error",
         "text": f"error: {err}",
     }
+
+
+def _check_result(
+    path: str,
+    functions: Dict[str, "_FunctionRecord"],
+    errors=(),
+    rechecked: Optional[int] = None,
+    unit_replayed: bool = False,
+) -> batch.UnitResult:
+    """Assemble one unit's check result from its per-function records
+    (freshly checked and replayed alike) in program order.  A broken
+    unit's parse ``errors`` come first and make it ``ERROR``.  Only an
+    incremental workspace passes ``rechecked`` (how many functions it
+    checked rather than replayed), and only then does the detail carry
+    the ``incremental`` block."""
+    diagnostics = [_parse_error_dict(e) for e in errors]
+    runtime_checks = 0
+    dataflow: Dict[str, dict] = {}
+    for name, record in functions.items():
+        diagnostics.extend(record.diagnostics)
+        runtime_checks += record.runtime_checks
+        if record.dataflow:
+            dataflow[name] = record.dataflow
+    if errors:
+        verdict = batch.ERROR
+    elif diagnostics:
+        verdict = batch.WARNINGS
+    else:
+        verdict = batch.OK
+    detail = {
+        "warnings": sum(
+            1 for d in diagnostics if d.get("severity") == "warning"
+        ),
+        "runtime_checks": runtime_checks,
+        "dataflow": {"functions": dataflow, "totals": _sum_dataflow(dataflow)},
+    }
+    if rechecked is not None:
+        total = len(functions)
+        detail["incremental"] = {
+            "functions": total,
+            "rechecked": rechecked,
+            "replayed": total - rechecked,
+            "unit_replayed": unit_replayed,
+        }
+        if errors:
+            detail["incremental"]["disabled"] = "parse errors"
+    return batch.UnitResult(
+        unit=path,
+        verdict=verdict,
+        diagnostics=diagnostics,
+        error=str(errors[0]) if errors else "",
+        detail=detail,
+    )
 
 
 # ------------------------------------------------------------ configuration
@@ -566,11 +596,12 @@ class Workspace:
     Incremental runs add an additive ``incremental`` block to each unit
     detail and to the report meta (``functions``/``rechecked``/
     ``replayed``); one-shot runs (``incremental=False``, as every CLI
-    run without ``--server``) produce byte-identical payloads to the
-    pre-workspace facade.  Incremental ``check`` executes in-process
-    (``jobs`` is ignored for it) so the verdict store lives in one
-    place; ``prove`` still fans out through the batch pool and shares
-    this workspace's resident proof cache.
+    run without ``--server``) leave it out.  Both run the same check
+    path: a one-shot workspace is an incremental one that keeps no
+    state, so every function counts as changed.  Incremental ``check``
+    executes in-process (``jobs`` is ignored for it) so the verdict
+    store lives in one place; ``prove`` still fans out through the
+    batch pool and shares this workspace's resident proof cache.
 
     Not thread-safe: the serve daemon serializes requests per
     workspace (concurrency comes from distinct configurations and from
@@ -719,85 +750,45 @@ class Workspace:
             # checks are cheap enough that pool fan-out would cost more
             # than it saves (prove still uses the pool).
             request = replace(request, jobs=1)
-            worker = self._incremental_check_worker(request, quals)
-        else:
-            worker = self._oneshot_check_worker(request, quals)
         batch_report = self._run(
             request,
-            worker,
-            calibrate=lambda: self._prover_calibration(quals),
+            self._check_worker(request, quals),
             on_result=on_result,
             on_event=on_event,
         )
         _aggregate_dataflow_meta(batch_report)
         if self.incremental:
-            _aggregate_incremental_meta(batch_report)
+            _aggregate_incremental_meta(batch_report, "functions")
         return Report("check", batch_report)
 
-    def _oneshot_check_worker(self, request: CheckRequest, quals):
-        def worker(path: str, deadline: Deadline) -> batch.UnitResult:
-            source = _read_source(path)
-            with obs.span("parse", unit=path):
-                unit = parse_c(
-                    source,
-                    qualifier_names=quals.names,
-                    recover=True,
-                    filename=path,
-                )
-            diagnostics = [_parse_error_dict(e) for e in unit.errors]
-            deadline.check("after parse")
-            with obs.span("lower", unit=path):
-                program = lower_unit(unit)
-            checker = QualifierChecker(
-                program, quals, flow_sensitive=request.flow_sensitive
-            )
-            with obs.span("typecheck", unit=path):
-                check_report = checker.check()
-            diagnostics.extend(
-                {**d.to_dict(), "text": str(d)} for d in check_report.diagnostics
-            )
-            if unit.errors:
-                verdict = batch.ERROR
-            elif check_report.diagnostics:
-                verdict = batch.WARNINGS
-            else:
-                verdict = batch.OK
-            return batch.UnitResult(
-                unit=path,
-                verdict=verdict,
-                diagnostics=diagnostics,
-                error=str(unit.errors[0]) if unit.errors else "",
-                detail={
-                    "warnings": check_report.warning_count,
-                    "runtime_checks": len(check_report.runtime_checks),
-                    "dataflow": {
-                        "functions": check_report.dataflow,
-                        "totals": _sum_dataflow(check_report.dataflow),
-                    },
-                },
-            )
-
-        return worker
-
-    def _incremental_check_worker(self, request: CheckRequest, quals):
+    def _check_worker(self, request: CheckRequest, quals):
+        """The one check path.  A one-shot workspace is an incremental
+        one that keeps nothing: with no stored state every function
+        counts as changed, and it stores, digests and fingerprints
+        nothing (so a one-shot ``jobs > 1`` check can run this worker
+        in pool children)."""
         env = self._env_digest
+        keep = self.incremental
 
         def worker(path: str, deadline: Deadline) -> batch.UnitResult:
             self.counters["units_checked"] += 1
             source = _read_source(path)
-            source_digest = _fingerprint.source_digest(source)
             key = (path, request.flow_sensitive)
-            state = self._lru_get(self._units, key)
-            if state is not None and state.env != env:
-                state = None
-            if state is not None and state.source == source_digest:
-                # Nothing changed: skip even the parse.
-                self.counters["units_replayed"] += 1
-                self.counters["functions_replayed"] += len(state.functions)
-                obs.incr("serve.incremental_hits", len(state.functions))
-                return self._replay_unit(path, state, unit_replayed=True)
+            state = reduced = None
+            if keep:
+                source_digest = _fingerprint.source_digest(source)
+                state = self._lru_get(self._units, key)
+                if state is not None and state.env != env:
+                    state = None
+                if state is not None and state.source == source_digest:
+                    # Nothing changed: skip even the parse.
+                    self.counters["units_replayed"] += 1
+                    self.counters["functions_replayed"] += len(state.functions)
+                    obs.incr("serve.incremental_hits", len(state.functions))
+                    return _check_result(
+                        path, state.functions, rechecked=0, unit_replayed=True
+                    )
             pre = preprocess(source)
-            reduced = None
             if state is not None:
                 reduced = self._reduced_parse(path, state, pre, quals)
             if reduced is not None:
@@ -816,35 +807,34 @@ class Workspace:
                 deadline.check("after parse")
                 with obs.span("lower", unit=path):
                     program = lower_unit(unit)
-                if unit.errors:
-                    # Broken units are checked in full and never cached:
-                    # panic-mode recovery can attribute diagnostics
-                    # across function boundaries, so replay would not be
-                    # sound.
-                    self._units.pop(key, None)
-                    return self._broken_unit_result(
-                        path, unit, program, quals, request
-                    )
-                extents = body_extents(pre.text, unit._bodies)
-                interface = _fingerprint.interface_digest(program)
                 todo = None
-            fingerprints = _fingerprint.unit_function_fingerprints(
-                program,
-                env,
-                flow_sensitive=request.flow_sensitive,
-                interface=interface,
-                functions=todo,
-            )
+            # Broken units are checked in full and never stored:
+            # panic-mode recovery can attribute diagnostics across
+            # function boundaries, so replay would not be sound.
+            fingerprints: Dict[str, str] = {}
             old = state.functions if state is not None else {}
-            changed = {
-                name
-                for name, digest in fingerprints.items()
-                if name not in old or old[name].fingerprint != digest
-            }
+            if keep and not unit.errors:
+                if reduced is None:
+                    extents = body_extents(pre.text, unit._bodies)
+                    interface = _fingerprint.interface_digest(program)
+                fingerprints = _fingerprint.unit_function_fingerprints(
+                    program,
+                    env,
+                    flow_sensitive=request.flow_sensitive,
+                    interface=interface,
+                    functions=todo,
+                )
+                changed = {
+                    name
+                    for name, digest in fingerprints.items()
+                    if name not in old or old[name].fingerprint != digest
+                }
+            else:
+                changed = {f.name for f in program.functions}
             checker = QualifierChecker(
                 program, quals, flow_sensitive=request.flow_sensitive
             )
-            with obs.span("typecheck", unit=path, incremental=True):
+            with obs.span("typecheck", unit=path, incremental=keep):
                 check_report = checker.check(functions=changed)
             per_diag: Dict[str, List[dict]] = {}
             for diag in check_report.diagnostics:
@@ -858,7 +848,7 @@ class Workspace:
                 name = func.name
                 if name in changed:
                     records[name] = _FunctionRecord(
-                        fingerprint=fingerprints[name],
+                        fingerprint=fingerprints.get(name, ""),
                         diagnostics=per_diag.get(name, []),
                         runtime_checks=per_rtc.get(name, 0),
                         dataflow=check_report.dataflow.get(name, {}),
@@ -868,21 +858,27 @@ class Workspace:
             replayed = len(records) - len(changed)
             self.counters["functions_checked"] += len(changed)
             self.counters["functions_replayed"] += replayed
+            if not keep:
+                return _check_result(path, records, unit.errors)
             obs.incr("serve.incremental_hits", replayed)
-            new_state = _UnitState(
-                source=source_digest,
-                env=env,
-                functions=records,
-                text=pre.text,
-                defines=pre.defines,
-                bodies=extents,
-                typedefs=unit._typedefs,
-                interface=interface,
-            )
-            self._lru_put(self._units, key, new_state)
-            return self._replay_unit(
-                path, new_state, unit_replayed=False, rechecked=len(changed)
-            )
+            if unit.errors:
+                self._units.pop(key, None)
+            else:
+                self._lru_put(
+                    self._units,
+                    key,
+                    _UnitState(
+                        source=source_digest,
+                        env=env,
+                        functions=records,
+                        text=pre.text,
+                        defines=pre.defines,
+                        bodies=extents,
+                        typedefs=unit._typedefs,
+                        interface=interface,
+                    ),
+                )
+            return _check_result(path, records, unit.errors, len(changed))
 
         return worker
 
@@ -924,112 +920,6 @@ class Workspace:
         key = "units_reparsed_partially" if result else "partial_fallbacks"
         self.counters[key] += 1
         return result
-
-    def _replay_unit(
-        self,
-        path: str,
-        state: _UnitState,
-        unit_replayed: bool,
-        rechecked: int = 0,
-    ) -> batch.UnitResult:
-        """Assemble a unit's result by merging per-function records
-        (freshly checked and replayed alike) in program order."""
-        diagnostics: List[dict] = []
-        runtime_checks = 0
-        dataflow: Dict[str, dict] = {}
-        for name, record in state.functions.items():
-            diagnostics.extend(record.diagnostics)
-            runtime_checks += record.runtime_checks
-            if record.dataflow:
-                dataflow[name] = record.dataflow
-        warnings = sum(
-            1 for d in diagnostics if d.get("severity") == "warning"
-        )
-        total = len(state.functions)
-        return batch.UnitResult(
-            unit=path,
-            verdict=batch.WARNINGS if diagnostics else batch.OK,
-            diagnostics=diagnostics,
-            detail={
-                "warnings": warnings,
-                "runtime_checks": runtime_checks,
-                "dataflow": {
-                    "functions": dataflow,
-                    "totals": _sum_dataflow(dataflow),
-                },
-                "incremental": {
-                    "functions": total,
-                    "rechecked": rechecked,
-                    "replayed": total - rechecked,
-                    "unit_replayed": unit_replayed,
-                },
-            },
-        )
-
-    def _broken_unit_result(
-        self, path, unit, program, quals, request: CheckRequest
-    ) -> batch.UnitResult:
-        """Full (non-incremental) check of a unit with parse errors."""
-        diagnostics = [_parse_error_dict(e) for e in unit.errors]
-        checker = QualifierChecker(
-            program, quals, flow_sensitive=request.flow_sensitive
-        )
-        with obs.span("typecheck", unit=path):
-            check_report = checker.check()
-        diagnostics.extend(
-            {**d.to_dict(), "text": str(d)} for d in check_report.diagnostics
-        )
-        self.counters["functions_checked"] += len(program.functions)
-        return batch.UnitResult(
-            unit=path,
-            verdict=batch.ERROR,
-            diagnostics=diagnostics,
-            error=str(unit.errors[0]),
-            detail={
-                "warnings": check_report.warning_count,
-                "runtime_checks": len(check_report.runtime_checks),
-                "dataflow": {
-                    "functions": check_report.dataflow,
-                    "totals": _sum_dataflow(check_report.dataflow),
-                },
-                "incremental": {
-                    "functions": len(program.functions),
-                    "rechecked": len(program.functions),
-                    "replayed": 0,
-                    "unit_replayed": False,
-                    "disabled": "parse errors",
-                },
-            },
-        )
-
-    def _prover_calibration(self, quals: QualifierSet) -> None:
-        """Profiling-only prover pass for ``check`` invocations.
-
-        ``check`` itself never runs the prover (soundness of the rules
-        is ``prove``'s job), so a profiled check of a C file would show
-        empty prover numbers even when the session loads custom
-        qualifier definitions whose proof burden the user cares about.
-        When profiling is active and custom ``--quals`` files are
-        loaded, this times one soundness pass over those definitions so
-        the ``timings.prover`` block reflects their real cost.  Results
-        are discarded; verdicts, diagnostics, and exit codes are
-        untouched, and nothing runs when profiling is off.
-        """
-        defs: List[QualifierDef] = []
-        for path in self.config.quals:
-            try:
-                defs.extend(parse_qualifiers(_read_source(path)))
-            except Exception:
-                return
-        if not defs:
-            return
-        _load_prover()
-        with obs.span("prove", calibration=True):
-            for qdef in defs:
-                try:
-                    check_soundness(qdef, quals, time_limit=5.0, cache=None)
-                except Exception:
-                    continue
 
     def _proof_cache(self, request: ProveRequest) -> Optional[ProofCache]:
         """The resident proof cache a prove request should run against
@@ -1197,26 +1087,15 @@ class Workspace:
                     )
                 results_by_path[path] = result
 
-            results = [results_by_path[p] for p in request.files]
-            if not request.keep_going:
-                severe = False
-                for index, result in enumerate(results):
-                    if severe:
-                        results[index] = batch.UnitResult(
-                            unit=result.unit, verdict=batch.SKIPPED
-                        )
-                    elif result.severity >= batch._SEVERITY[batch.ERROR]:
-                        severe = True
-            batch_report = batch.BatchReport(results=results)
+            release = batch.Release(
+                request.files, request.keep_going, on_result
+            )
+            for index, path in enumerate(request.files):
+                release.settle(index, results_by_path[path])
+            batch_report = release.report()
             batch_report.elapsed = time.perf_counter() - start
             if stats.get("interrupted"):
                 batch_report.meta["interrupted"] = True
-            if on_result is not None:
-                for result in results:
-                    try:
-                        on_result(result)
-                    except Exception:
-                        pass
             self._finish_prove_meta(batch_report, cache, stats)
         except BaseException:
             _abort_profile(prof)
@@ -1349,7 +1228,7 @@ class Workspace:
             )
         }
         if self.incremental:
-            _aggregate_prove_incremental_meta(batch_report)
+            _aggregate_incremental_meta(batch_report, "obligations")
 
     def infer(
         self, request: InferRequest, on_result=None, on_event=None
@@ -1516,12 +1395,11 @@ class Workspace:
         request: BatchOptions,
         worker,
         units: Optional[Sequence[str]] = None,
-        calibrate=None,
         on_result=None,
         on_event=None,
     ) -> batch.BatchReport:
         """Run the batch, bracketed by the profiling lifecycle: start a
-        slice, run (and optionally calibrate), attach ``timings`` meta,
+        slice, run, attach ``timings`` meta,
         restore collector state — including on the error path.
 
         ``on_result``/``on_event`` stream settled units and
@@ -1538,8 +1416,6 @@ class Workspace:
                 on_result=on_result,
                 on_event=on_event,
             )
-            if calibrate is not None and prof is not None:
-                calibrate()
         except BaseException:
             _abort_profile(prof)
             raise

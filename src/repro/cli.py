@@ -109,8 +109,9 @@ def _jsonl_unit_record(command: str, unit: dict) -> None:
 
 def _jsonl_unit_streamer(command: str):
     """``--format jsonl``: one compact schema-v1 record per unit, written
-    (and flushed) the moment the unit settles — completion order, which
-    under ``--jobs`` is not input order; consumers key on ``unit``."""
+    (and flushed) the moment the unit settles.  With ``--keep-going``
+    that is completion order, which under ``--jobs`` is not input
+    order (consumers key on ``unit``); without it, input order."""
 
     def on_result(result: batch.UnitResult) -> None:
         _jsonl_unit_record(command, result.to_dict())

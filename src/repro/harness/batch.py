@@ -32,8 +32,9 @@ workers.  Every child is reaped on the way out — including when the
 parent is interrupted — so no orphans linger.
 
 Results *stream*: pass ``on_result`` to :func:`run_units` and it is
-called once per unit as that unit settles (completion order, not input
-order) — the engine behind ``--format jsonl``.  SIGINT/SIGTERM during
+called once per unit as that unit settles — the engine behind
+``--format jsonl``.  With ``keep_going`` on that is completion order;
+with it off, input order (see :class:`Release`).  SIGINT/SIGTERM during
 a run stop dispatch, cancel in-flight work, and return the partial
 report (remaining units ``SKIPPED``, ``meta["interrupted"]`` set) so
 the caller can still flush a valid report under the documented
@@ -194,6 +195,64 @@ Worker = Callable[[str, Deadline], UnitResult]
 #: order); on_event(dict) receives per-obligation progress events.
 ResultCallback = Callable[[UnitResult], None]
 EventCallback = Callable[[dict], None]
+
+
+class Release:
+    """Hands a run's settled unit results on to ``on_result`` and to
+    the report.
+
+    With ``keep_going`` on, a result goes on the moment it settles.
+    With it off, results go on in input order: a unit goes on only once
+    every earlier unit has, and after the first ERROR-or-worse unit
+    every later one is ``SKIPPED`` (:attr:`stopped` is then set), so the
+    order in which pool children finish cannot change the report or
+    the stream."""
+
+    def __init__(
+        self,
+        units: Sequence[str],
+        keep_going: bool,
+        on_result: Optional[ResultCallback] = None,
+    ) -> None:
+        self.units = list(units)
+        self.keep_going = keep_going
+        self.on_result = on_result
+        self.results: List[Optional[UnitResult]] = [None] * len(self.units)
+        self.released = 0  # the input-order prefix handed on
+        self.stopped = False
+
+    def settle(self, index: int, result: UnitResult) -> None:
+        self.results[index] = result
+        if self.keep_going:
+            self._hand_on(result)
+            return
+        while (
+            not self.stopped
+            and self.released < len(self.results)
+            and self.results[self.released] is not None
+        ):
+            result = self.results[self.released]
+            self.released += 1
+            self._hand_on(result)
+            if result.severity >= _SEVERITY[ERROR]:
+                self.stopped = True
+
+    def _hand_on(self, result: UnitResult) -> None:
+        if self.on_result is not None:
+            self.on_result(result)
+
+    def report(self) -> BatchReport:
+        """Every unit in input order; a unit not handed on is
+        ``SKIPPED``."""
+        report = BatchReport()
+        for index, unit in enumerate(self.units):
+            result = self.results[index]
+            if result is None or (
+                not self.keep_going and index >= self.released
+            ):
+                result = UnitResult(unit=unit, verdict=SKIPPED)
+            report.results.append(result)
+        return report
 
 
 # ------------------------------------------------------- progress stream
@@ -357,8 +416,9 @@ def run_units(
     heartbeat hang detection, crash retry with backoff, poison-unit
     quarantine, and guaranteed reaping.
 
-    ``on_result`` streams each settled :class:`UnitResult` in
-    completion order; ``on_event`` receives per-obligation progress
+    ``on_result`` streams each settled :class:`UnitResult` (in
+    completion order with ``keep_going``, else in input order; see
+    :class:`Release`); ``on_event`` receives per-obligation progress
     events from :func:`emit_progress`.  SIGINT/SIGTERM mid-run yields a
     partial report (``meta["interrupted"]``) instead of an exception.
     """
@@ -398,21 +458,17 @@ def _run_sequential(
     on_result: Optional[ResultCallback],
     on_event: Optional[EventCallback],
 ) -> BatchReport:
-    report = BatchReport()
-    stop = False
+    release = Release(units, keep_going, on_result)
     set_emitter(on_event)
     try:
         with interrupt_guard() as interrupt:
-            for unit in units:
-                if stop or interrupt.set:
-                    report.results.append(UnitResult(unit=unit, verdict=SKIPPED))
-                    continue
-                result = run_one(unit, worker, unit_timeout, recursion_limit)
-                report.results.append(result)
-                if on_result is not None:
-                    on_result(result)
-                if not keep_going and result.severity >= _SEVERITY[ERROR]:
-                    stop = True
+            for index, unit in enumerate(units):
+                if release.stopped or interrupt.set:
+                    break
+                release.settle(
+                    index, run_one(unit, worker, unit_timeout, recursion_limit)
+                )
+            report = release.report()
             if interrupt.set:
                 report.meta["interrupted"] = True
     finally:
@@ -462,6 +518,11 @@ def _child_entry(
     ``stall`` silences the heartbeat and sleeps (a hard hang),
     ``drop_pipe`` exits without sending the result.
     """
+    # The fork inherits the parent's interrupt_guard handlers, which
+    # only set a flag: restore SIGTERM so _reap's terminate() ends the
+    # child, and leave Ctrl-C to the parent, which reaps its children.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _faults.enter_worker()
     fault_key = f"{unit}#{attempt}"
     if _faults.fire("kill", fault_key):

@@ -43,9 +43,11 @@ seconds (a ``("hb", seq)`` message from a daemon thread); any message
 A ``("clock", None)`` message (:func:`repro.harness.batch.
 restart_unit_clock`) restarts the unit's ``unit_timeout`` budget, for
 units made of separately budgeted parts.
-Progress events stream to the caller's ``on_event`` as they arrive,
-and settled units stream to ``on_result`` in completion order while
-the report itself stays in input order.
+Progress events stream to the caller's ``on_event`` as they arrive.
+Settled units stream to ``on_result`` through :class:`repro.harness.
+batch.Release`: in completion order with ``keep_going``, else in input
+order, stopping at the first ERROR-or-worse unit (the children still
+running are reaped).  The report itself is always in input order.
 
 SIGINT/SIGTERM mid-run (see :func:`repro.harness.batch.
 interrupt_guard`) stops dispatch, kills what is running, marks the
@@ -76,10 +78,7 @@ from repro import obs as _obs
 from repro.core.checker.diagnostics import code_for
 from repro.harness import batch
 from repro.harness.batch import (
-    _SEVERITY,
-    ERROR,
     GAVE_UP,
-    SKIPPED,
     TIMEOUT,
     BatchReport,
     UnitResult,
@@ -213,24 +212,18 @@ class Supervisor:
     ) -> BatchReport:
         config = self.config
         states = [_UnitState(unit=u) for u in units]
-        results: List[Optional[UnitResult]] = [None] * len(units)
+        release = batch.Release(units, config.keep_going, on_result)
         ready: Deque[int] = deque(range(len(units)))
         waiting: List[int] = []  # indices sitting out a backoff
         running: Dict[object, _Slot] = {}  # proc -> slot
-        stop = False
         interrupted = False
 
         def settle(index: int, outcome: UnitResult) -> None:
-            nonlocal stop
             outcome.attempts = max(outcome.attempts, states[index].attempts)
             if outcome.obs is not None:
                 _obs.merge(outcome.obs)
                 outcome.obs = None
-            results[index] = outcome
-            if on_result is not None:
-                on_result(outcome)
-            if not config.keep_going and outcome.severity >= _SEVERITY[ERROR]:
-                stop = True
+            release.settle(index, outcome)
 
         def record_death(index: int, cause: str, hang: bool = False) -> None:
             """A worker died under ``index``'s unit: retry or quarantine."""
@@ -268,10 +261,12 @@ class Supervisor:
                         for i in due:
                             waiting.remove(i)
                             ready.append(i)
-                    while ready and len(running) < config.jobs and not stop:
-                        self._spawn(ready.popleft(), states, worker, running)
-                    if stop and not running:
+                    if release.stopped:
+                        # Every unit still out is SKIPPED; the finally
+                        # below reaps the children running them.
                         break
+                    while ready and len(running) < config.jobs:
+                        self._spawn(ready.popleft(), states, worker, running)
                     if not running and not ready and waiting:
                         # Everything alive is sitting out a backoff.
                         wake = min(states[i].eligible_at for i in waiting)
@@ -303,12 +298,7 @@ class Supervisor:
             for proc in self.spawned:
                 _reap(proc)
 
-        report = BatchReport()
-        for index, unit in enumerate(units):
-            outcome = results[index]
-            if outcome is None:
-                outcome = UnitResult(unit=unit, verdict=SKIPPED)
-            report.results.append(outcome)
+        report = release.report()
         if interrupted:
             report.meta["interrupted"] = True
         counters = {

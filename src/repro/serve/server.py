@@ -57,11 +57,11 @@ from repro import api, obs
 from repro.harness.supervisor import env_knob
 from repro.serve import protocol
 from repro.serve.workers import (
-    INPUT_ERRORS as _INPUT_ERRORS,
     ProcessHost,
     RemoteError,
     ThreadHost,
     WorkerCrashed,
+    input_errors,
 )
 
 #: Default cap on resident workspaces (one per distinct configuration);
@@ -482,7 +482,7 @@ class ServeServer:
                 enqueue("done", payload)
             except RemoteError as exc:
                 enqueue("error", (exc.code, exc.message))
-            except _INPUT_ERRORS as exc:
+            except input_errors() as exc:
                 enqueue("error", (protocol.E_INPUT, str(exc)))
             except Exception as exc:
                 enqueue(

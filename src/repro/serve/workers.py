@@ -43,26 +43,25 @@ import signal
 from typing import Any, Callable, Dict, Optional
 
 from repro import api
-from repro.cfront.lexer import LexError
-from repro.cfront.parser import ParseError
-from repro.cil.lower import LowerError
-from repro.core.qualifiers.parser import QualParseError
-from repro.harness.batch import _reap
+from repro.harness.batch import _reap, input_error_types
 from repro.harness.supervisor import pool_context
 from repro.serve import protocol
 
-#: Exceptions that mean "your input was bad", not "the daemon broke" —
-#: the same set the CLI maps to exit code 2 for in-process runs.
-INPUT_ERRORS = (
-    ParseError,
-    LexError,
-    LowerError,
-    QualParseError,
-    UnicodeDecodeError,
-    OSError,
-    RecursionError,
-    api.UnknownQualifierError,
-)
+
+def input_errors() -> tuple:
+    """Exceptions that mean "your input was bad", not "the daemon
+    broke": the pipeline's own (the set the CLI maps to exit code 2)
+    plus unreadable, undecodable or too deeply nested input and an
+    unknown qualifier.  Built when an exception is matched, so naming
+    the C parser's error does not load the C front end."""
+    return (
+        *input_error_types(),
+        UnicodeDecodeError,
+        OSError,
+        RecursionError,
+        api.UnknownQualifierError,
+    )
+
 
 #: How long a spawn-time handshake or graceful close may take before
 #: the parent gives up on the child.
@@ -93,6 +92,26 @@ class RemoteError(Exception):
         super().__init__(f"{code}: {message}")
 
 
+def run_request(workspace: api.Workspace, op: str, params, emit: Emit) -> dict:
+    """Run one batch op on ``workspace``, streaming units and events
+    through ``emit``; the one request handler of both hosts.  Every
+    fault that is about the request raises :class:`RemoteError`."""
+    try:
+        request = protocol.batch_request(op, params)
+        report = getattr(workspace, op)(
+            request,
+            on_result=lambda r: emit("unit", r.to_dict()),
+            on_event=lambda e: emit("event", e),
+        )
+    except protocol.ProtocolError as exc:
+        raise RemoteError(exc.code, str(exc))
+    except input_errors() as exc:
+        raise RemoteError(protocol.E_INPUT, str(exc))
+    except Exception as exc:  # survived worker-side bug
+        raise RemoteError(protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}")
+    return report.to_dict()
+
+
 class ThreadHost:
     """The in-process shape: workspace state lives in the daemon."""
 
@@ -108,17 +127,7 @@ class ThreadHost:
         return None
 
     def run(self, op: str, params: Dict[str, Any], emit: Emit) -> dict:
-        request = protocol.batch_request(op, params)
-        try:
-            command = getattr(self.workspace, op)
-            report = command(
-                request,
-                on_result=lambda r: emit("unit", r.to_dict()),
-                on_event=lambda e: emit("event", e),
-            )
-        except INPUT_ERRORS as exc:
-            raise RemoteError(protocol.E_INPUT, str(exc))
-        return report.to_dict()
+        return run_request(self.workspace, op, params, emit)
 
     def invalidate(self, path: Optional[str]) -> int:
         return self.workspace.invalidate(path)
@@ -158,27 +167,16 @@ def worker_main(conn, config: api.SessionConfig) -> None:
             if kind == "run":
                 _, op, params = message
                 try:
-                    request = protocol.batch_request(op, params)
-                    command = getattr(workspace, op)
-                    report = command(
-                        request,
-                        on_result=lambda r: conn.send(("unit", r.to_dict())),
-                        on_event=lambda e: conn.send(("event", e)),
+                    report = run_request(
+                        workspace,
+                        op,
+                        params,
+                        lambda kind, payload: conn.send((kind, payload)),
                     )
-                    conn.send(("done", report.to_dict(), workspace.stats()))
-                except protocol.ProtocolError as exc:
+                    conn.send(("done", report, workspace.stats()))
+                except RemoteError as exc:
                     conn.send(
-                        ("error", exc.code, str(exc), workspace.stats())
-                    )
-                except INPUT_ERRORS as exc:
-                    conn.send(
-                        ("error", protocol.E_INPUT, str(exc),
-                         workspace.stats())
-                    )
-                except Exception as exc:  # survived worker-side bug
-                    conn.send(
-                        ("error", protocol.E_INTERNAL,
-                         f"{type(exc).__name__}: {exc}", workspace.stats())
+                        ("error", exc.code, exc.message, workspace.stats())
                     )
             elif kind == "invalidate":
                 dropped = workspace.invalidate(message[1])

@@ -293,3 +293,48 @@ class TestSchemaContract:
         assert main(["cache", "clear", "--cache-dir", where]) == 0
         assert "removed" in capsys.readouterr().out
         assert api.cache_stats(cache_dir=where)["entries"] == 0
+
+
+def _without_timings(payload):
+    """A report payload minus its wall-clock fields."""
+    if isinstance(payload, dict):
+        return {
+            key: _without_timings(value)
+            for key, value in payload.items()
+            if key not in ("elapsed", "ms")
+        }
+    if isinstance(payload, list):
+        return [_without_timings(value) for value in payload]
+    return payload
+
+
+class TestJobsWithoutKeepGoing:
+    """``--jobs`` must not change a report: after the first failing unit
+    every later one is SKIPPED, and units stream in input order."""
+
+    @pytest.mark.parametrize("command", ["check", "infer"])
+    def test_jobs_do_not_change_the_report_or_stream(self, tmp_path, command):
+        broken = tmp_path / "a.c"
+        broken.write_text("int f( { }\n")
+        warned = tmp_path / "b.c"
+        warned.write_text("void f() { int pos x = -1; }\n")
+        files = (str(broken), str(warned))
+        runs = []
+        for jobs in (1, 2):
+            seen = []
+            if command == "check":
+                request = api.CheckRequest(files=files, jobs=jobs)
+            else:
+                request = api.InferRequest(
+                    files=files, jobs=jobs, qualifier="pos"
+                )
+            with repro.Workspace(incremental=False) as ws:
+                report = getattr(ws, command)(request, on_result=seen.append)
+            runs.append((
+                _without_timings(report.to_dict()),
+                [_without_timings(r.to_dict()) for r in seen],
+            ))
+        assert runs[0] == runs[1]
+        payload, streamed = runs[0]
+        assert payload["counts"] == {"ERROR": 1, "SKIPPED": 1}
+        assert [unit["unit"] for unit in streamed] == [str(broken)]

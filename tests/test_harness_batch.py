@@ -1,6 +1,7 @@
 """Tests for the batch engine: per-unit isolation, verdicts, exit
 codes, keep-going semantics, and the process pool."""
 
+import signal
 import time
 
 import pytest
@@ -139,6 +140,15 @@ def _pool_worker(unit, deadline):
     return batch.UnitResult(unit=unit, verdict=batch.OK)
 
 
+def _ordered_worker(unit, deadline):
+    if unit == "late-error":
+        time.sleep(0.3)  # settles after the units dispatched with it
+        raise OSError("unreadable")
+    if unit == "warn":
+        return batch.UnitResult(unit=unit, verdict=batch.WARNINGS)
+    return batch.UnitResult(unit=unit, verdict=batch.OK)
+
+
 class TestProcessPool:
     def test_pool_preserves_order_and_isolates_failures(self):
         report = batch.run_units(
@@ -164,6 +174,44 @@ class TestProcessPool:
         assert by_unit["a"].verdict == batch.OK
         assert by_unit["b"].verdict == batch.OK
         assert elapsed < 10.0  # the hang did not stall the run
+
+    def test_reaped_hung_child_exits_on_sigterm(self):
+        # The fork must not keep the parent's flag-only SIGTERM handler,
+        # or terminate() is ignored and the reap falls back to SIGKILL.
+        from repro.harness.supervisor import Supervisor, SupervisorConfig
+
+        sup = Supervisor(
+            SupervisorConfig(jobs=2, unit_timeout=0.2, keep_going=True)
+        )
+        report = sup.run(["hang", "ok"], _pool_worker)
+        assert [r.verdict for r in report.results] == [
+            batch.TIMEOUT, batch.OK,
+        ]
+        assert sup.spawned[0].exitcode == -signal.SIGTERM
+
+    def test_jobs_change_neither_report_nor_stream_without_keep_going(self):
+        runs = []
+        for jobs in (1, 2):
+            seen = []
+            report = batch.run_units(
+                ["late-error", "warn", "ok"],
+                _ordered_worker,
+                jobs=jobs,
+                keep_going=False,
+                on_result=seen.append,
+            )
+            runs.append((
+                [(r.unit, r.verdict) for r in report.results],
+                [r.unit for r in seen],
+            ))
+        assert runs[0] == runs[1] == (
+            [
+                ("late-error", batch.ERROR),
+                ("warn", batch.SKIPPED),
+                ("ok", batch.SKIPPED),
+            ],
+            ["late-error"],
+        )
 
     def test_pool_single_job_fallback(self):
         # jobs=1 takes the sequential path even when requested via pool

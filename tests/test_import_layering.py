@@ -96,3 +96,11 @@ def test_uncached_prove_loads_no_c_front_end():
     )
     assert "repro.prover.prover" in loaded  # the prove really ran
     assert offenders(loaded, PROVE_FORBIDDEN) == []
+
+
+def test_serve_daemon_loads_no_c_parser_or_ir():
+    # The daemon names the pipeline's input errors without importing
+    # them: the C parser and the IR load only when a check runs.
+    loaded = modules_after("import repro.serve.server")
+    assert "repro.serve.server" in loaded
+    assert offenders(loaded, ("repro.cfront.parser", "repro.cil")) == []

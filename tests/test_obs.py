@@ -289,7 +289,7 @@ class TestApiTimings:
         assert "timings" not in report.to_dict()
         assert obs.snapshot()["counters"] == {}
 
-    def test_profiled_check_with_custom_quals_times_the_prover(self):
+    def test_profiled_check_with_custom_quals_makes_no_prover_calls(self):
         from repro import api
 
         config = api.SessionConfig(
@@ -303,10 +303,12 @@ class TestApiTimings:
                 )
             )
         payload = report.to_dict()
-        assert payload["timings"]["prover"]["calls"] > 0
-        assert payload["timings"]["prover"]["proofs_ms"] > 0
-        # The calibration pass never changes the check outcome.
-        assert payload["exit_code"] == report.exit_code
+        # A profile shows the work the check does, and a check never
+        # proves its qualifiers (that is ``prove``'s job).
+        assert payload["timings"]["prover"]["calls"] == 0
+        assert payload["timings"]["prover"]["proofs_ms"] == 0
+        assert "prove" not in payload["timings"]["phases"]
+        assert payload["exit_code"] == 0
 
 
 # ------------------------------------------------------ cache store fixes
