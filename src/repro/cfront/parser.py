@@ -96,6 +96,7 @@ class Parser:
         # (name, line, col of "{", line, col of "}") per definition, in
         # text order: see repro.cfront.bodies.
         self.bodies: List[Tuple[str, int, int, int, int]] = []
+        self.defined: Set[str] = set()  # names of functions with a body
 
     # ------------------------------------------------------------ utilities
 
@@ -185,9 +186,22 @@ class Parser:
             return
         loc = self._loc()
         ctype = self._parse_type()
-        name = self._expect_id().text
+        name_tok = self._expect_id()
+        name = name_tok.text
         if self._at("("):
-            unit.functions.append(self._parse_function(ctype, name, loc))
+            func = self._parse_function(ctype, name, loc)
+            unit.functions.append(func)
+            if func.body is not None:
+                if name in self.defined:
+                    # C11 6.9p5: one external definition per name.  The
+                    # definition is complete, so record the error
+                    # without resynchronizing past the next one.
+                    err = ParseError(f"redefinition of function {name!r}", name_tok)
+                    if not self.recover:
+                        raise err
+                    self.errors.append(err)
+                    obs.incr("parse.recoveries")
+                self.defined.add(name)
         else:
             unit.globals.extend(self._parse_global_tail(ctype, name, loc))
 

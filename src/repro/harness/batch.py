@@ -206,7 +206,8 @@ class Release:
     every earlier unit has, and after the first ERROR-or-worse unit
     every later one is ``SKIPPED`` (:attr:`stopped` is then set), so the
     order in which pool children finish cannot change the report or
-    the stream."""
+    the stream.  Every unit past :attr:`cutoff` ends ``SKIPPED`` whatever
+    it settles as, so a pool need not run it."""
 
     def __init__(
         self,
@@ -220,12 +221,16 @@ class Release:
         self.results: List[Optional[UnitResult]] = [None] * len(self.units)
         self.released = 0  # the input-order prefix handed on
         self.stopped = False
+        #: The lowest index settled ERROR-or-worse without keep_going.
+        self.cutoff = len(self.units)
 
     def settle(self, index: int, result: UnitResult) -> None:
         self.results[index] = result
         if self.keep_going:
             self._hand_on(result)
             return
+        if result.severity >= _SEVERITY[ERROR]:
+            self.cutoff = min(self.cutoff, index)
         while (
             not self.stopped
             and self.released < len(self.results)

@@ -47,7 +47,10 @@ Progress events stream to the caller's ``on_event`` as they arrive.
 Settled units stream to ``on_result`` through :class:`repro.harness.
 batch.Release`: in completion order with ``keep_going``, else in input
 order, stopping at the first ERROR-or-worse unit (the children still
-running are reaped).  The report itself is always in input order.
+running are reaped).  Once any unit settles ERROR-or-worse, every
+later one will be ``SKIPPED`` (:attr:`repro.harness.batch.Release.
+cutoff`): none of them is started again, and those running are reaped.
+The report itself is always in input order.
 
 SIGINT/SIGTERM mid-run (see :func:`repro.harness.batch.
 interrupt_guard`) stops dispatch, kills what is running, marks the
@@ -261,10 +264,11 @@ class Supervisor:
                         for i in due:
                             waiting.remove(i)
                             ready.append(i)
-                    if release.stopped:
-                        # Every unit still out is SKIPPED; the finally
-                        # below reaps the children running them.
-                        break
+                    if release.cutoff < len(units):
+                        # Every unit past the cutoff will be SKIPPED.
+                        ready = self._drop_past(
+                            release.cutoff, ready, waiting, running
+                        )
                     while ready and len(running) < config.jobs:
                         self._spawn(ready.popleft(), states, worker, running)
                     if not running and not ready and waiting:
@@ -312,6 +316,24 @@ class Supervisor:
         return report
 
     # ------------------------------------------------------- internals
+
+    def _drop_past(
+        self,
+        cutoff: int,
+        ready: Deque[int],
+        waiting: List[int],
+        running: Dict[object, _Slot],
+    ) -> Deque[int]:
+        """Forget the units past ``cutoff``, which will be SKIPPED:
+        reap the children running them and return ``ready`` without
+        them (``waiting`` is pruned in place)."""
+        for proc, slot in list(running.items()):
+            if slot.index > cutoff:
+                del running[proc]
+                _reap(proc)
+                self._close(slot.recv)
+        waiting[:] = [i for i in waiting if i <= cutoff]
+        return deque(i for i in ready if i <= cutoff)
 
     def _spawn(
         self,

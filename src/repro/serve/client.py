@@ -72,13 +72,21 @@ class ServeClient:
         """Send one request; stream lines hit the callbacks as they
         arrive; returns the final ``done`` message.  Raises
         :class:`ServeError` on an error response, or with code
-        ``connection-lost`` when the daemon goes away mid-request."""
+        ``connection-lost`` when the daemon goes away mid-request.
+
+        A stream with no callback is skipped by its line prefix, never
+        decoded."""
         self._next_id += 1
         rid = f"c{self._next_id}"
         message: Dict[str, Any] = {"id": rid, "op": op}
         if params is not None:
             message["params"] = params
         delivered = False
+        unread = tuple(
+            protocol.stream_prefix(rid, stream)
+            for stream, callback in (("unit", on_unit), ("event", on_event))
+            if callback is None
+        )
 
         def lost(reason: str) -> ServeError:
             return ServeError(
@@ -99,6 +107,8 @@ class ServeClient:
             if not line.endswith("\n"):
                 # A partial final line: the daemon died mid-write.
                 raise lost("daemon connection dropped mid-line")
+            if line.startswith(unread):
+                continue
             try:
                 response = json.loads(line)
             except ValueError:

@@ -1,4 +1,4 @@
-"""The ``repro serve`` wire protocol: newline-delimited JSON, v2.
+"""The ``repro serve`` wire protocol: newline-delimited JSON, v4.
 
 One request per line::
 
@@ -19,6 +19,12 @@ connection may interleave; consumers demultiplex on ``id``)::
 stream lines are the same per-unit records ``--format jsonl`` emits,
 shipped the moment each unit settles.  An unparseable request line is
 answered with ``id: null`` and code ``bad-json``.
+
+Every line is compact JSON (:func:`encode`).  A batch op's payloads
+are encoded once, where they are computed, and relayed as text
+(:func:`relay`, byte-identical to :func:`encode` of the whole line);
+a client that does not read a stream can skip its lines by their
+:func:`stream_prefix` without decoding them.
 
 This module is the *shared* half of the protocol: operation names,
 error codes, line encoding, and the validated translation from request
@@ -83,9 +89,30 @@ class ProtocolError(ValueError):
         self.code = code
 
 
+#: Compact JSON text, the form of every protocol line and payload.
+dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode(obj: Dict[str, Any]) -> bytes:
     """One protocol line: compact JSON + newline, UTF-8."""
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+    return (dumps(obj) + "\n").encode("utf-8")
+
+
+def stream_prefix(rid: Any, stream: str) -> str:
+    """How every ``stream`` line of request ``rid`` begins."""
+    return '{"id":%s,"stream":"%s"' % (dumps(rid), stream)
+
+
+def relay(rid: Any, kind: str, text: str) -> bytes:
+    """The line for request ``rid`` that carries the payload ``text``,
+    already encoded by :func:`dumps`: a ``unit`` or ``event`` stream
+    line, or the ``done`` line of a batch op's report.  Equal to
+    :func:`encode` of the decoded line."""
+    if kind == "done":
+        head = '{"id":%s,"done":true,"report":' % dumps(rid)
+    else:
+        head = '%s,"%s":' % (stream_prefix(rid, kind), kind)
+    return (head + text + "}\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:

@@ -29,7 +29,11 @@ share a prover run through the cache's leases (:mod:`repro.cache.store`).
 Streaming: unit results and progress events are enqueued from the
 worker thread via ``loop.call_soon_threadsafe`` and written back on
 the event loop, so a slow client never blocks the checker and two
-concurrent requests never interleave *within* a line.
+concurrent requests never interleave *within* a line.  The host hands
+each unit, event and report over already encoded
+(:func:`repro.serve.workers.run_request`); the loop only wraps it in
+its line (:func:`repro.serve.protocol.relay`), and never decodes or
+re-encodes it.
 
 Shutdown is graceful by default: ``shutdown`` requests, SIGINT and
 SIGTERM all stop accepting new work (new requests get a
@@ -286,23 +290,25 @@ class ServeServer:
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
-        async def send(obj: Dict[str, Any]) -> None:
+        async def send(line: bytes) -> None:
             # One protocol line at a time per connection, whole lines
             # only — concurrent requests interleave lines, never bytes.
             async with write_lock:
                 if writer.is_closing():
                     return
-                writer.write(protocol.encode(obj))
+                writer.write(line)
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
 
-        def error(rid, code: str, message: str) -> Dict[str, Any]:
+        def error(rid, code: str, message: str) -> bytes:
             self.counters["errors"] += 1
-            return {
-                "id": rid,
-                "done": True,
-                "error": {"code": code, "message": message},
-            }
+            return protocol.encode(
+                {
+                    "id": rid,
+                    "done": True,
+                    "error": {"code": code, "message": message},
+                }
+            )
 
         try:
             msg = protocol.decode_line(line)
@@ -333,18 +339,24 @@ class ServeServer:
 
     async def _dispatch(self, rid, op, params, send) -> None:
         if op == "status":
-            await send({"id": rid, "done": True, "result": self.status()})
+            await send(
+                protocol.encode(
+                    {"id": rid, "done": True, "result": self.status()}
+                )
+            )
         elif op == "shutdown":
             protocol._check_keys("shutdown", protocol._require_params_dict(params))
             await send(
-                {
-                    "id": rid,
-                    "done": True,
-                    "result": {
-                        "stopping": True,
-                        "inflight": max(0, len(self._inflight) - 1),
-                    },
-                }
+                protocol.encode(
+                    {
+                        "id": rid,
+                        "done": True,
+                        "result": {
+                            "stopping": True,
+                            "inflight": max(0, len(self._inflight) - 1),
+                        },
+                    }
+                )
             )
             self.request_shutdown()
         elif op == "invalidate":
@@ -361,7 +373,9 @@ class ServeServer:
 
             dropped = await loop.run_in_executor(None, drop)
             await send(
-                {"id": rid, "done": True, "result": {"dropped": dropped}}
+                protocol.encode(
+                    {"id": rid, "done": True, "result": {"dropped": dropped}}
+                )
             )
         elif op in ("check", "prove", "infer"):
             await self._run_batch(rid, op, params, send)
@@ -497,23 +511,22 @@ class ServeServer:
         try:
             while True:
                 kind, payload = await queue.get()
-                if kind == "unit":
-                    await send({"id": rid, "stream": "unit", "unit": payload})
-                elif kind == "event":
-                    await send({"id": rid, "stream": "event", "event": payload})
-                elif kind == "done":
-                    await send({"id": rid, "done": True, "report": payload})
-                    return
-                else:
+                if kind == "error":
                     code, message = payload
                     self.counters["errors"] += 1
                     await send(
-                        {
-                            "id": rid,
-                            "done": True,
-                            "error": {"code": code, "message": message},
-                        }
+                        protocol.encode(
+                            {
+                                "id": rid,
+                                "done": True,
+                                "error": {"code": code, "message": message},
+                            }
+                        )
                     )
+                    return
+                # The host encoded the payload; relay it as is.
+                await send(protocol.relay(rid, kind, payload))
+                if kind == "done":
                     return
         finally:
             await worker

@@ -18,12 +18,15 @@ module moves each workspace behind a **host**: either
 
 Both hosts expose the same four calls (``run``/``invalidate``/
 ``stats``/``close``) so the server's router does not care which mode
-it is in.  The child protocol is a tuple-per-message pipe dialogue::
+it is in.  Either way an answer is encoded once, where it is computed
+(:func:`run_request`): units, events and the report leave the host as
+compact JSON text, which the server relays to the socket as bytes.
+The child protocol is a tuple-per-message pipe dialogue::
 
     parent -> child : ("run", op, params) | ("invalidate", path)
                       | ("stats",) | ("close",)
-    child -> parent : ("unit", dict) | ("event", dict)       # streamed
-                      | ("done", report_dict, stats_dict)
+    child -> parent : ("unit", text) | ("event", text)       # streamed
+                      | ("done", report_text, stats_dict)
                       | ("error", code, message, stats_dict)
                       | ("invalidated", count, stats_dict)
                       | ("stats", stats_dict)
@@ -68,7 +71,9 @@ def input_errors() -> tuple:
 _SPAWN_TIMEOUT = 30.0
 _CLOSE_TIMEOUT = 5.0
 
-Emit = Callable[[str, Any], None]
+#: Receives each streamed payload as ``(kind, text)``, ``kind`` being
+#: ``"unit"`` or ``"event"`` and ``text`` its :func:`protocol.dumps`.
+Emit = Callable[[str, str], None]
 
 
 class WorkerCrashed(Exception):
@@ -92,24 +97,51 @@ class RemoteError(Exception):
         super().__init__(f"{code}: {message}")
 
 
-def run_request(workspace: api.Workspace, op: str, params, emit: Emit) -> dict:
+def run_request(workspace: api.Workspace, op: str, params, emit: Emit) -> str:
     """Run one batch op on ``workspace``, streaming units and events
-    through ``emit``; the one request handler of both hosts.  Every
+    through ``emit``, and return the encoded report; the one request
+    handler of both hosts.  Each payload is encoded once, here.  Every
     fault that is about the request raises :class:`RemoteError`."""
+    streamed: Dict[int, tuple] = {}
+
+    def on_result(result) -> None:
+        text = protocol.dumps(result.to_dict())
+        streamed[id(result)] = (result, text)
+        emit("unit", text)
+
     try:
         request = protocol.batch_request(op, params)
         report = getattr(workspace, op)(
             request,
-            on_result=lambda r: emit("unit", r.to_dict()),
-            on_event=lambda e: emit("event", e),
+            on_result=on_result,
+            on_event=lambda e: emit("event", protocol.dumps(e)),
         )
+        return _encode_report(report, streamed)
     except protocol.ProtocolError as exc:
         raise RemoteError(exc.code, str(exc))
     except input_errors() as exc:
         raise RemoteError(protocol.E_INPUT, str(exc))
     except Exception as exc:  # survived worker-side bug
         raise RemoteError(protocol.E_INTERNAL, f"{type(exc).__name__}: {exc}")
-    return report.to_dict()
+
+
+def _encode_report(report: api.Report, streamed: Dict[int, tuple]) -> str:
+    """:func:`protocol.dumps` of ``report.to_dict()``, with each unit
+    that was streamed spliced in as the text it was streamed as."""
+
+    def unit_text(result) -> str:
+        # An entry keeps its result alive, so its id names no other.
+        entry = streamed.get(id(result))
+        if entry is not None:
+            return entry[1]
+        return protocol.dumps(result.to_dict())  # not streamed: SKIPPED
+
+    dumps = protocol.dumps
+    units = "[" + ",".join(unit_text(r) for r in report.results) + "]"
+    return "{%s}" % ",".join(
+        dumps(key) + ":" + (units if key == "units" else dumps(value))
+        for key, value in report.to_dict().items()
+    )
 
 
 class ThreadHost:
@@ -126,7 +158,7 @@ class ThreadHost:
     def pid(self) -> None:
         return None
 
-    def run(self, op: str, params: Dict[str, Any], emit: Emit) -> dict:
+    def run(self, op: str, params: Dict[str, Any], emit: Emit) -> str:
         return run_request(self.workspace, op, params, emit)
 
     def invalidate(self, path: Optional[str]) -> int:
@@ -254,7 +286,7 @@ class ProcessHost:
 
     # ------------------------------------------------------------ interface
 
-    def run(self, op: str, params: Dict[str, Any], emit: Emit) -> dict:
+    def run(self, op: str, params: Dict[str, Any], emit: Emit) -> str:
         """Dispatch one batch op to the worker and pump its messages.
 
         Blocks the calling executor thread until the worker's ``done``

@@ -474,6 +474,34 @@ def test_renamed_formal_is_reported_under_its_new_name(tmp_path):
     assert warm == cold
 
 
+def test_a_function_defined_twice_is_broken_warm_and_cold(tmp_path):
+    """Functions are keyed by name, so a unit defining one twice could
+    replay the verdict of the wrong definition after an edit.  C allows
+    one definition per name: the second is a parse error, and the
+    broken unit is checked in full every time."""
+    text = (
+        "void f() { int pos x = -1; }\n"
+        "void g() { }\n"
+        "void f() { int pos z = -3; }\n"
+    )
+    path = tmp_path / "u.c"
+    path.write_text(text, encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+    with api.Workspace(incremental=True) as ws:
+        first = ws.check(request).results[0]
+        path.write_text(text.replace("x = -1", "x = 1"), encoding="utf-8")
+        warm = ws.check(request).to_dict()
+    with api.Workspace() as cold_ws:
+        cold = cold_ws.check(request).to_dict()
+    assert first.verdict == "ERROR"
+    assert first.diagnostics[0]["message"].startswith(
+        "redefinition of function 'f' at line 3"
+    )
+    warm_texts = [d["text"] for d in warm["units"][0]["diagnostics"]]
+    assert not any("x requires pos" in text for text in warm_texts)
+    assert _cold_shape(warm, spans=True) == _cold_shape(cold, spans=True)
+
+
 @pytest.mark.parametrize("kind", ["literal", "two_bodies"])
 def test_in_body_edit_rechecks_only_the_edited_functions(tmp_path, kind):
     text = generate_bftpd(4, 3, 3)

@@ -67,6 +67,22 @@ def test_garbage_between_functions():
     assert [f.name for f in unit.functions] == ["a", "b"]
 
 
+def test_second_definition_of_a_function_is_an_error():
+    source = (
+        "int f() { return 1; }\n"
+        "int f();\n"
+        "int f() { return 2; }\n"
+        "int g() { return 3; }"
+    )
+    with pytest.raises(ParseError, match="redefinition of function 'f'"):
+        parse_c(source)
+    unit = parse_c(source, recover=True)
+    (err,) = unit.errors
+    assert (err.token.line, err.token.col) == (3, 5)
+    # The definition was whole: nothing after it is skipped.
+    assert [f.name for f in unit.functions] == ["f", "f", "f", "g"]
+
+
 def test_clean_source_has_no_errors():
     unit = parse_c("int f(int x) { return x; }", recover=True)
     assert unit.errors == []

@@ -490,6 +490,78 @@ def test_connection_dropped_mid_line(tmp_path):
     assert err.value.code == protocol.E_CONNECTION_LOST
 
 
+def _spy_on_loads(monkeypatch):
+    """Every line the client decodes, in order."""
+    from types import SimpleNamespace
+
+    from repro.serve import client as client_module
+
+    decoded = []
+
+    def loads(text, *args, **kwargs):
+        decoded.append(text)
+        return json.loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(client_module, "json", SimpleNamespace(loads=loads))
+    return decoded
+
+
+def test_unread_stream_lines_are_never_decoded(tmp_path, monkeypatch):
+    """With no ``on_unit``, the request's unit lines are skipped by
+    their prefix; another request's lines and events still go through
+    the decoder, and the events reach their callback."""
+    other = {"id": "other", "stream": "unit", "unit": {"verdict": "OK"}}
+
+    def script(conn, rid):
+        for message in (
+            {"id": rid, "stream": "unit", "unit": {"verdict": "WARNINGS"}},
+            other,
+            {"id": rid, "stream": "event", "event": {"event": "tick"}},
+            {"id": rid, "stream": "unit", "unit": {"verdict": "OK"}},
+            {"id": rid, "done": True, "report": {"units": []}},
+        ):
+            conn.sendall(protocol.encode(message))
+
+    sock = _stub_daemon(tmp_path, script)
+    decoded = _spy_on_loads(monkeypatch)
+    events = []
+    with connect(sock) as client:
+        final = client.request("check", {"files": ["x.c"]}, on_event=events.append)
+    assert final["report"] == {"units": []}
+    assert events == [{"event": "tick"}]
+    assert len(decoded) == 3  # other's unit, the event, done
+    assert json.loads(decoded[0]) == other
+    assert not any(line.startswith('{"id":"c1","stream":"unit"') for line in decoded)
+
+
+def test_unread_events_are_never_decoded(tmp_path, monkeypatch):
+    def script(conn, rid):
+        conn.sendall(
+            protocol.encode({"id": rid, "stream": "event", "event": {"n": 1}})
+        )
+        conn.sendall(protocol.encode({"id": rid, "done": True, "report": {}}))
+
+    sock = _stub_daemon(tmp_path, script)
+    decoded = _spy_on_loads(monkeypatch)
+    with connect(sock) as client:
+        client.request("check", {"files": ["x.c"]})
+    assert len(decoded) == 1 and '"done":true' in decoded[0]
+
+
+def test_skipped_stream_line_cut_mid_way_is_connection_lost(tmp_path):
+    def script(conn, rid):
+        line = protocol.encode(
+            {"id": rid, "stream": "unit", "unit": {"verdict": "OK"}}
+        )
+        conn.sendall(line[:-5])  # die mid-write, past the prefix
+
+    sock = _stub_daemon(tmp_path, script)
+    with connect(sock) as client:
+        with pytest.raises(ServeError) as err:
+            client.request("check", {"files": ["x.c"]})
+    assert err.value.code == protocol.E_CONNECTION_LOST
+
+
 # ----------------------------------------------------- client: via CLI
 
 

@@ -197,6 +197,52 @@ class TestReaping:
         assert report.exit_code == 2
 
 
+def _marking(unit, deadline):
+    """Worker for ``<dir>/<name>`` units: touch ``<dir>/<name>.started``,
+    then ``fail`` raises an input error and ``slow`` waits (at most 5 s)
+    until ``fail`` has started, plus half a second for the parent to
+    settle it.  Every other unit is OK."""
+    folder, name = os.path.split(unit)
+    with open(unit + ".started", "w"):
+        pass
+    if name == "fail":
+        raise OSError("scripted input error")
+    if name == "slow":
+        fail_started = os.path.join(folder, "fail.started")
+        give_up = time.monotonic() + 5.0
+        while not os.path.exists(fail_started) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        time.sleep(0.5)
+    return batch.UnitResult(unit=unit, verdict=batch.OK)
+
+
+def _untimed(report: batch.BatchReport) -> dict:
+    payload = report.to_dict()
+    payload.pop("elapsed")
+    for unit in payload["units"]:
+        unit.pop("elapsed")
+    return payload
+
+
+class TestStopAtFailure:
+    def test_units_past_a_failure_never_start(self, tmp_path):
+        """Without keep_going, a unit past one that settled ERROR will
+        be SKIPPED, so the pool starts none of them, even while an
+        earlier unit still runs."""
+        units = [str(tmp_path / n) for n in ("slow", "fail", "a", "b", "c")]
+        pooled = Supervisor(fast_config(keep_going=False)).run(
+            units, _marking
+        )
+        for name in ("a", "b", "c"):
+            assert not (tmp_path / f"{name}.started").exists(), name
+        assert [r.verdict for r in pooled.results] == [
+            batch.OK, batch.ERROR, batch.SKIPPED, batch.SKIPPED, batch.SKIPPED
+        ]
+        serial = batch.run_units(units, _marking, keep_going=False, jobs=1)
+        assert _untimed(pooled) == _untimed(serial)
+        assert not multiprocessing.active_children()
+
+
 class TestStreaming:
     def test_on_result_streams_in_completion_order(self):
         seen = []

@@ -533,6 +533,48 @@ spawned = counters["workers_spawned"]
 print(f"   worker kill recovered: {crashed} crash(es), {spawned} spawn(s)")
 ' "$tmpdir/mp_a_again.json" "$tmpdir/mp_b_again.json" \
   "$tmpdir/mp_status2.json" "$worker_pid"
+# the streamed path: a served --format jsonl run, line for line against
+# the same command in process (a broken unit stops the run: the last
+# unit is SKIPPED and never streamed)
+cat > "$tmpdir/mp_warn.c" <<'EOF'
+int pos dec(int x) { return x - 1; }
+EOF
+printf 'int f( { }\n' > "$tmpdir/mp_broken.c"
+mp_units="$tmpdir/mp_a.c $tmpdir/mp_warn.c $tmpdir/mp_broken.c $tmpdir/mp_b.c"
+served_exit=0
+python -m repro check $mp_units --server "$mp_addr" --format jsonl \
+    > "$tmpdir/mp_served.jsonl" || served_exit=$?
+local_exit=0
+python -m repro check $mp_units --format jsonl \
+    > "$tmpdir/mp_local.jsonl" || local_exit=$?
+python -c '
+import json, sys
+
+
+def strip(record):
+    record.pop("elapsed", None)
+    record.pop("incremental", None)
+    detail = record.get("detail", {})
+    detail.pop("incremental", None)
+    if "dataflow" in detail:
+        detail["dataflow"]["totals"].pop("ms", None)
+        for stats in detail["dataflow"]["functions"].values():
+            stats.pop("ms", None)
+    if isinstance(record.get("dataflow"), dict):
+        record["dataflow"].pop("ms", None)
+    return record
+
+
+served_exit, local_exit = int(sys.argv[3]), int(sys.argv[4])
+assert served_exit == local_exit == 2, (served_exit, local_exit)
+served = [strip(json.loads(line)) for line in open(sys.argv[1])]
+local = [strip(json.loads(line)) for line in open(sys.argv[2])]
+assert [r["record"] for r in served] == ["unit"] * 3 + ["summary"], served
+assert len(served) == len(local), (len(served), len(local))
+for number, (one, other) in enumerate(zip(served, local), 1):
+    assert one == other, f"served jsonl line {number} drifted: {one} != {other}"
+print(f"   served --format jsonl equals in-process ({len(served)} lines)")
+' "$tmpdir/mp_served.jsonl" "$tmpdir/mp_local.jsonl" "$served_exit" "$local_exit"
 python -m repro serve --stop --listen "$mp_addr" > /dev/null
 tries=0
 while kill -0 "$mp_pid" 2> /dev/null; do
