@@ -58,6 +58,7 @@ from repro.harness.watchdog import Deadline, RetryPolicy
 
 if TYPE_CHECKING:
     from repro.cache.store import ProofCache
+    from repro.cfront.ast import FuncDef
 
 # Each command loads its own layers when it runs (see
 # docs/architecture.md, "Import layering"): check the C front end and
@@ -70,8 +71,15 @@ if TYPE_CHECKING:
 
 def _load_front_end() -> None:
     global blanked_functions, body_extents, lower_unit, parse_c, preprocess
-    global reduce_text
-    from repro.cfront.bodies import blanked_functions, body_extents, reduce_text
+    global Relocation, reduce_text, splice_statements, statement_starts
+    from repro.cfront.bodies import (
+        Relocation,
+        blanked_functions,
+        body_extents,
+        reduce_text,
+        splice_statements,
+        statement_starts,
+    )
     from repro.cfront.parser import parse_c
     from repro.cfront.preprocess import preprocess
     from repro.cil.lower import lower_unit
@@ -530,8 +538,13 @@ class _UnitState:
 
     For the next edit's reduced re-parse it also keeps what the last
     parse saw: the preprocessed text, the macro table, each body's
-    extent in that text (:mod:`repro.cfront.bodies`), the typedefs and
-    the unit's interface digest."""
+    extent in that text (:mod:`repro.cfront.bodies`) and its function's
+    name, the typedefs and the unit's interface digest.  After a
+    reduced re-parse, and only then, it keeps the tree of each body
+    that parse did not blank and where its top-level statements start,
+    keyed by the body's index, so the next edit inside one of them can
+    splice statements; a full parse keeps none, so the trees held are
+    those of the bodies being edited."""
 
     source: str
     env: str
@@ -539,8 +552,11 @@ class _UnitState:
     text: str = ""
     defines: Dict[str, str] = field(default_factory=dict)
     bodies: List[Tuple[int, int]] = field(default_factory=list)
+    names: List[str] = field(default_factory=list)
     typedefs: dict = field(default_factory=dict)
     interface: str = ""
+    trees: Dict[int, FuncDef] = field(default_factory=dict)
+    statements: Dict[int, List[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -569,6 +585,67 @@ def _max_unit_states() -> int:
         return max(1, int(os.environ.get("REPRO_WORKSPACE_MAX_UNITS", "")))
     except ValueError:
         return MAX_UNIT_STATES
+
+
+def _replayed(
+    program,
+    changed: set,
+    state: "_UnitState",
+    text: str,
+    bodies: Dict[str, Tuple[int, int]],
+) -> Dict[str, _FunctionRecord]:
+    """The stored records of ``program``'s functions outside
+    ``changed``, their diagnostics moved from the stored text to the new
+    ``text`` (:class:`repro.cfront.bodies.Relocation`).  A diagnostic
+    inside the changed span moves with its function's body if the body
+    text is unchanged; ``bodies`` gives each body's extent in ``text``.
+    A function with a diagnostic that has no new place joins
+    ``changed`` instead: only a re-check knows where it went."""
+    relocation = None
+    stored = dict(zip(state.names, state.bodies))
+    replay: Dict[str, _FunctionRecord] = {}
+    for func in program.functions:
+        name = func.name
+        if name in changed:
+            continue
+        record = state.functions[name]
+        if record.diagnostics:
+            if relocation is None:
+                relocation = Relocation(state.text, text)
+            moved = _relocated(record, relocation)
+            if moved is None and name in stored and name in bodies:
+                whole = relocation.moved(stored[name], bodies[name])
+                if whole is not None:
+                    moved = _relocated(record, whole)
+            if moved is None:
+                changed.add(name)
+                continue
+            record = moved
+        replay[name] = record
+    return replay
+
+
+def _relocated(record: _FunctionRecord, where) -> Optional[_FunctionRecord]:
+    """``record`` with each diagnostic's ``loc`` (``file:line:col``)
+    and ``text`` moved by ``where``; None if one has no new place.  A
+    diagnostic without a position (``line 0``) stays as it is."""
+    diagnostics = []
+    for diag in record.diagnostics:
+        loc = diag["loc"]
+        file, _, col = loc.rpartition(":")
+        file, _, line = file.rpartition(":")
+        if file and line.isdigit() and col.isdigit():
+            moved = where(int(line), int(col))
+            if moved is None:
+                return None
+            new_loc = f"{file}:{moved[0]}:{moved[1]}"
+            if new_loc != loc:
+                text = diag["text"].replace(loc, new_loc, 1)
+                diag = {**diag, "loc": new_loc, "text": text}
+        diagnostics.append(diag)
+    if diagnostics == record.diagnostics:
+        return record
+    return replace(record, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------- workspace
@@ -628,6 +705,7 @@ class Workspace:
             "session_reuse": 0,
             "units_evicted": 0,
             "units_reparsed_partially": 0,
+            "bodies_spliced": 0,
             "partial_fallbacks": 0,
         }
         self.max_units = _max_unit_states()
@@ -791,8 +869,10 @@ class Workspace:
             pre = preprocess(source)
             if state is not None:
                 reduced = self._reduced_parse(path, state, pre, quals)
+            trees: Dict[int, FuncDef] = {}
+            statements: Dict[int, List[int]] = {}
             if reduced is not None:
-                unit, program, extents, blanked = reduced
+                unit, program, extents, blanked, trees, statements = reduced
                 interface = state.interface
                 todo = {f.name for f in program.functions} - blanked
             else:
@@ -813,10 +893,12 @@ class Workspace:
             # function boundaries, so replay would not be sound.
             fingerprints: Dict[str, str] = {}
             old = state.functions if state is not None else {}
+            replay: Dict[str, _FunctionRecord] = {}
             if keep and not unit.errors:
                 if reduced is None:
                     extents = body_extents(pre.text, unit._bodies)
                     interface = _fingerprint.interface_digest(program)
+                names = [entry[0] for entry in unit._bodies]
                 fingerprints = _fingerprint.unit_function_fingerprints(
                     program,
                     env,
@@ -829,6 +911,10 @@ class Workspace:
                     for name, digest in fingerprints.items()
                     if name not in old or old[name].fingerprint != digest
                 }
+                if old:
+                    replay = _replayed(
+                        program, changed, state, pre.text, dict(zip(names, extents))
+                    )
             else:
                 changed = {f.name for f in program.functions}
             checker = QualifierChecker(
@@ -854,7 +940,7 @@ class Workspace:
                         dataflow=check_report.dataflow.get(name, {}),
                     )
                 else:
-                    records[name] = old[name]
+                    records[name] = replay[name]
             replayed = len(records) - len(changed)
             self.counters["functions_checked"] += len(changed)
             self.counters["functions_replayed"] += replayed
@@ -874,8 +960,11 @@ class Workspace:
                         text=pre.text,
                         defines=pre.defines,
                         bodies=extents,
+                        names=names,
                         typedefs=unit._typedefs,
                         interface=interface,
+                        trees=trees,
+                        statements=statements,
                     ),
                 )
             return _check_result(path, records, unit.errors, len(changed))
@@ -883,43 +972,82 @@ class Workspace:
         return worker
 
     def _reduced_parse(self, path: str, state: _UnitState, pre, quals):
-        """Parse and lower ``pre.text`` with every body the edit did not
-        touch blanked (:func:`repro.cfront.bodies.reduce_text`), or
-        return None when the reduced program may differ from a full
-        parse outside the kept bodies.  It stands in for the full parse
-        only if the macro table is unchanged, the reduced parse has no
-        errors and finds every blanked body where it was put, and the
-        typedefs (a blanked body may use one), the interface digest and
-        the function names in program order equal the stored ones.
+        """Parse and lower a reduced copy of ``pre.text``
+        (:func:`repro.cfront.bodies.reduce_text`), or return None when
+        the reduced program may differ from a full parse outside the
+        re-parsed code.  The copy first splices statements into a body
+        whose tree ``state`` kept, when the edit lies inside it; if
+        that fails a guard, a copy with only the untouched bodies
+        blanked is tried.  Either stands in for the full parse only if
+        the macro table is unchanged, the reduced parse has no errors
+        and finds every blanked body where it was put, and the typedefs
+        (a blanked body may use one), the interface digest and the
+        function names in program order equal the stored ones.
         Returns ``(unit, program, body extents, names of the blanked
-        functions)``."""
+        functions, kept trees, their statement starts)``."""
         result = None
         if pre.defines == state.defines:
-            reduced = reduce_text(state.text, pre.text, state.bodies)
-            with obs.span("parse", unit=path, reduced=True):
-                unit = parse_c(
-                    reduced.text,
-                    qualifier_names=quals.names,
-                    run_preprocessor=False,
-                    recover=True,
-                    filename=path,
-                )
-            found = None
-            if not unit.errors and unit._typedefs == state.typedefs:
-                found = blanked_functions(
-                    reduced.text, unit._bodies, reduced.blanked
-                )
-            if found is not None:
-                with obs.span("lower", unit=path, reduced=True):
-                    program = lower_unit(unit)
-                if (
-                    _fingerprint.interface_digest(program) == state.interface
-                    and [f.name for f in program.functions] == list(state.functions)
-                ):
-                    result = (unit, program, *found)
+            reduced = reduce_text(
+                state.text, pre.text, state.bodies, state.statements
+            )
+            result = self._parse_reduced(path, state, reduced, quals)
+            if reduced.splice is not None:
+                if result is None:
+                    reduced = reduce_text(state.text, pre.text, state.bodies)
+                    result = self._parse_reduced(path, state, reduced, quals)
+                else:
+                    self.counters["bodies_spliced"] += 1
         key = "units_reparsed_partially" if result else "partial_fallbacks"
         self.counters[key] += 1
         return result
+
+    def _parse_reduced(self, path: str, state: _UnitState, reduced, quals):
+        """One reduced parse and lower for :meth:`_reduced_parse`."""
+        with obs.span("parse", unit=path, reduced=True):
+            unit = parse_c(
+                reduced.text,
+                qualifier_names=quals.names,
+                run_preprocessor=False,
+                recover=True,
+                filename=path,
+            )
+        if unit.errors or unit._typedefs != state.typedefs:
+            return None
+        found = blanked_functions(reduced.text, unit._bodies, reduced.blanked)
+        if found is None:
+            return None
+        extents, blanked = found
+        # The definitions, in the order the parser recorded their bodies.
+        defs = [f for f in unit.functions if f.body is not None]
+        splice = reduced.splice
+        if splice is not None:
+            index = splice.index
+            if (
+                len(extents) != len(state.bodies)
+                or extents[index] != splice.extent
+                or not splice_statements(
+                    reduced.text, splice, defs[index], state.trees[index]
+                )
+            ):
+                return None
+        with obs.span("lower", unit=path, reduced=True):
+            program = lower_unit(unit)
+        if (
+            _fingerprint.interface_digest(program) != state.interface
+            or [f.name for f in program.functions] != list(state.functions)
+        ):
+            return None
+        blanked_set = set(reduced.blanked)
+        trees = {
+            index: defs[index]
+            for index, extent in enumerate(extents)
+            if extent not in blanked_set
+        }
+        statements = {
+            index: statement_starts(reduced.text, extents[index][0], tree.body.stmts)
+            for index, tree in trees.items()
+        }
+        return unit, program, extents, blanked, trees, statements
 
     def _proof_cache(self, request: ProveRequest) -> Optional[ProofCache]:
         """The resident proof cache a prove request should run against

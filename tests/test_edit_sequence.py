@@ -1,19 +1,19 @@
 """Edit sequences through one warm incremental workspace.
 
 An edit inside function bodies re-parses a reduced copy of the unit
-with every untouched body blanked (``repro.cfront.bodies``); any other
-edit falls back to a full parse.  Seeded edit sequences run over the
-examples, the dfa and bftpd corpus units, difftest programs and a probe
-unit, and after every edit the incremental report is compared with:
+with every untouched body blanked, and an edit inside a body whose tree
+the last reduced parse kept re-parses only the statements it touches
+(``repro.cfront.bodies``); any other edit falls back to a full parse.
+Seeded edit sequences run over the examples, the dfa and bftpd corpus
+units, difftest programs and a probe unit, and after every edit the
+incremental report is compared with:
 
 * the same workspace with the reduced parse switched off (the full
   incremental path): equal in every field but timings, including the
-  ``incremental`` block and the stale spans of replayed functions;
+  ``incremental`` block;
 * a cold one-shot check: equal in every field but timings and
-  incremental bookkeeping.  Replayed diagnostics keep the spans they
-  were recorded with (docs/serve.md), so once an edit has moved lines
-  the comparison leaves diagnostic locations out, until a broken unit
-  drops the stored state and everything is checked afresh;
+  incremental bookkeeping, diagnostic locations included (replayed
+  diagnostics move with the text);
 * the path the workspace counters say ran, for every edit whose path
   is determined.
 """
@@ -29,6 +29,8 @@ import pytest
 from repro import api
 from repro.cfront import bodies
 from repro.cfront.parser import parse_c
+from repro.cfront.preprocess import preprocess
+from repro.cil.lower import lower_unit
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.corpus import generate_bftpd, generate_dfa_module
 from repro.difftest.generator import GenConfig, ProgramGenerator
@@ -59,7 +61,12 @@ int pos twice(int pos a) {
 }
 """
 
-PARTIAL, FALLBACK, FULL = "partial", "fallback", "full"
+#: The paths a re-check can take: a reduced parse that spliced
+#: statements into a kept body, one that blanked only whole bodies, a
+#: guard's fallback to the full parse, and a full parse with nothing
+#: stored to reduce against.  PARTIAL is either reduced path.
+SPLICE, BODY, FALLBACK, FULL = "splice", "body", "fallback", "full"
+PARTIAL = "partial"
 
 
 def _sources():
@@ -86,6 +93,9 @@ _LITERAL = re.compile(r"(?<![\w.'\"])\d+(?![\w.])")
 _GLOBAL = re.compile(r"^int (pos )?(\w+)( = [^;]*)?;$")
 _FUNC_HEAD = re.compile(r"^int (pos )?(\w+)\(")
 _PARAM = re.compile(r"\(int (\w+)([,)])")
+#: A line holding one simple statement, and one holding two.
+_SIMPLE = re.compile(r"  [^ {};][^{};]*;")
+_TWO = re.compile(r"  [^ {};][^{};]*; [^ {};][^{};]*;")
 
 
 class Editor:
@@ -98,6 +108,7 @@ class Editor:
         self.rng = rng
         self.serial = 0
         self.added = []  # names of functions this editor appended
+        self.last = None  # the function whose body was edited last
 
     # -- where things are ---------------------------------------------------
 
@@ -107,8 +118,23 @@ class Editor:
     def _bodies(self):
         """(first interior line, last interior line + 1) of every
         body, 0-based, from a parse of the current text."""
+        return list(self._named().values())
+
+    def _named(self):
+        """``_bodies`` by function name."""
         unit = parse_c(self.text, qualifier_names=NAMES, recover=True)
-        return [(ol, cl - 1) for _name, ol, _oc, cl, _cc in unit._bodies if cl - 1 > ol]
+        return {
+            name: (ol, cl - 1)
+            for name, ol, _oc, cl, _cc in unit._bodies
+            if cl - 1 > ol
+        }
+
+    def _last_body(self):
+        """The body edited last, or a random one."""
+        named = self._named()
+        if self.last not in named:
+            self.last = self.rng.choice(sorted(named))
+        return named[self.last]
 
     def _top_level_lines(self):
         inside = set()
@@ -122,12 +148,12 @@ class Editor:
 
     # -- in-body edits ------------------------------------------------------
 
-    def _literal_in(self, body):
+    def _literal_in(self, body, where=lambda line: True):
         lines = self._lines()
         spots = [
             (i, m)
             for i in range(*body)
-            if "case" not in lines[i]
+            if "case" not in lines[i] and where(lines[i])
             for m in _LITERAL.finditer(lines[i])
         ]
         if not spots:
@@ -162,11 +188,78 @@ class Editor:
         return True
 
     def literal(self):
-        bodies = self._bodies()
+        bodies = list(self._named().items())
         self.rng.shuffle(bodies)
-        if not any(self._literal_in(body) for body in bodies):
-            self._insert_in(bodies[0])
+        for name, body in bodies:
+            if self._literal_in(body):
+                self.last = name
+                return PARTIAL
+        self.last = bodies[0][0]
+        self._insert_in(bodies[0][1])
         return PARTIAL
+
+    def again(self):
+        """Another literal edit in the body edited last: the loop an
+        editor runs in one long body.  Once a reduced parse kept that
+        body's tree, it splices."""
+        if not self._literal_in(self._last_body()):
+            return self.literal()
+        return PARTIAL
+
+    def nested(self):
+        """A literal inside a nested ``if``, ``switch`` or loop (a line
+        indented past the body's own statements): the splice re-parses
+        the whole top-level statement around it."""
+        nested = re.compile(r"    ").match
+        if not self._literal_in(self._last_body(), nested):
+            return self.again()
+        return PARTIAL
+
+    def after_decl(self):
+        """A literal in a statement that follows a local declaration of
+        its body: the declaration is kept, so lowering the spliced body
+        must still see it."""
+        first, end = self._last_body()
+        lines = self._lines()
+        decls = [i for i in range(first, end) if lines[i].startswith("  int ")]
+        if not decls or not self._literal_in((decls[0] + 1, end)):
+            return self.again()
+        return PARTIAL
+
+    def one_line(self):
+        """Two statements on one line: join two simple statement lines
+        of the body edited last (a newline goes, so no splice), or, once
+        such a line exists, edit a literal in it."""
+        first, end = self._last_body()
+        if self._literal_in((first, end), _TWO.fullmatch):
+            return PARTIAL
+        lines = self._lines()
+        spots = [
+            i
+            for i in range(first, end - 1)
+            if _SIMPLE.fullmatch(lines[i]) and _SIMPLE.fullmatch(lines[i + 1])
+            and not lines[i + 1].startswith("  else")
+        ]
+        if not spots:
+            return self.again()
+        i = self.rng.choice(spots)
+        lines[i : i + 2] = [lines[i] + " " + lines[i + 1].strip()]
+        self.text = "\n".join(lines)
+        return BODY
+
+    def newline(self):
+        """Add a line break inside the body edited last, after one of
+        its statements: a splice needs the newline count kept, so this
+        takes the body-level path."""
+        first, end = self._last_body()
+        lines = self._lines()
+        spots = [i for i in range(first, end) if lines[i].rstrip().endswith(";")]
+        if not spots:
+            return self.again()
+        i = self.rng.choice(spots)
+        lines[i] = lines[i].rstrip() + "\n"
+        self.text = "\n".join(lines)
+        return BODY
 
     def insert(self):
         self._insert_in(self.rng.choice(self._bodies()))
@@ -315,13 +408,12 @@ class Editor:
 
 
 SEQUENCE = (
-    "literal", "insert", "two_bodies", "global_", "literal", "signature",
-    "typedef", "add", "literal", "rename", "insert", "local_decl", "repair",
-    "delete", "param", "syntax", "repair", "remove", "two_bodies", "literal",
+    "literal", "again", "nested", "again", "insert", "two_bodies", "global_",
+    "literal", "signature", "typedef", "add", "literal", "again",
+    "after_decl", "rename", "one_line", "again", "one_line", "again",
+    "insert", "local_decl", "repair", "delete", "param", "syntax", "repair",
+    "remove", "two_bodies", "literal", "again", "newline", "again", "again",
 )
-
-#: Edit kinds that can move lines below them.
-SHIFTS = {"insert", "delete", "add", "remove", "local_decl", "syntax", "repair"}
 
 
 # ------------------------------------------------------------- comparison
@@ -342,16 +434,11 @@ def _timeless(payload: dict) -> dict:
     return out
 
 
-def _cold_shape(payload: dict, spans: bool) -> dict:
+def _cold_shape(payload: dict) -> dict:
     out = _timeless(payload)
     out.pop("incremental", None)
     for unit in out.get("units", ()):
         unit.get("detail", {}).pop("incremental", None)
-        if not spans:
-            for diag in unit.get("diagnostics", ()):
-                if "loc" in diag:
-                    diag["text"] = diag["text"].replace(diag["loc"], "<loc>")
-                    diag["loc"] = "<loc>"
     return out
 
 
@@ -359,14 +446,16 @@ def _counters(ws):
     return (
         ws.counters["units_reparsed_partially"],
         ws.counters["partial_fallbacks"],
+        ws.counters["bodies_spliced"],
     )
 
 
 def _path(before, after):
-    partial = after[0] - before[0]
-    fallback = after[1] - before[1]
-    assert partial + fallback <= 1
-    return PARTIAL if partial else FALLBACK if fallback else FULL
+    partial, fallback, spliced = (b - a for a, b in zip(before, after))
+    assert partial + fallback <= 1 and spliced <= partial
+    if partial:
+        return SPLICE if spliced else BODY
+    return FALLBACK if fallback else FULL
 
 
 def _run_sequences(tmp_path, seeds):
@@ -387,7 +476,6 @@ def _run_sequences(tmp_path, seeds):
                 full.invalidate(path)
                 ws.check(request)
                 full.check(request)
-                stale = False
                 stored = True  # the workspace holds the unit's state
                 for step, kind in enumerate(SEQUENCE):
                     previous = editor.text
@@ -404,19 +492,16 @@ def _run_sequences(tmp_path, seeds):
                         cold = cold_ws.check(request).to_dict()
                     where = f"seed {seed}, {name}, step {step} ({kind})"
                     assert _timeless(warm) == _timeless(reference), where
+                    assert _cold_shape(warm) == _cold_shape(cold), where
                     broken = cold["units"][0]["verdict"] == "ERROR"
-                    stale = stale or kind in SHIFTS
-                    assert _cold_shape(warm, not stale) == _cold_shape(
-                        cold, not stale
-                    ), where
-                    if broken and expect == PARTIAL:
+                    if broken and expect in (PARTIAL, BODY):
                         expect = FALLBACK
                     if not stored and expect is not None:
                         expect = FULL  # nothing stored to reduce against
-                    if broken:
-                        stale = False  # the next check starts from scratch
                     stored = not broken
-                    if expect is not None:
+                    if expect == PARTIAL:
+                        assert took in (SPLICE, BODY), where
+                    elif expect is not None:
                         assert took == expect, where
                     paths_seen.add(took)
     finally:
@@ -426,7 +511,7 @@ def _run_sequences(tmp_path, seeds):
 
 
 def test_edit_sequences_match_full_and_cold_checks(tmp_path):
-    assert _run_sequences(tmp_path, seeds=(0, 1)) == {PARTIAL, FALLBACK, FULL}
+    assert _run_sequences(tmp_path, seeds=(0, 1)) == {SPLICE, BODY, FALLBACK, FULL}
 
 
 def test_counters_reach_workspace_stats(tmp_path):
@@ -499,7 +584,72 @@ def test_a_function_defined_twice_is_broken_warm_and_cold(tmp_path):
     )
     warm_texts = [d["text"] for d in warm["units"][0]["diagnostics"]]
     assert not any("x requires pos" in text for text in warm_texts)
-    assert _cold_shape(warm, spans=True) == _cold_shape(cold, spans=True)
+    assert _cold_shape(warm) == _cold_shape(cold)
+
+
+def test_a_second_edit_in_one_body_splices(tmp_path):
+    """The first edit in ``twice`` blanks the other bodies and keeps
+    its tree; the second splices the statement it touches between the
+    kept ones; a signature edit then falls back to the full parse."""
+    path = tmp_path / "u.c"
+    path.write_text(PROBE, encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+    # (old, new, counters after the edit, functions re-checked)
+    steps = [
+        ("a - 5", "a - 6", (1, 0, 0), 1),
+        ("a - 6", "a - 7", (2, 0, 1), 1),
+        ("int pos next", "int next", (2, 1, 1), 3),
+    ]
+    text = PROBE
+    with api.Workspace(incremental=True) as ws:
+        ws.check(request)
+        for old, new, counters, rechecked in steps:
+            text = text.replace(old, new)
+            path.write_text(text, encoding="utf-8")
+            warm = ws.check(request).to_dict()
+            with api.Workspace() as cold_ws:
+                cold = cold_ws.check(request).to_dict()
+            assert _cold_shape(warm) == _cold_shape(cold), new
+            assert _counters(ws) == counters, new
+            inc = warm["units"][0]["detail"]["incremental"]
+            assert inc["rechecked"] == rechecked, new
+        assert ws.stats()["counters"]["bodies_spliced"] == 1
+
+
+@pytest.mark.parametrize(
+    "edits, rechecked",
+    [
+        # Two lines on top: every replayed diagnostic moves down.
+        ([("void f()", "\n\nvoid f()")], 0),
+        # Whitespace inside a body: same fingerprint, moved columns.
+        ([("void f() { int", "void f() {   int")], 0),
+        # An edit in g moves h, on the same line, to the right.
+        ([("z = 1;", "z = 100;")], 1),
+        # Edits in g and k: h lies inside the changed span, but its
+        # body is unchanged, so its diagnostic moves with it.
+        ([("z = 1;", "z = 100;"), ("w = 3;", "w = 300;")], 2),
+    ],
+)
+def test_replayed_diagnostics_move_with_the_text(tmp_path, edits, rechecked):
+    text = (
+        "void f() { int pos x = -1; }\n"
+        "void g() { int z = 1; } void h() { int pos y = -2; }"
+        " void k() { int w = 3; }\n"
+    )
+    path = tmp_path / "u.c"
+    path.write_text(text, encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+    with api.Workspace(incremental=True) as ws:
+        ws.check(request)
+        for old, new in edits:
+            text = text.replace(old, new, 1)
+        path.write_text(text, encoding="utf-8")
+        warm = ws.check(request).to_dict()
+    with api.Workspace() as cold_ws:
+        cold = cold_ws.check(request).to_dict()
+    assert len(cold["units"][0]["diagnostics"]) == 2
+    assert _cold_shape(warm) == _cold_shape(cold)
+    assert warm["units"][0]["detail"]["incremental"]["rechecked"] == rechecked
 
 
 @pytest.mark.parametrize("kind", ["literal", "two_bodies"])
@@ -572,3 +722,86 @@ def test_a_blanked_body_the_parse_did_not_find_rejects_the_reduced_parse():
     assert bodies.blanked_functions(text, unit._bodies, [extent]) == ([extent], {"f"})
     moved = (extent[0] + 1, extent[1])
     assert bodies.blanked_functions(text, unit._bodies, [moved]) is None
+
+
+def _trees(text):
+    """A parse of ``text``, its body extents, its definitions and where
+    each definition's top-level statements start."""
+    unit = parse_c(text, qualifier_names=NAMES, run_preprocessor=False, filename="u.c")
+    extents = bodies.body_extents(text, unit._bodies)
+    defs = [f for f in unit.functions if f.body is not None]
+    starts = {
+        i: bodies.statement_starts(text, extents[i][0], f.body.stmts)
+        for i, f in enumerate(defs)
+    }
+    return unit, extents, defs, starts
+
+
+def test_a_spliced_body_equals_a_full_parse():
+    """Seeded in-body edits of every source: wherever ``reduce_text``
+    splices, the spliced ``FuncDef`` equals a full parse's, ``loc``s
+    included, and statement starts agree with a fresh parse's."""
+    spliced = 0
+    for name, text, _flow in _sources():
+        rng = random.Random(f"splice:{name}")
+        editor = Editor(text, rng)
+        for _ in range(12):
+            old = preprocess(editor.text).text
+            _unit, extents, defs, starts = _trees(old)
+            getattr(editor, rng.choice(["again", "nested", "one_line", "after_decl"]))()
+            new = preprocess(editor.text).text
+            reduced = bodies.reduce_text(old, new, extents, starts)
+            if reduced.splice is None:
+                continue
+            index = reduced.splice.index
+            parsed, found, parsed_defs, _starts = _trees(reduced.text)
+            func = parsed_defs[index]
+            assert found[index] == reduced.splice.extent
+            assert bodies.splice_statements(
+                reduced.text, reduced.splice, func, defs[index]
+            )
+            full, _extents, full_defs, full_starts = _trees(new)
+            assert func == full_defs[index], (name, func.name)
+            assert bodies.statement_starts(
+                new, found[index][0], func.body.stmts
+            ) == full_starts[index]
+            spliced += 1
+    assert spliced >= 40
+
+
+def test_a_splice_declines_edits_it_cannot_stand_for():
+    body = "int f(int a) {\n  int b = a;\n  if (b) b = 1;\n  b = 2;\n  return b;\n}\n"
+    _unit, extents, _defs, starts = _trees(body)
+
+    def splice(new):
+        return bodies.reduce_text(body, new, extents, starts).splice
+
+    edited = splice(body.replace("b = 2", "b = 3"))
+    assert edited is not None and (edited.head, edited.tail) == (2, 1)
+    # A newline more: the kept statements' lines would move.
+    assert splice(body.replace("b = 2;", "b =\n 2;")) is None
+    # Outside the body: nothing to splice into.
+    assert splice(body.replace("int a", "int c")) is None
+    # The last kept statement before the edit is an if, and the edit
+    # makes the text after it an else branch: only the reduced parse
+    # of the touched statement can tell, so the splice is refused there.
+    else_text = body.replace("  b = 2;", "  else;")
+    reduced = bodies.reduce_text(body, else_text, extents, starts)
+    parsed, _found, parsed_defs, _starts = _trees(reduced.text)
+    assert not bodies.splice_statements(
+        reduced.text, reduced.splice, parsed_defs[0], _defs[0]
+    )
+
+
+def test_lowering_and_checking_leave_the_tree_as_parsed():
+    """A spliced body shares statements with the tree kept from the
+    last parse, so nothing downstream may mutate the tree."""
+    quals = standard_qualifiers()
+    from repro.core.checker.typecheck import QualifierChecker
+
+    for _name, text, flow in _sources():
+        unit = parse_c(text, qualifier_names=NAMES, filename="u.c")
+        before = copy.deepcopy((unit.structs, unit.globals, unit.functions))
+        program = lower_unit(unit)
+        QualifierChecker(program, quals, flow_sensitive=flow).check()
+        assert (unit.structs, unit.globals, unit.functions) == before

@@ -333,7 +333,10 @@ echo "== serve smoke: daemon up, incremental re-check, clean shutdown"
 cat > "$tmpdir/serve_unit.c" <<'EOF'
 int add1(int x) { return x + 1; }
 int dbl(int y) { return y * 2; }
-int idf(int z) { return z; }
+int idf(int z) {
+  int w = z;
+  return w;
+}
 EOF
 python -m repro serve --socket "$tmpdir/serve.sock" \
     > "$tmpdir/serve.log" 2>&1 &
@@ -353,17 +356,39 @@ python -m repro check "$tmpdir/serve_unit.c" \
 cat > "$tmpdir/serve_unit.c" <<'EOF'
 int add1(int x) { return x + 1; }
 int dbl(int y) { return y * 2; }
-int idf(int z) { return z + 0; }
+int idf(int z) {
+  int w = z + 0;
+  return w;
+}
 EOF
 python -m repro check "$tmpdir/serve_unit.c" \
     --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve2.json"
+# A second edit inside idf: the last reduced parse kept idf's tree, so
+# only the touched statement is re-parsed and spliced in.
+cat > "$tmpdir/serve_unit.c" <<'EOF'
+int add1(int x) { return x + 1; }
+int dbl(int y) { return y * 2; }
+int idf(int z) {
+  int pos w = z + 1;
+  return w;
+}
+EOF
+# Both checks report a warning (exit 1) for w's initializer.
+python -m repro check "$tmpdir/serve_unit.c" \
+    --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve_splice.json" \
+    || test $? -eq 1
+python -m repro check "$tmpdir/serve_unit.c" --format json \
+    > "$tmpdir/local_splice.json" || test $? -eq 1
 # A signature edit: the reduced re-parse must fall back to a full one.
 cat > "$tmpdir/serve_unit.c" <<'EOF'
 int add1(int x) { return x + 1; }
 int pos dbl(int y) { return y * 2; }
-int idf(int z) { return z + 0; }
+int idf(int z) {
+  int pos w = z + 1;
+  return w;
+}
 EOF
-# Both checks report a warning (exit 1) for dbl's return.
+# Both checks report warnings (exit 1): dbl's return and w.
 python -m repro check "$tmpdir/serve_unit.c" \
     --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve3.json" \
     || test $? -eq 1
@@ -391,8 +416,8 @@ def strip(report):
     return report
 
 
-first, second, third, local, status = (
-    json.load(open(path)) for path in sys.argv[1:6]
+first, second, spliced, local_spliced, third, local, status = (
+    json.load(open(path)) for path in sys.argv[1:8]
 )
 for report in (first, second):
     assert report["schema_version"] == 1, report["schema_version"]
@@ -402,21 +427,29 @@ assert first["incremental"]["rechecked"] == 3, first["incremental"]
 # the edit touched one function body: only it re-checked
 assert second["incremental"]["rechecked"] == 1, second["incremental"]
 assert second["incremental"]["replayed"] == 2, second["incremental"]
+# the second edit inside idf spliced one statement: idf alone re-checked
+assert spliced["incremental"]["rechecked"] == 1, spliced["incremental"]
+assert [u["verdict"] for u in spliced["units"]] == ["WARNINGS"], spliced["units"]
+assert strip(spliced) == strip(local_spliced), "spliced report drifted from one-shot"
 # the signature edit changed the interface: everything re-checked
 assert third["incremental"]["rechecked"] == 3, third["incremental"]
 assert [u["verdict"] for u in third["units"]] == ["WARNINGS"], third["units"]
 assert strip(third) == strip(local), "served report drifted from one-shot"
 counters = status["workspaces"][0]["counters"]
-assert counters["functions_replayed"] == 2, counters
-assert counters["functions_checked"] == 7, counters
-# the body edit took the reduced re-parse, the signature edit fell back
-assert counters["units_reparsed_partially"] == 1, counters
+assert counters["functions_replayed"] == 4, counters
+assert counters["functions_checked"] == 8, counters
+# the body edits took the reduced re-parse (the second one spliced),
+# the signature edit fell back
+assert counters["units_reparsed_partially"] == 2, counters
+assert counters["bodies_spliced"] == 1, counters
 assert counters["partial_fallbacks"] == 1, counters
 assert status["counters"]["errors"] == 0, status["counters"]
 print("   body edit: reduced re-parse, 1 function re-checked, 2 replayed")
+print("   second body edit: statement splice, report identical to one-shot")
 print("   signature edit: full re-parse, report identical to one-shot")
-' "$tmpdir/serve1.json" "$tmpdir/serve2.json" "$tmpdir/serve3.json" \
-  "$tmpdir/local3.json" "$tmpdir/serve_status.json"
+' "$tmpdir/serve1.json" "$tmpdir/serve2.json" "$tmpdir/serve_splice.json" \
+  "$tmpdir/local_splice.json" "$tmpdir/serve3.json" "$tmpdir/local3.json" \
+  "$tmpdir/serve_status.json"
 python -m repro serve --stop --socket "$tmpdir/serve.sock" > /dev/null
 tries=0
 while kill -0 "$serve_pid" 2> /dev/null; do
