@@ -133,23 +133,6 @@ def test_quantified_store_reasoning(benchmark):
     assert result.proved
 
 
-@pytest.mark.benchmark(group="prover")
-def test_session_sweep_standard_library(benchmark):
-    """Full soundness sweep with incremental prover sessions — the
-    number the obligation scheduler's workers see per environment group."""
-    from repro.core.soundness.checker import check_soundness
-    from repro.prover.session import SessionPool
-
-    def run():
-        pool = SessionPool()
-        for qdef in QUALS:
-            check_soundness(qdef, QUALS, time_limit=30, sessions=pool)
-        return pool.counters()
-
-    counters = benchmark.pedantic(run, iterations=1, rounds=3)
-    assert counters["session_reuse"] > 0
-
-
 # --------------------------------------------------------- standalone runner
 
 

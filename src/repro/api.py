@@ -715,9 +715,6 @@ class Workspace:
         self._units: "OrderedDict[Tuple[str, bool], _UnitState]" = OrderedDict()
         self._prove_units: "OrderedDict[str, _ProveUnitState]" = OrderedDict()
         self._caches: Dict[str, ProofCache] = {}
-        # Lazy repro.prover.session.SessionPool, kept so a warm daemon
-        # keeps learned solver state across prove requests.
-        self._session_pool = None
 
     # ------------------------------------------------------------ loading
 
@@ -1093,10 +1090,6 @@ class Workspace:
         self.counters["requests"] += 1
         retry = RetryPolicy(max_attempts=request.retries + 1)
         cache = self._proof_cache(request)
-        if self._session_pool is None:
-            from repro.prover.session import SessionPool
-
-            self._session_pool = SessionPool()
         prof = _start_profile(request)
         start = time.perf_counter()
         try:
@@ -1172,7 +1165,6 @@ class Workspace:
                 time_limit=request.time_limit,
                 retry=retry,
                 cache=cache,
-                sessions=self._session_pool,
                 on_event=on_event,
             )
 

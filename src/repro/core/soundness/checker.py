@@ -224,7 +224,6 @@ def check_soundness(
     deadline: Optional[Deadline] = None,
     cache=None,
     on_result=None,
-    sessions=None,
 ) -> SoundnessReport:
     """Prove every obligation of one qualifier definition.
 
@@ -250,13 +249,10 @@ def check_soundness(
     while the report is still being built.  Callback errors are
     swallowed: progress reporting must never change a verdict.
 
-    ``sessions`` enables incremental prover sessions: pass a
-    :class:`repro.prover.session.SessionPool` to share solver state
-    across calls, or ``True`` for a pool local to this call.  Learned
-    theory conflicts, the encoded axiom base, and E-matching triggers
-    are then reused across the obligations of this qualifier's axiom
-    environment (see docs/architecture.md, "obligation lifecycle");
-    PROVED/REFUTED verdicts are unaffected by design.
+    Every obligation gets a fresh :class:`~repro.prover.prover.Prover`:
+    this is the cold reference the obligation scheduler's per-group
+    prover sessions are tested against (docs/architecture.md, "The
+    obligation lifecycle").
     """
     if quals is None:
         quals = QualifierSet([qdef])
@@ -281,24 +277,12 @@ def check_soundness(
             except Exception:
                 pass
 
-    session = None
-    if sessions is not None and sessions is not False:
-        from repro.prover.session import SessionPool
-
-        pool = sessions if isinstance(sessions, SessionPool) else SessionPool()
-        session = pool.get(
-            axioms,
-            context=qdef.source,
-            max_rounds=max_rounds,
-            time_limit=time_limit,
-        )
     for obligation in obligations:
         settle(
             discharge_obligation(
                 obligation,
                 qdef.source,
                 axioms,
-                session=session,
                 max_rounds=max_rounds,
                 time_limit=time_limit,
                 retry=retry,

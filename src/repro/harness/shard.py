@@ -4,9 +4,9 @@ The parent generates
 :class:`~repro.core.soundness.workitems.ObligationWorkItem`s for every
 unit and hands them to :func:`run_obligations`, which groups them by
 axiom-environment digest (all obligations of a group share one
-:class:`~repro.prover.session.ProverSession`, taken from the caller's
-:class:`~repro.prover.session.SessionPool`) and runs the groups as
-synthetic units of the batch engine.  With ``jobs > 1`` the groups are
+:class:`~repro.prover.session.ProverSession`, built when the group
+starts and dropped when it ends) and runs the groups as synthetic
+units of the batch engine.  With ``jobs > 1`` the groups are
 packed, longest first by obligation count, into at most ``jobs``
 *chunks*, one pool child each; otherwise every group is its own unit
 and runs in process.  Workers stream one progress event per settled
@@ -47,7 +47,7 @@ from repro.harness.watchdog import (
     DeadlineExceeded,
     RetryPolicy,
 )
-from repro.prover.session import SessionPool
+from repro.prover.session import COUNTERS, ProverSession
 
 #: Worker deaths one obligation may cause before it is quarantined.
 MAX_OBLIGATION_DEATHS = 2
@@ -64,20 +64,18 @@ def run_obligations(
     max_rounds: int = 6,
     retry: RetryPolicy = NO_RETRY,
     cache=None,
-    sessions: Optional[SessionPool] = None,
     on_event=None,
     max_obligation_deaths: int = MAX_OBLIGATION_DEATHS,
 ) -> Tuple[Dict[str, Dict], Dict]:
     """Discharge every work item; returns (outcomes by item key, stats).
 
-    ``sessions`` is the pool the groups' prover sessions come from (a
-    pool local to this call when None).  ``stats`` carries scheduler
-    counters (groups/rounds/requeued/quarantined, and ``interrupted``
-    when SIGINT/SIGTERM stopped the run; unsettled items then have no
-    outcome), the groups' summed session counters under
-    ``"sessions"``, and their summed proof-cache deltas under
-    ``"cache"`` when a cache is live.  Those deltas are folded into
-    the store's lifetime totals here, once per call.
+    ``stats`` carries scheduler counters (groups/rounds/requeued/
+    quarantined, and ``interrupted`` when SIGINT/SIGTERM stopped the
+    run; unsettled items then have no outcome), the groups' summed
+    session counters under ``"sessions"``, and their summed
+    proof-cache deltas under ``"cache"`` when a cache is live.  Those
+    deltas are folded into the store's lifetime totals here, once per
+    call.
     """
     scheduler = _ObligationScheduler(
         items,
@@ -88,7 +86,6 @@ def run_obligations(
         max_rounds=max_rounds,
         retry=retry,
         cache=cache,
-        sessions=sessions if sessions is not None else SessionPool(),
         on_event=on_event,
         max_obligation_deaths=max_obligation_deaths,
     )
@@ -122,7 +119,6 @@ class _ObligationScheduler:
         max_rounds: int,
         retry: RetryPolicy,
         cache,
-        sessions: SessionPool,
         on_event,
         max_obligation_deaths: int,
     ):
@@ -134,7 +130,6 @@ class _ObligationScheduler:
         self.max_rounds = max_rounds
         self.retry = retry
         self.cache = cache
-        self.sessions = sessions
         self.on_event = on_event
         self.max_obligation_deaths = max_obligation_deaths
         self.outcomes: Dict[str, Dict] = {}
@@ -146,8 +141,10 @@ class _ObligationScheduler:
             "quarantined": 0,
             "obligations": len(self.items),
         }
-        # Zero deltas, so every report carries every counter.
-        self.session_totals: Dict[str, int] = SessionPool().counters()
+        # Zero totals, so every report carries every counter.
+        self.session_totals: Dict[str, int] = dict.fromkeys(
+            ("sessions",) + COUNTERS, 0
+        )
         self.cache_totals: Dict[str, int] = (
             cache.delta(cache.snapshot()) if cache is not None else {}
         )
@@ -291,7 +288,6 @@ class _ObligationScheduler:
         max_rounds = self.max_rounds
         retry = self.retry
         cache = self.cache
-        sessions = self.sessions
         unit_timeout = self.unit_timeout
 
         def worker(unit_name: str, _deadline) -> batch.UnitResult:
@@ -302,14 +298,12 @@ class _ObligationScheduler:
                 first = group[0]
                 batch.restart_unit_clock()
                 deadline = Deadline.after(unit_timeout)
-                session = sessions.get(
+                session = ProverSession(
                     axioms,
                     context=first.context,
                     max_rounds=max_rounds,
                     time_limit=time_limit,
-                    digest=first.env_digest,
                 )
-                counters = dict(session.counters)
                 settled = len(outcomes)
                 with obs.span("prove", qualifier=first.qualifier):
                     try:
@@ -343,13 +337,9 @@ class _ObligationScheduler:
                             self._timeout_outcome(item)
                             for item in group[len(outcomes) - settled:]
                         )
-                # A SessionPool counter delta ("resets" is pool-internal).
                 totals["sessions"] = totals.get("sessions", 0) + 1
                 for key, value in session.counters.items():
-                    if key != "resets":
-                        totals[key] = (
-                            totals.get(key, 0) + value - counters.get(key, 0)
-                        )
+                    totals[key] = totals.get(key, 0) + value
             detail: Dict = {"outcomes": outcomes, "session": totals}
             if cache is not None:
                 detail["cache"] = cache.delta(before)

@@ -26,7 +26,7 @@ from repro.core.soundness.obligations import generate_obligations
 from repro.difftest.oracles import DdminProver, ddmin_check
 from repro.prover import combine
 from repro.prover.prover import Prover
-from repro.prover.session import ProverSession, SessionPool
+from repro.prover.session import ProverSession
 from repro.prover.terms import Eq, Int, fn
 
 QUALS = standard_qualifiers()
@@ -168,10 +168,18 @@ class TestSessionWarmForest:
         with pytest.raises(TypeError):
             ProverSession(AXIOMS, explain=False)
         with pytest.raises(TypeError):
-            SessionPool().get(AXIOMS, explain=False)
-        with pytest.raises(TypeError):
             Prover(explain=False)
         assert not hasattr(ProverSession, "set_explain")
+
+    def test_sessions_are_not_an_option(self):
+        """Each qualifier group builds its own session; no caller can
+        hand the scheduler or the cold reference a shared one."""
+        from repro.harness.shard import run_obligations
+
+        with pytest.raises(TypeError):
+            run_obligations([], AXIOMS, sessions=None)
+        with pytest.raises(TypeError):
+            check_soundness(QUALS.get("pos"), QUALS, sessions=True)
 
 
 class TestExplainVsDdminOracle:

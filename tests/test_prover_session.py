@@ -1,13 +1,12 @@
-"""Incremental prover sessions: verdict identity and state lifecycle.
+"""Prover sessions: verdict identity and state lifecycle.
 
 The session layer's whole contract is "faster, never different": a
-:class:`ProverSession` may transfer learned theory cores, memoized
-theory checks, and cached triggers across the obligations of one axiom
-environment, but PROVED/REFUTED verdicts must be exactly those of a
-cold prover, in any discharge order.  These tests pin that contract
-plus the lifecycle rules (reset on environment change, pool eviction)
-and that sessions are no longer optional: the retired ``--no-session``
-flag and ``session`` request field are refused.
+:class:`ProverSession` may transfer learned theory cores and cached
+triggers across the obligations of one qualifier group, but
+PROVED/REFUTED verdicts must be exactly those of a cold prover, in any
+discharge order.  These tests pin that contract, that seeding never
+mints atoms, and that sessions are no longer optional: the retired
+``--no-session`` flag and ``session`` request field are refused.
 """
 
 import random
@@ -17,13 +16,12 @@ import pytest
 from repro import api
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.core.soundness.axioms import semantics_axioms
-from repro.core.soundness.checker import check_soundness
 from repro.core.soundness.workitems import (
     discharge_work_item,
     generate_work_items,
 )
 from repro.prover.cnf import ClauseDb
-from repro.prover.session import ProverSession, SessionPool
+from repro.prover.session import ProverSession
 
 QUALS = standard_qualifiers()
 AXIOMS = semantics_axioms()
@@ -110,49 +108,13 @@ class TestVerdictIdentity:
                     f"{item.key}"
                 )
 
-    def test_check_soundness_sessions_hook(self):
-        """check_soundness(sessions=pool) reports exactly what the
-        plain path reports, while the pool records the reuse."""
-        pool = SessionPool()
-        for qdef in QUALS:
-            plain = check_soundness(qdef, QUALS, time_limit=15)
-            pooled = check_soundness(
-                qdef, QUALS, time_limit=15, sessions=pool
-            )
-            assert [
-                (r.obligation.rule, r.verdict, r.proved)
-                for r in plain.results
-            ] == [
-                (r.obligation.rule, r.verdict, r.proved)
-                for r in pooled.results
-            ]
-        counters = pool.counters()
-        assert counters["sessions"] == len(pool.sessions())
-        assert counters["session_reuse"] > 0
-
 
 class TestLifecycle:
-    def test_pool_keys_sessions_by_environment(self):
-        pool = SessionPool()
-        a1 = pool.get(AXIOMS, context="qual A")
-        b = pool.get(AXIOMS, context="qual B")
-        a2 = pool.get(AXIOMS, context="qual A")
-        assert a1 is a2
-        assert a1 is not b
-        assert a1.env_digest != b.env_digest
-
-    def test_pool_eviction_bounds_resident_state(self):
-        pool = SessionPool(max_sessions=2)
-        for n in range(4):
-            pool.get(AXIOMS, context=f"qual {n}")
-        assert len(pool.sessions()) == 2
-        assert pool.evictions == 2
-
     def test_workspace_session_deltas_never_negative(self, tmp_path):
-        """More qualifiers than the pool holds, through one Workspace:
-        the first unit's 8 sessions (3 proofs each) are evicted by the
-        one-clause units after it, and the run-level counters still
-        count every proof."""
+        """Twelve qualifier groups through one Workspace (one unit of
+        8 three-clause qualifiers, then four one-clause units): each
+        group's session is dropped when the group ends, and the
+        run-level counters still count every proof."""
         clauses = (
             "      decl int Const C:\n"
             "        C, where C > {k}\n"
@@ -190,23 +152,8 @@ class TestLifecycle:
             value >= 0 for value in sessions.values()
         ), sessions
         assert sessions["proofs"] == 28
+        assert sessions["sessions"] == 12
         assert all("sessions" not in r.detail for r in report.results)
-
-    def test_rebind_drops_learned_state(self):
-        items = [i for i in _work_items({"pos"}) if not i.trivial]
-        session = ProverSession(
-            AXIOMS, context=items[0].context, time_limit=15
-        )
-        for item in items:
-            discharge_work_item(item, AXIOMS, session=session, time_limit=15)
-        assert session.counters["cores_learned"] > 0
-        old_digest = session.env_digest
-        session.rebind(AXIOMS, context="a different environment")
-        assert session.env_digest != old_digest
-        assert session.counters["resets"] == 1
-        assert session._cores == []
-        assert session._base is None
-        assert not session._memo and not session.trigger_cache
 
     def test_seeding_never_mints_atoms(self):
         """A core whose atoms are absent from the target db must not be

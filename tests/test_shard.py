@@ -301,20 +301,8 @@ class TestShardedProve:
     ):
         """``--jobs 1`` and ``--jobs 2`` print the same report, minus
         timings, with the proof cache on or off and on one-shot or
-        incremental workspaces; with the cache on, its lifetime totals
-        agree too.  A repeat request on the same workspace agrees on
-        every verdict and run-level block but ``sessions``: at ``jobs``
-        1 the workspace's sessions are warm from the first request (so
-        the summaries' conflict counts drop), while pool children start
-        from the parent's."""
-
-        def repeat_view(payload):
-            payload.pop("sessions")
-            for unit in payload["units"]:
-                for entry in (unit.get("detail") or {}).get("qualifiers", ()):
-                    entry.pop("summary")
-            return payload
-
+        incremental workspaces, for a first and a repeat request on one
+        workspace; with the cache on, its lifetime totals agree too."""
         cache_dir = str(tmp_path / "cache")
         runs = {}
         for jobs in (1, 2):
@@ -324,7 +312,7 @@ class TestShardedProve:
             )
             with api.Workspace(incremental=incremental) as ws:
                 first = ws.prove(request).to_dict()
-                repeat = repeat_view(ws.prove(request).to_dict())
+                repeat = ws.prove(request).to_dict()
             lifetime = api.cache_stats(cache_dir)["lifetime"]
             runs[jobs] = json.dumps(_scrub([first, repeat, lifetime]))
         assert runs[1] == runs[2]

@@ -396,8 +396,20 @@ python -m repro check "$tmpdir/serve_unit.c" --format json \
     > "$tmpdir/local3.json" || test $? -eq 1
 python -m repro serve --status --socket "$tmpdir/serve.sock" \
     > "$tmpdir/serve_status.json"
+# A warm prove reports what a cold one does: prove a two-qualifier
+# unit through the daemon, move one rule constant of neg, and prove it
+# again.  pos's group is proved a second time on the warm workspace.
+cp examples/posneg.qual "$tmpdir/serve_defs.qual"
+python -m repro prove "$tmpdir/serve_defs.qual" --no-cache \
+    --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve_prove1.json"
+sed -i "s/C, where C < 0/C, where C < -1/" "$tmpdir/serve_defs.qual"
+grep -q "C < -1" "$tmpdir/serve_defs.qual"
+python -m repro prove "$tmpdir/serve_defs.qual" --no-cache \
+    --server "$tmpdir/serve.sock" --format json > "$tmpdir/serve_prove2.json"
+python -m repro prove "$tmpdir/serve_defs.qual" --no-cache --format json \
+    > "$tmpdir/local_prove2.json"
 python -c '
-import json, sys
+import json, re, sys
 
 
 def strip(report):
@@ -411,6 +423,11 @@ def strip(report):
             detail["dataflow"]["totals"].pop("ms", None)
             for stats in detail["dataflow"]["functions"].values():
                 stats.pop("ms", None)
+        for entry in detail.get("qualifiers", ()):
+            entry.pop("elapsed", None)
+            entry["summary"] = re.sub(r"[0-9.]+ m?s\b", "_", entry["summary"])
+            for obligation in entry["obligations"]:
+                obligation.pop("elapsed", None)
     if isinstance(report.get("dataflow"), dict):
         report["dataflow"].pop("ms", None)
     return report
@@ -419,6 +436,7 @@ def strip(report):
 first, second, spliced, local_spliced, third, local, status = (
     json.load(open(path)) for path in sys.argv[1:8]
 )
+prove1, prove2, local_prove2 = (json.load(open(p)) for p in sys.argv[8:11])
 for report in (first, second):
     assert report["schema_version"] == 1, report["schema_version"]
     assert report["exit_code"] == 0, report
@@ -447,9 +465,14 @@ assert status["counters"]["errors"] == 0, status["counters"]
 print("   body edit: reduced re-parse, 1 function re-checked, 2 replayed")
 print("   second body edit: statement splice, report identical to one-shot")
 print("   signature edit: full re-parse, report identical to one-shot")
+assert prove1["exit_code"] == prove2["exit_code"] == 0, (prove1, prove2)
+assert prove2["sessions"]["sessions"] == 2, prove2["sessions"]
+assert strip(prove2) == strip(local_prove2), "served re-prove drifted from one-shot"
+print("   edited .qual re-proved warm: report identical to one-shot")
 ' "$tmpdir/serve1.json" "$tmpdir/serve2.json" "$tmpdir/serve_splice.json" \
   "$tmpdir/local_splice.json" "$tmpdir/serve3.json" "$tmpdir/local3.json" \
-  "$tmpdir/serve_status.json"
+  "$tmpdir/serve_status.json" "$tmpdir/serve_prove1.json" \
+  "$tmpdir/serve_prove2.json" "$tmpdir/local_prove2.json"
 python -m repro serve --stop --socket "$tmpdir/serve.sock" > /dev/null
 tries=0
 while kill -0 "$serve_pid" 2> /dev/null; do
