@@ -68,14 +68,21 @@ from repro.cache import DEFAULT_CACHE_DIR
 from repro.harness import batch
 
 
+def _config_params(args) -> dict:
+    """The command's qualifier configuration, keyed by the
+    :class:`repro.api.SessionConfig` fields."""
+    return {
+        "quals": tuple(getattr(args, "quals", None) or ()),
+        "no_std": getattr(args, "no_std", False),
+        "trust_constants": getattr(args, "trust_constants", False),
+    }
+
+
 def _workspace(args) -> api.Workspace:
     """A one-shot workspace for the command's qualifier configuration."""
-    config = api.SessionConfig(
-        quals=tuple(getattr(args, "quals", None) or ()),
-        no_std=getattr(args, "no_std", False),
-        trust_constants=getattr(args, "trust_constants", False),
+    return api.Workspace(
+        api.SessionConfig(**_config_params(args)), incremental=False
     )
-    return api.Workspace(config, incremental=False)
 
 
 def _print_unit_header(path: str, many: bool) -> None:
@@ -133,17 +140,23 @@ def _jsonl_summary(report: api.Report) -> None:
     print(json.dumps(record), flush=True)
 
 
-# ------------------------------------------------------- daemon proxying
+# ------------------------------------------------------- batch commands
+
+#: The request each batch command builds from its params.
+_REQUESTS = {
+    "check": api.CheckRequest,
+    "prove": api.ProveRequest,
+    "infer": api.InferRequest,
+}
 
 
-def _server_params(args, op: str) -> dict:
-    """The serve-protocol ``params`` object equivalent to this parsed
-    command line (see repro/serve/protocol.py)."""
+def _request_params(args, op: str) -> dict:
+    """The command's request, keyed by the fields of its api request
+    (:data:`_REQUESTS`).  With :func:`_config_params` it makes the
+    serve-protocol ``params`` object (see repro/serve/protocol.py), so
+    a served and an in-process run start from the same request."""
     params = {
-        "quals": list(getattr(args, "quals", None) or ()),
-        "no_std": getattr(args, "no_std", False),
-        "trust_constants": getattr(args, "trust_constants", False),
-        "files": list(args.files),
+        "files": tuple(args.files),
         "keep_going": args.keep_going,
         "jobs": args.jobs,
         "unit_timeout": args.unit_timeout,
@@ -163,7 +176,26 @@ def _server_params(args, op: str) -> dict:
     return params
 
 
-def _run_on_server(args, op: str) -> Optional[int]:
+def cmd_batch(args) -> int:
+    """``check``, ``prove`` and ``infer``: proxy to the daemon at
+    ``--server``, or run in process; the report renders the same."""
+    op = args.command
+    params = _request_params(args, op)
+    if getattr(args, "server", None):
+        code = _run_on_server(args, op, {**_config_params(args), **params})
+        if code is not None:
+            return code
+    stream = _jsonl_unit_streamer(op) if args.format == "jsonl" else None
+    try:
+        with _workspace(args) as ws:
+            report = getattr(ws, op)(_REQUESTS[op](**params), on_result=stream)
+    except api.UnknownQualifierError as exc:  # infer's --qualifier
+        print(str(exc), file=sys.stderr)
+        return 2
+    return _RENDERERS[op](args, report)
+
+
+def _run_on_server(args, op: str, params: dict) -> Optional[int]:
     """Proxy one batch command to the daemon at ``args.server``.
 
     Returns the exit code, or ``None`` to fall back to in-process
@@ -188,7 +220,7 @@ def _run_on_server(args, op: str) -> Optional[int]:
         else None
     )
     try:
-        final = client.request(op, _server_params(args, op), on_unit=on_unit)
+        final = client.request(op, params, on_unit=on_unit)
     except serve_client.ServeError as exc:
         if exc.code == "connection-lost" and not exc.mid_stream:
             # The daemon went away before anything streamed: an
@@ -214,29 +246,6 @@ def _run_on_server(args, op: str) -> Optional[int]:
         client.close()
     report = api.report_from_dict(final["report"])
     return _RENDERERS[op](args, report)
-
-
-# ----------------------------------------------------------------- commands
-
-
-def cmd_check(args) -> int:
-    if getattr(args, "server", None):
-        code = _run_on_server(args, "check")
-        if code is not None:
-            return code
-    stream = _jsonl_unit_streamer("check") if args.format == "jsonl" else None
-    with _workspace(args) as ws:
-        report = ws.check(
-            api.CheckRequest(
-                files=tuple(args.files),
-                flow_sensitive=args.flow_sensitive,
-                keep_going=args.keep_going,
-                jobs=args.jobs,
-                unit_timeout=args.unit_timeout,
-            ),
-            on_result=stream,
-        )
-    return _render_check(args, report)
 
 
 def _render_check(args, report: api.Report) -> int:
@@ -271,31 +280,6 @@ def _render_check(args, report: api.Report) -> int:
         print(report.summary())
     _maybe_note_interrupt(report)
     return report.exit_code
-
-
-def cmd_prove(args) -> int:
-    if getattr(args, "server", None):
-        code = _run_on_server(args, "prove")
-        if code is not None:
-            return code
-    with _workspace(args) as ws:
-        report = ws.prove(
-            api.ProveRequest(
-                files=tuple(args.files),
-                qualifier=args.qualifier,
-                time_limit=args.time_limit,
-                retries=args.retries,
-                cache=args.cache,
-                cache_dir=args.cache_dir,
-                keep_going=args.keep_going,
-                jobs=args.jobs,
-                unit_timeout=args.unit_timeout,
-            ),
-            on_result=(
-                _jsonl_unit_streamer("prove") if args.format == "jsonl" else None
-            ),
-        )
-    return _render_prove(args, report)
 
 
 def _render_prove(args, report: api.Report) -> int:
@@ -350,34 +334,6 @@ def cmd_show_ir(args) -> int:
     with _workspace(args) as ws:
         print(ws.show_ir(args.file))
     return 0
-
-
-def cmd_infer(args) -> int:
-    if getattr(args, "server", None):
-        code = _run_on_server(args, "infer")
-        if code is not None:
-            return code
-    try:
-        with _workspace(args) as ws:
-            report = ws.infer(
-                api.InferRequest(
-                    files=tuple(args.files),
-                    qualifier=args.qualifier,
-                    flow_sensitive=args.flow_sensitive,
-                    keep_going=args.keep_going,
-                    jobs=args.jobs,
-                    unit_timeout=args.unit_timeout,
-                ),
-                on_result=(
-                    _jsonl_unit_streamer("infer")
-                    if args.format == "jsonl"
-                    else None
-                ),
-            )
-    except api.UnknownQualifierError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return _render_infer(args, report)
 
 
 def _render_infer(args, report: api.Report) -> int:
@@ -649,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_flags(p_check)
     profile_flags(p_check)
     server_flag(p_check)
-    p_check.set_defaults(fn=cmd_check)
+    p_check.set_defaults(fn=cmd_batch)
 
     p_prove = sub.add_parser(
         "prove", help="soundness-check qualifier definitions"
@@ -689,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_flags(p_prove)
     profile_flags(p_prove)
     server_flag(p_prove)
-    p_prove.set_defaults(fn=cmd_prove)
+    p_prove.set_defaults(fn=cmd_batch)
 
     p_run = sub.add_parser("run", help="execute a C file with runtime checks")
     p_run.add_argument("file")
@@ -712,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_flags(p_infer)
     profile_flags(p_infer)
     server_flag(p_infer)
-    p_infer.set_defaults(fn=cmd_infer)
+    p_infer.set_defaults(fn=cmd_batch)
 
     p_diff = sub.add_parser(
         "difftest",

@@ -498,9 +498,9 @@ def _heartbeat_loop(conn, lock, stop: threading.Event, interval: float) -> None:
 
 
 def _child_entry(
+    conn,
     worker,
     unit,
-    conn,
     unit_timeout,
     recursion_limit,
     attempt: int = 1,
@@ -522,12 +522,10 @@ def _child_entry(
     :mod:`repro.faults`): ``kill`` SIGKILLs the process at unit start,
     ``stall`` silences the heartbeat and sleeps (a hard hang),
     ``drop_pipe`` exits without sending the result.
+
+    Runs under :class:`repro.harness.supervisor.Child`, which sets the
+    child's signal policy first.
     """
-    # The fork inherits the parent's interrupt_guard handlers, which
-    # only set a flag: restore SIGTERM so _reap's terminate() ends the
-    # child, and leave Ctrl-C to the parent, which reaps its children.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _faults.enter_worker()
     fault_key = f"{unit}#{attempt}"
     if _faults.fire("kill", fault_key):
@@ -581,16 +579,3 @@ def _child_entry(
         stop_heartbeat.set()
         conn.close()
 
-
-def _reap(proc) -> None:
-    """Terminate, then kill, then join — never leave an orphan.  Also
-    joins an already-exited child so its process-table entry (zombie)
-    is collected."""
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(timeout=1.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=1.0)
-    if not proc.is_alive():
-        proc.join(timeout=1.0)

@@ -1,4 +1,13 @@
-"""Worker-pool supervision: retry, backoff, quarantine, reaping.
+"""Worker-pool supervision: retry, backoff, quarantine, reaping, and
+the one supervised-child primitive.
+
+:class:`Child` is the only place a child process is started, judged
+dead and stopped, for the batch pool below and for the ``repro serve``
+workspace workers (:class:`repro.serve.workers.ProcessHost`) alike.
+Its entry sets the one child signal policy before the child's own code
+runs: the default ``SIGTERM`` action, ``SIGINT`` ignored and no signal
+wakeup fd, so a child ends on its first ``SIGTERM`` and a signal to it
+never acts in its parent.
 
 The batch pool used to treat a dead worker as a final ``CRASH``
 verdict.  That is the wrong call for a long-running pipeline: a worker
@@ -57,8 +66,8 @@ interrupt_guard`) stops dispatch, kills what is running, marks the
 rest ``SKIPPED``, and returns the partial report with
 ``meta["interrupted"]`` set — the caller still flushes valid output
 under the normal exit-code contract.  Every child ever spawned is
-joined on the way out, including already-exited ones, so no zombies
-survive the run.
+stopped on the way out (:meth:`Child.stop`), including already-exited
+ones, so no zombies survive the run.
 
 Counters (in ``repro.obs``): ``supervisor.retries``, ``.deaths``,
 ``.hangs``, ``.quarantined``.  The same numbers land in
@@ -71,6 +80,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import signal
 import sys
 import time
 from collections import deque
@@ -87,7 +97,6 @@ from repro.harness.batch import (
     UnitResult,
     Worker,
     _child_entry,
-    _reap,
 )
 
 
@@ -126,6 +135,96 @@ def pool_context():
     spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
+def _child_main(target, conn, args) -> None:
+    """The entry of every :class:`Child`: set the child signal policy,
+    then run ``target(conn, *args)``.
+
+    A fork inherits its parent's Python signal handlers and wakeup fd:
+    the pool's flag-only ``interrupt_guard`` handlers, or a serve
+    daemon's asyncio handlers, whose wakeup fd is the daemon's own
+    self-pipe.  Either would make a ``SIGTERM`` to the child act in the
+    parent instead.  So the child ends on ``SIGTERM``, leaves Ctrl-C
+    to its parent (which stops its children), and writes no signal
+    byte anywhere.  The forking thread is the child's main thread, so
+    all three calls are allowed."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.set_wakeup_fd(-1)
+    target(conn, *args)
+
+
+class Child:
+    """One supervised child process and the parent's end of its pipe.
+
+    The one place a pool child or a serve worker is started, judged
+    dead and stopped.  ``duplex`` and ``daemon`` differ between the two
+    callers: a pool child only sends, and a serve worker may fork a
+    prove pool of its own, which a daemonic process may not."""
+
+    def __init__(
+        self,
+        target,
+        args: tuple,
+        duplex: bool,
+        daemon: bool,
+        name: Optional[str] = None,
+    ):
+        ctx = pool_context()
+        self.conn, child_conn = ctx.Pipe(duplex=duplex)
+        self._process = ctx.Process(
+            target=_child_main,
+            args=(target, child_conn, args),
+            daemon=daemon,
+            name=name,
+        )
+        self._process.start()
+        child_conn.close()  # the parent keeps only its own end
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self._process.pid
+
+    @property
+    def sentinel(self) -> int:
+        return self._process.sentinel
+
+    @property
+    def exitcode(self) -> Optional[int]:
+        return self._process.exitcode
+
+    def is_alive(self) -> bool:
+        return self._process.is_alive()
+
+    def cause(self, pipe_closed: bool) -> str:
+        """Why the child stopped without a result: its pipe closed
+        while it lived or exited cleanly, or it died."""
+        exitcode = self.exitcode
+        if pipe_closed and exitcode in (0, None):
+            return "result pipe closed before a result"
+        return f"worker died (exitcode {exitcode})"
+
+    def stop(self, grace: Optional[float] = None) -> None:
+        """Close the pipe, wait up to ``grace`` seconds for the child
+        to end by itself, then terminate, kill and join it.  A child
+        that has already exited is joined too, so none is left as a
+        zombie; stopping twice is harmless."""
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        process = self._process
+        if grace:
+            process.join(timeout=grace)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=1.0)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=1.0)
+        if not process.is_alive():
+            process.join(timeout=1.0)
 
 
 @dataclass
@@ -174,11 +273,8 @@ class _Slot:
 
     index: int
     unit: str
-    recv: object  # parent's read end of the result pipe
     started: float
-    attempt: int
     last_seen: float  # refreshed by every message off the pipe
-    done: bool = False  # result landed; pipe may still hold late beats
 
 
 @dataclass
@@ -195,10 +291,9 @@ class _UnitState:
 class Supervisor:
     def __init__(self, config: SupervisorConfig):
         self.config = config
-        self._ctx = pool_context()
-        # Every child ever spawned — joined in run()'s finally so not
+        # Every child ever spawned — stopped in run()'s finally so not
         # even an already-exited child is left as a zombie.
-        self.spawned: List[object] = []
+        self.spawned: List[Child] = []
         self.retries = 0
         self.deaths = 0
         self.hangs = 0
@@ -218,7 +313,7 @@ class Supervisor:
         release = batch.Release(units, config.keep_going, on_result)
         ready: Deque[int] = deque(range(len(units)))
         waiting: List[int] = []  # indices sitting out a backoff
-        running: Dict[object, _Slot] = {}  # proc -> slot
+        running: Dict[Child, _Slot] = {}
         interrupted = False
 
         def settle(index: int, outcome: UnitResult) -> None:
@@ -251,8 +346,8 @@ class Supervisor:
             state.eligible_at = time.perf_counter() + delay
             waiting.append(index)
 
-        try:
-            with batch.interrupt_guard() as interrupt:
+        with batch.interrupt_guard() as interrupt:
+            try:
                 while ready or waiting or running:
                     now = time.perf_counter()
                     if interrupt.set:
@@ -283,24 +378,15 @@ class Supervisor:
                         interrupted = True
                         break
                     self._service(running, settle, record_death, on_event)
-                if interrupted:
-                    # Cancel in-flight attempts; their units report
-                    # SKIPPED below, like everything never started.
-                    for proc, slot in list(running.items()):
-                        del running[proc]
-                        _reap(proc)
-                        self._close(slot.recv)
-        finally:
-            for proc, slot in list(running.items()):
-                _reap(proc)
-                self._close(slot.recv)
-            running.clear()
-            # The zombie sweep: join every child ever spawned, even the
-            # ones that exited long ago and were already handled — a
-            # handled child is join()ed again harmlessly, an unhandled
-            # one stops being a zombie.
-            for proc in self.spawned:
-                _reap(proc)
+            finally:
+                # Stop every child ever spawned: in-flight attempts of
+                # an interrupted or failed run (their units report
+                # SKIPPED), and the ones handled long ago, which are
+                # joined again harmlessly, so none is left a zombie.
+                # Inside the guard, so a second Ctrl-C cannot cut the
+                # sweep short.
+                for child in self.spawned:
+                    child.stop()
 
         report = release.report()
         if interrupted:
@@ -322,16 +408,15 @@ class Supervisor:
         cutoff: int,
         ready: Deque[int],
         waiting: List[int],
-        running: Dict[object, _Slot],
+        running: Dict[Child, _Slot],
     ) -> Deque[int]:
         """Forget the units past ``cutoff``, which will be SKIPPED:
-        reap the children running them and return ``ready`` without
+        stop the children running them and return ``ready`` without
         them (``waiting`` is pruned in place)."""
-        for proc, slot in list(running.items()):
+        for child, slot in list(running.items()):
             if slot.index > cutoff:
-                del running[proc]
-                _reap(proc)
-                self._close(slot.recv)
+                del running[child]
+                child.stop()
         waiting[:] = [i for i in waiting if i <= cutoff]
         return deque(i for i in ready if i <= cutoff)
 
@@ -340,40 +425,35 @@ class Supervisor:
         index: int,
         states: List[_UnitState],
         worker: Worker,
-        running: Dict[object, _Slot],
+        running: Dict[Child, _Slot],
     ) -> None:
         state = states[index]
         state.attempts += 1
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_child_entry,
-            args=(
+        child = Child(
+            _child_entry,
+            (
                 worker,
                 state.unit,
-                send,
                 self.config.unit_timeout,
                 self.config.recursion_limit,
                 state.attempts,
                 self.config.heartbeat_interval,
             ),
+            duplex=False,
             daemon=True,
         )
-        proc.start()
-        send.close()  # parent keeps only the read end
-        self.spawned.append(proc)
+        self.spawned.append(child)
         now = time.perf_counter()
-        running[proc] = _Slot(
+        running[child] = _Slot(
             index=index,
             unit=state.unit,
-            recv=recv,
             started=now,
-            attempt=state.attempts,
             last_seen=now,
         )
 
     def _wait(
         self,
-        running: Dict[object, _Slot],
+        running: Dict[Child, _Slot],
         waiting: List[int],
         states: List[_UnitState],
     ) -> None:
@@ -389,13 +469,13 @@ class Supervisor:
                 timers.append(slot.last_seen + config.hang_timeout)
         timers.extend(states[i].eligible_at for i in waiting)
         timeout = max(0.0, min(timers) - now) if timers else None
-        waitables = [slot.recv for slot in running.values()]
-        waitables += [proc.sentinel for proc in running]
+        waitables = [child.conn for child in running]
+        waitables += [child.sentinel for child in running]
         multiprocessing.connection.wait(waitables, timeout=timeout)
 
     def _service(
         self,
-        running: Dict[object, _Slot],
+        running: Dict[Child, _Slot],
         settle,
         record_death,
         on_event,
@@ -403,15 +483,15 @@ class Supervisor:
         """Drain every live pipe and judge every child: result, timeout,
         hang, or death."""
         config = self.config
-        for proc in list(running):
-            slot = running[proc]
+        for child in list(running):
+            slot = running[child]
             outcome: Optional[UnitResult] = None
             died = False
             # Drain everything queued on the pipe: heartbeats refresh
             # liveness, events stream out, a result settles the unit.
             try:
-                while outcome is None and slot.recv.poll():
-                    kind, payload = slot.recv.recv()
+                while outcome is None and child.conn.poll():
+                    kind, payload = child.conn.recv()
                     slot.last_seen = time.perf_counter()
                     if kind == "result":
                         outcome = payload
@@ -427,56 +507,38 @@ class Supervisor:
                 # died mid-send.
                 died = True
             now = time.perf_counter()
+            death = None  # the cause, when the child died under the unit
+            hang = False
             if outcome is not None:
                 if not outcome.elapsed:
                     outcome.elapsed = now - slot.started
-                del running[proc]
-                _reap(proc)
-                self._close(slot.recv)
-                settle(slot.index, outcome)
-                continue
-            if died or (not proc.is_alive() and not slot.recv.poll()):
-                exitcode = proc.exitcode
-                del running[proc]
-                _reap(proc)
-                self._close(slot.recv)
-                cause = (
-                    "result pipe closed before a result"
-                    if died and exitcode in (0, None)
-                    else f"worker died (exitcode {exitcode})"
-                )
-                record_death(slot.index, cause)
-                continue
-            if config.unit_timeout is not None and (
+            elif died or (not child.is_alive() and not child.conn.poll()):
+                death = child.cause(pipe_closed=died)
+            elif config.unit_timeout is not None and (
                 now - slot.started > config.unit_timeout
             ):
                 # Final, not a death: the unit spent its budget.
-                del running[proc]
-                _reap(proc)
-                self._close(slot.recv)
-                settle(
-                    slot.index,
-                    UnitResult(
-                        unit=slot.unit,
-                        verdict=TIMEOUT,
-                        elapsed=now - slot.started,
-                        error=f"killed after {config.unit_timeout:g} s",
-                    ),
+                outcome = UnitResult(
+                    unit=slot.unit,
+                    verdict=TIMEOUT,
+                    elapsed=now - slot.started,
+                    error=f"killed after {config.unit_timeout:g} s",
                 )
-                continue
-            if (
+            elif (
                 config.heartbeat_interval > 0
                 and config.hang_timeout > 0
                 and now - slot.last_seen > config.hang_timeout
             ):
-                del running[proc]
-                _reap(proc)
-                self._close(slot.recv)
-                record_death(
-                    slot.index,
-                    f"worker hung (no heartbeat for {config.hang_timeout:g} s)",
-                    hang=True,
-                )
+                death = f"worker hung (no heartbeat for {config.hang_timeout:g} s)"
+                hang = True
+            else:
+                continue
+            del running[child]
+            child.stop()
+            if death is None:
+                settle(slot.index, outcome)
+            else:
+                record_death(slot.index, death, hang=hang)
 
     def _quarantine_result(self, state: _UnitState) -> UnitResult:
         deaths = state.deaths
@@ -502,10 +564,3 @@ class Supervisor:
                 }
             ],
         )
-
-    @staticmethod
-    def _close(recv) -> None:
-        try:
-            recv.close()
-        except OSError:
-            pass

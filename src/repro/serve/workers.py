@@ -34,20 +34,19 @@ The child protocol is a tuple-per-message pipe dialogue::
 Two workers proving one obligation share it through the proof cache's
 leases (:mod:`repro.cache.store`); the parent takes no part.
 
-Worker lifecycle reuses the batch-pool supervision machinery
-(:func:`repro.harness.supervisor.pool_context` for fork-vs-spawn,
-:func:`repro.harness.batch._reap` so no worker ever outlives the
-daemon as a zombie).
+A worker is a :class:`repro.harness.supervisor.Child`, as a batch-pool
+child is: one start, one signal policy (a worker ends on its first
+``SIGTERM`` and leaves Ctrl-C to the daemon) and one stop, so no worker
+outlives the daemon as a zombie.
 """
 
 from __future__ import annotations
 
-import signal
 from typing import Any, Callable, Dict, Optional
 
 from repro import api
-from repro.harness.batch import _reap, input_error_types
-from repro.harness.supervisor import pool_context
+from repro.harness.batch import input_error_types
+from repro.harness.supervisor import Child
 from repro.serve import protocol
 
 
@@ -179,15 +178,6 @@ def worker_main(conn, config: api.SessionConfig) -> None:
     genuine process death (never raised here) reaches the parent as a
     crash.
     """
-    # The parent owns this process's lifecycle; a terminal Ctrl-C must
-    # land on the daemon (which drains and closes workers), not kill
-    # workers out from under in-flight requests.
-    with_signal = getattr(signal, "SIGINT", None)
-    if with_signal is not None:
-        try:
-            signal.signal(with_signal, signal.SIG_IGN)
-        except (ValueError, OSError):
-            pass
     workspace = api.Workspace(config, incremental=True)
     try:
         while True:
@@ -231,19 +221,14 @@ class ProcessHost:
     def __init__(self, config: api.SessionConfig):
         self.config = config
         self._dead = False
-        ctx = pool_context()
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=worker_main,
-            args=(child_conn, config),
-            # Not daemonic: a daemonic process may not have children,
-            # and a prove with ``jobs > 1`` forks a pool.  close() and
-            # the server's reaping still join and kill it.
+        # Not daemonic: a prove with ``jobs > 1`` forks a pool.
+        self.child = Child(
+            worker_main,
+            (config,),
+            duplex=True,
             daemon=False,
             name=f"repro-serve-worker-{config.key()}",
         )
-        self.process.start()
-        child_conn.close()
         # Handshake: a stats roundtrip proves the worker came up and
         # seeds the parent-side stats cache, so ``status`` has a block
         # for this workspace even while the worker is busy.
@@ -255,26 +240,27 @@ class ProcessHost:
 
     @property
     def pid(self) -> Optional[int]:
-        return self.process.pid
+        return self.child.pid
 
     @property
     def alive(self) -> bool:
-        return not self._dead and self.process.is_alive()
+        return not self._dead and self.child.is_alive()
 
     def _crashed(self) -> WorkerCrashed:
         self._dead = True
-        self.process.join(timeout=1.0)
-        return WorkerCrashed(self.process.pid, self.process.exitcode)
+        self.child.stop(grace=1.0)
+        return WorkerCrashed(self.child.pid, self.child.exitcode)
 
     def _roundtrip(self, message: tuple, expect: str, timeout: float):
         """One command, one reply of kind ``expect`` (no streaming in
         between — callers hold the workspace lock, so nothing else is
         on the pipe)."""
+        conn = self.child.conn
         try:
-            self._conn.send(message)
-            if not self._conn.poll(timeout):
+            conn.send(message)
+            if not conn.poll(timeout):
                 raise self._crashed()
-            reply = self._conn.recv()
+            reply = conn.recv()
         except (EOFError, OSError):
             raise self._crashed()
         if reply[0] != expect:
@@ -293,10 +279,11 @@ class ProcessHost:
         or ``error``.  Raises :class:`WorkerCrashed` when the pipe dies
         — the caller owns respawn policy.
         """
+        conn = self.child.conn
         try:
-            self._conn.send(("run", op, params))
+            conn.send(("run", op, params))
             while True:
-                message = self._conn.recv()
+                message = conn.recv()
                 kind = message[0]
                 if kind in ("unit", "event"):
                     emit(kind, message[1])
@@ -333,17 +320,12 @@ class ProcessHost:
         return self._stats_cache
 
     def close(self) -> None:
-        """Graceful stop: ask, wait briefly, then make sure (kill +
-        reap) — an evicted or shut-down worker never lingers."""
+        """Graceful stop: ask, wait briefly, then make sure (terminate,
+        kill, join) — an evicted or shut-down worker never lingers."""
         if not self._dead:
             try:
-                self._conn.send(("close",))
+                self.child.conn.send(("close",))
             except (BrokenPipeError, OSError):
                 pass
         self._dead = True
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        self.process.join(timeout=_CLOSE_TIMEOUT)
-        _reap(self.process)
+        self.child.stop(grace=_CLOSE_TIMEOUT)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -161,3 +163,27 @@ def test_json_reports_carry_tool_version(lcm_file, capsys):
     assert main(["check", lcm_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == repro.__version__
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "a.c", "b.c", "--flow-sensitive", "--keep-going",
+         "--jobs", "2", "--quals", "x.qual", "--quals", "y.qual"],
+        ["prove", "d.qual", "--qualifier", "pos", "--time-limit", "2.5",
+         "--retries", "1", "--no-cache", "--unit-timeout", "9"],
+        ["infer", "a.c", "--qualifier", "nonnull", "--trust-constants"],
+    ],
+)
+def test_in_process_request_is_the_served_one(argv):
+    # The params a --server run sends decode, on the daemon's side, to
+    # the very config and request the in-process run builds.
+    from repro import api, cli
+    from repro.serve import protocol
+
+    args = cli.build_parser().parse_args(argv)
+    op = args.command
+    config, request = cli._config_params(args), cli._request_params(args, op)
+    params = json.loads(json.dumps({**config, **request}))
+    assert protocol.config_from_params(params) == api.SessionConfig(**config)
+    assert protocol.batch_request(op, params) == cli._REQUESTS[op](**request)

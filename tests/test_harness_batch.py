@@ -2,6 +2,8 @@
 codes, keep-going semantics, and the process pool."""
 
 import signal
+import socket
+import threading
 import time
 
 import pytest
@@ -35,6 +37,16 @@ def _scripted(unit, deadline):
             unit=unit, verdict=batch.WARNINGS, diagnostics=[{"message": "w"}]
         )
     return batch.UnitResult(unit=unit, verdict=batch.OK)
+
+
+def _signal_policy(conn):
+    """Report the signal settings the child runs under, then wait."""
+    conn.send((
+        signal.getsignal(signal.SIGTERM),
+        signal.getsignal(signal.SIGINT),
+        signal.set_wakeup_fd(-1),
+    ))
+    time.sleep(30.0)
 
 
 class TestRunOne:
@@ -188,6 +200,39 @@ class TestProcessPool:
             batch.TIMEOUT, batch.OK,
         ]
         assert sup.spawned[0].exitcode == -signal.SIGTERM
+
+    def test_child_ends_on_sigterm_and_leaves_the_wakeup_fd_alone(self):
+        # A parent with its own SIGTERM handler and wakeup fd, as a
+        # serve daemon's event loop has, starting a child from a side
+        # thread, as the daemon's executor does: stopping the child
+        # must end it, and no signal byte may reach the parent's fd.
+        from repro.harness.supervisor import Child
+
+        reader, writer = socket.socketpair()
+        reader.setblocking(False)
+        writer.setblocking(False)
+        old_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        old_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            started = []
+            side = threading.Thread(
+                target=lambda: started.append(
+                    Child(_signal_policy, (), duplex=False, daemon=True)
+                )
+            )
+            side.start()
+            side.join()
+            child = started[0]
+            assert child.conn.recv() == (signal.SIG_DFL, signal.SIG_IGN, -1)
+            child.stop()
+            assert child.exitcode == -signal.SIGTERM
+            with pytest.raises(BlockingIOError):
+                reader.recv(1)
+        finally:
+            signal.set_wakeup_fd(old_fd)
+            signal.signal(signal.SIGTERM, old_handler)
+            reader.close()
+            writer.close()
 
     def test_jobs_change_neither_report_nor_stream_without_keep_going(self):
         runs = []

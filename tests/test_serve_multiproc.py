@@ -743,6 +743,73 @@ def test_idle_worker_death_respawns_invisibly(procdaemon, tmp_path):
     assert server.counters["workers_crashed"] == 1
 
 
+def _exit_signal(pid, timeout=5.0):
+    """The signal that ended ``pid``, a child of another process, read
+    from ``/proc`` while it is a zombie: its parent has not reaped it
+    yet.  None when it did not end, or not by a signal, in time."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except FileNotFoundError:
+            return None  # reaped before it was seen
+        if fields[0] == "Z":
+            # field 52, the wait status, is the 50th after the name
+            return int(fields[49]) & 0x7F or None
+        time.sleep(0.01)
+    return None
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/stat"), reason="reads /proc"
+)
+def test_sigterm_to_one_worker_spares_the_daemon(tmp_path):
+    """A SIGTERM to one workspace worker ends that worker alone.  The
+    daemon runs as its own process: only a daemon on its main thread
+    installs asyncio's signal handlers and wakeup fd, which a worker
+    forked from it must not keep."""
+    path = write_c(tmp_path)
+    sock = str(tmp_path / "serve.sock")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", sock,
+         "--workers", "1"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        _wait_for(lambda: os.path.exists(sock), "daemon never bound")
+        with connect(sock) as client:
+            client.request("check", {"files": [path]})
+            pid = client.status()["workspaces"][0]["worker"]["pid"]
+        os.kill(pid, signal.SIGTERM)
+        assert _exit_signal(pid) == signal.SIGTERM
+        status = _cli(["serve", "--status", "--socket", sock], cwd=tmp_path)
+        assert status.returncode == 0, status.stderr
+        assert daemon.poll() is None, "the daemon went down with its worker"
+        with connect(sock) as client:
+            again = client.request("check", {"files": [path]})["report"]
+            status = client.status()
+        assert status["counters"]["workers_crashed"] == 1
+        assert status["workspaces"][0]["worker"]["pid"] != pid
+        with api.Workspace(incremental=False) as ws:
+            one_shot = ws.check(api.CheckRequest(files=(path,))).to_dict()
+        assert _strip_volatile(again) == _strip_volatile(one_shot)
+    finally:
+        try:
+            with connect(sock) as client:
+                client.shutdown()
+        except OSError:
+            pass
+        try:
+            daemon.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            daemon.kill()
+            daemon.wait()
+
+
 #: Two configurations, so the daemon routes each to its own worker.
 DISTINCT_CONFIGS = ({}, {"trust_constants": True})
 

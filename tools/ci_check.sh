@@ -589,6 +589,53 @@ spawned = counters["workers_spawned"]
 print(f"   worker kill recovered: {crashed} crash(es), {spawned} spawn(s)")
 ' "$tmpdir/mp_a_again.json" "$tmpdir/mp_b_again.json" \
   "$tmpdir/mp_status2.json" "$worker_pid"
+# a SIGTERM ends the other workspace's worker alone: the daemon keeps
+# answering, counts the crash and respawns the worker on the next check
+term_pid="$(python -c '
+import json, sys
+print(json.load(open(sys.argv[1]))["workspaces"][1]["worker"]["pid"])
+' "$tmpdir/mp_status1.json")"
+term_check="$tmpdir/mp_a.c"
+if python -c '
+import json, sys
+sys.exit(not json.load(open(sys.argv[1]))["workspaces"][1]["config"]["trust_constants"])
+' "$tmpdir/mp_status1.json"; then
+    term_check="$tmpdir/mp_b.c --trust-constants"
+fi
+kill -TERM "$term_pid"
+tries=0
+while :; do
+    python -m repro serve --status --listen "$mp_addr" \
+        > "$tmpdir/mp_status3.json" || {
+        echo "daemon stopped answering after a SIGTERM to one worker" >&2
+        exit 1
+    }
+    python -c '
+import json, sys
+status = json.load(open(sys.argv[1]))
+live = [ws["worker"]["pid"] for ws in status["workspaces"] if ws["worker"]["alive"]]
+sys.exit(int(sys.argv[2]) in live)
+' "$tmpdir/mp_status3.json" "$term_pid" && break
+    tries=$((tries + 1))
+    test "$tries" -le 50 || {
+        echo "worker $term_pid still alive after SIGTERM" >&2
+        exit 1
+    }
+    sleep 0.1
+done
+python -m repro check $term_check --server "$mp_addr" --format json \
+    > "$tmpdir/mp_term_again.json"
+python -m repro serve --status --listen "$mp_addr" > "$tmpdir/mp_status4.json"
+python -c '
+import json, sys
+report = json.load(open(sys.argv[1]))
+assert report["exit_code"] == 0, report["exit_code"]
+before = json.load(open(sys.argv[2]))["counters"]["workers_crashed"]
+after = json.load(open(sys.argv[3]))["counters"]["workers_crashed"]
+assert after == before + 1, (before, after)
+print(f"   worker SIGTERM: that worker ended, daemon up, {after} crash(es)")
+' "$tmpdir/mp_term_again.json" "$tmpdir/mp_status2.json" \
+  "$tmpdir/mp_status4.json"
 # the streamed path: a served --format jsonl run, line for line against
 # the same command in process (a broken unit stops the run: the last
 # unit is SKIPPED and never streamed)
