@@ -58,7 +58,7 @@ from repro.harness.watchdog import Deadline, RetryPolicy
 
 if TYPE_CHECKING:
     from repro.cache.store import ProofCache
-    from repro.cfront.ast import FuncDef
+    from repro.cil.lower import Lowered
 
 # Each command loads its own layers when it runs (see
 # docs/architecture.md, "Import layering"): check the C front end and
@@ -519,14 +519,33 @@ def _unit_qualifiers(defs: List[QualifierDef], std: QualifierSet):
 
 
 @dataclass
+class _StatementChecks:
+    """What each top-level statement of a function contributed to its
+    check, in the order of ``_FunctionRecord.text.statements``: how many
+    of the record's diagnostics are its, how many run-time checks its
+    calls need, and the (cast, qualifier) pairs whose run-time checks it
+    needs (counted once per function)."""
+
+    counts: List[int]
+    calls: List[int]
+    casts: List[frozenset]
+
+
+@dataclass
 class _FunctionRecord:
     """Everything one function contributed to its unit's check report,
-    keyed by the content fingerprint it was computed under."""
+    keyed by the content fingerprint it was computed under.  An
+    incremental workspace also keeps the function's text in parts
+    (:class:`repro.cache.fingerprint.FunctionText`) and, when it was
+    checked statement by statement, each statement's share of the
+    check."""
 
     fingerprint: str
     diagnostics: List[dict] = field(default_factory=list)
     runtime_checks: int = 0
     dataflow: dict = field(default_factory=dict)
+    text: Optional[_fingerprint.FunctionText] = None
+    statements: Optional[_StatementChecks] = None
 
 
 @dataclass
@@ -540,11 +559,13 @@ class _UnitState:
     parse saw: the preprocessed text, the macro table, each body's
     extent in that text (:mod:`repro.cfront.bodies`) and its function's
     name, the typedefs and the unit's interface digest.  After a
-    reduced re-parse, and only then, it keeps the tree of each body
-    that parse did not blank and where its top-level statements start,
-    keyed by the body's index, so the next edit inside one of them can
-    splice statements; a full parse keeps none, so the trees held are
-    those of the bodies being edited."""
+    reduced re-parse, and only then, it keeps the tree and the lowering
+    of each body that parse did not blank
+    (:class:`repro.cil.lower.Lowered`) and where its top-level
+    statements start, keyed by the body's index, so the next edit
+    inside one of them can splice statements and re-lower only those;
+    a full parse keeps none, so the trees held are those of the bodies
+    being edited."""
 
     source: str
     env: str
@@ -555,7 +576,7 @@ class _UnitState:
     names: List[str] = field(default_factory=list)
     typedefs: dict = field(default_factory=dict)
     interface: str = ""
-    trees: Dict[int, FuncDef] = field(default_factory=dict)
+    lowered: Dict[int, Lowered] = field(default_factory=dict)
     statements: Dict[int, List[int]] = field(default_factory=dict)
 
 
@@ -591,17 +612,20 @@ def _replayed(
     program,
     changed: set,
     state: "_UnitState",
-    text: str,
+    relocation,
     bodies: Dict[str, Tuple[int, int]],
+    texts: Dict[str, "_fingerprint.FunctionText"],
 ) -> Dict[str, _FunctionRecord]:
     """The stored records of ``program``'s functions outside
     ``changed``, their diagnostics moved from the stored text to the new
-    ``text`` (:class:`repro.cfront.bodies.Relocation`).  A diagnostic
-    inside the changed span moves with its function's body if the body
-    text is unchanged; ``bodies`` gives each body's extent in ``text``.
-    A function with a diagnostic that has no new place joins
-    ``changed`` instead: only a re-check knows where it went."""
-    relocation = None
+    one by ``relocation`` (:class:`repro.cfront.bodies.Relocation`).  A
+    diagnostic inside the changed span moves with its function's body if
+    the body text is unchanged; ``bodies`` gives each body's extent in
+    the new text.  A function with a diagnostic that has no new place
+    joins ``changed`` instead: only a re-check knows where it went.  A
+    function printed again (in ``texts``) whose statements now split its
+    unchanged text differently keeps the new parts and drops its
+    per-statement results."""
     stored = dict(zip(state.names, state.bodies))
     replay: Dict[str, _FunctionRecord] = {}
     for func in program.functions:
@@ -609,9 +633,12 @@ def _replayed(
         if name in changed:
             continue
         record = state.functions[name]
+        text = texts.get(name)
+        if text is not None and (
+            record.text is None or record.text.statements != text.statements
+        ):
+            record = replace(record, text=text, statements=None)
         if record.diagnostics:
-            if relocation is None:
-                relocation = Relocation(state.text, text)
             moved = _relocated(record, relocation)
             if moved is None and name in stored and name in bodies:
                 whole = relocation.moved(stored[name], bodies[name])
@@ -626,11 +653,22 @@ def _replayed(
 
 
 def _relocated(record: _FunctionRecord, where) -> Optional[_FunctionRecord]:
-    """``record`` with each diagnostic's ``loc`` (``file:line:col``)
-    and ``text`` moved by ``where``; None if one has no new place.  A
+    """``record`` with its diagnostics moved by ``where``
+    (:func:`_moved`); None if one has no new place."""
+    diagnostics = _moved(record.diagnostics, where)
+    if diagnostics is None:
+        return None
+    if diagnostics == record.diagnostics:
+        return record
+    return replace(record, diagnostics=diagnostics)
+
+
+def _moved(diagnostics: List[dict], where) -> Optional[List[dict]]:
+    """``diagnostics`` with each one's ``loc`` (``file:line:col``) and
+    ``text`` moved by ``where``; None if one has no new place.  A
     diagnostic without a position (``line 0``) stays as it is."""
-    diagnostics = []
-    for diag in record.diagnostics:
+    out = []
+    for diag in diagnostics:
         loc = diag["loc"]
         file, _, col = loc.rpartition(":")
         file, _, line = file.rpartition(":")
@@ -642,10 +680,90 @@ def _relocated(record: _FunctionRecord, where) -> Optional[_FunctionRecord]:
             if new_loc != loc:
                 text = diag["text"].replace(loc, new_loc, 1)
                 diag = {**diag, "loc": new_loc, "text": text}
-        diagnostics.append(diag)
-    if diagnostics == record.diagnostics:
-        return record
-    return replace(record, diagnostics=diagnostics)
+        out.append(diag)
+    return out
+
+
+def _statement_plan(
+    record: _FunctionRecord, text: "_fingerprint.FunctionText", relocation
+) -> Optional[Dict[int, tuple]]:
+    """For a function to check again: the top-level statements of its
+    new ``text`` that need no check, by index, each with the stored
+    record's results for it (its diagnostics moved by ``relocation``,
+    its calls' run-time checks, its cast pairs).  A statement needs no
+    check if it lies in the run of statements the old and new texts
+    start with, or in the run they end with, and each of its
+    diagnostics has a new place.  None if the record has no
+    per-statement results or the header (signature and locals, so the
+    typing context) changed: then the function is checked whole."""
+    checks = record.statements
+    if checks is None or record.text.header != text.header:
+        return None
+    old, new = record.text.statements, text.statements
+    shortest = min(len(old), len(new))
+    head = 0
+    while head < shortest and old[head] == new[head]:
+        head += 1
+    tail = 0
+    while tail < shortest - head and old[-1 - tail] == new[-1 - tail]:
+        tail += 1
+    offsets = [0]
+    for count in checks.counts:
+        offsets.append(offsets[-1] + count)
+    shift = len(old) - len(new)
+    plan: Dict[int, tuple] = {}
+    for index in [*range(head), *range(len(new) - tail, len(new))]:
+        j = index if index < head else index + shift
+        diagnostics = record.diagnostics[offsets[j] : offsets[j + 1]]
+        if diagnostics:
+            diagnostics = _moved(diagnostics, relocation)
+            if diagnostics is None:
+                continue
+        plan[index] = (diagnostics, checks.calls[j], checks.casts[j])
+    return plan
+
+
+def _statement_record(
+    fingerprint: str,
+    results: list,
+    plan: Dict[int, tuple],
+    dataflow: dict,
+    text: "_fingerprint.FunctionText",
+) -> _FunctionRecord:
+    """A function's record from its statement-by-statement check: each
+    statement's ``results`` entry or, for one it skipped, its ``plan``
+    entry (:func:`_statement_plan`)."""
+    diagnostics: List[dict] = []
+    checks = _StatementChecks([], [], [])
+    for index, result in enumerate(results):
+        if result is None:
+            found, calls, casts = plan[index]
+        else:
+            found, calls, casts = result
+            found = [{**d.to_dict(), "text": str(d)} for d in found]
+        diagnostics.extend(found)
+        checks.counts.append(len(found))
+        checks.calls.append(calls)
+        checks.casts.append(casts)
+    runtime_checks = sum(checks.calls) + len(frozenset().union(*checks.casts))
+    return _FunctionRecord(
+        fingerprint, diagnostics, runtime_checks, dataflow, text, checks
+    )
+
+
+def _earlier(state: Optional["_UnitState"]) -> Optional[dict]:
+    """For :func:`repro.cache.fingerprint.function_text`: each function
+    whose lowering ``state`` kept, with the text it was fingerprinted
+    under (a re-lowered body shares the statements it did not
+    re-lower with that lowering)."""
+    if state is None:
+        return None
+    out = {}
+    for body in state.lowered.values():
+        record = state.functions.get(body.function.name)
+        if record is not None and record.text is not None:
+            out[body.function.name] = (body.function, record.text)
+    return out
 
 
 # ---------------------------------------------------------------- workspace
@@ -706,6 +824,8 @@ class Workspace:
             "units_evicted": 0,
             "units_reparsed_partially": 0,
             "bodies_spliced": 0,
+            "statements_relowered": 0,
+            "statements_rechecked": 0,
             "partial_fallbacks": 0,
         }
         self.max_units = _max_unit_states()
@@ -866,10 +986,10 @@ class Workspace:
             pre = preprocess(source)
             if state is not None:
                 reduced = self._reduced_parse(path, state, pre, quals)
-            trees: Dict[int, FuncDef] = {}
+            lowered: Dict[int, Lowered] = {}
             statements: Dict[int, List[int]] = {}
             if reduced is not None:
-                unit, program, extents, blanked, trees, statements = reduced
+                unit, program, extents, blanked, lowered, statements = reduced
                 interface = state.interface
                 todo = {f.name for f in program.functions} - blanked
             else:
@@ -889,8 +1009,14 @@ class Workspace:
             # panic-mode recovery can attribute diagnostics across
             # function boundaries, so replay would not be sound.
             fingerprints: Dict[str, str] = {}
+            texts: Dict[str, _fingerprint.FunctionText] = {}
             old = state.functions if state is not None else {}
             replay: Dict[str, _FunctionRecord] = {}
+            plans: Dict[str, Optional[Dict[int, tuple]]] = {}
+            checker = QualifierChecker(
+                program, quals, flow_sensitive=request.flow_sensitive
+            )
+            statement_wise = keep and not unit.errors and checker.statement_wise
             if keep and not unit.errors:
                 if reduced is None:
                     extents = body_extents(pre.text, unit._bodies)
@@ -902,6 +1028,8 @@ class Workspace:
                     flow_sensitive=request.flow_sensitive,
                     interface=interface,
                     functions=todo,
+                    texts=texts,
+                    earlier=_earlier(state),
                 )
                 changed = {
                     name
@@ -909,16 +1037,26 @@ class Workspace:
                     if name not in old or old[name].fingerprint != digest
                 }
                 if old:
+                    relocation = Relocation(state.text, pre.text)
                     replay = _replayed(
-                        program, changed, state, pre.text, dict(zip(names, extents))
+                        program, changed, state, relocation,
+                        dict(zip(names, extents)), texts,
                     )
+                    if statement_wise and interface == state.interface:
+                        plans = {
+                            name: _statement_plan(old[name], texts[name], relocation)
+                            for name in changed
+                            if name in old and name in texts
+                        }
             else:
                 changed = {f.name for f in program.functions}
-            checker = QualifierChecker(
-                program, quals, flow_sensitive=request.flow_sensitive
-            )
             with obs.span("typecheck", unit=path, incremental=keep):
-                check_report = checker.check(functions=changed)
+                check_report = checker.check(
+                    functions=changed,
+                    statements={
+                        name: set(plans.get(name) or ()) for name in changed
+                    } if statement_wise else None,
+                )
             per_diag: Dict[str, List[dict]] = {}
             for diag in check_report.diagnostics:
                 entry = {**diag.to_dict(), "text": str(diag)}
@@ -929,15 +1067,27 @@ class Workspace:
             records: Dict[str, _FunctionRecord] = {}
             for func in program.functions:  # program order = report order
                 name = func.name
-                if name in changed:
+                results = check_report.statements.get(name)
+                if name not in changed:
+                    records[name] = replay[name]
+                elif results is not None:
+                    plan = plans.get(name)
+                    records[name] = _statement_record(
+                        fingerprints[name], results, plan or {},
+                        check_report.dataflow[name], texts[name],
+                    )
+                    if plan is not None:
+                        self.counters["statements_rechecked"] += sum(
+                            result is not None for result in results
+                        )
+                else:
                     records[name] = _FunctionRecord(
                         fingerprint=fingerprints.get(name, ""),
                         diagnostics=per_diag.get(name, []),
                         runtime_checks=per_rtc.get(name, 0),
                         dataflow=check_report.dataflow.get(name, {}),
+                        text=texts.get(name),
                     )
-                else:
-                    records[name] = replay[name]
             replayed = len(records) - len(changed)
             self.counters["functions_checked"] += len(changed)
             self.counters["functions_replayed"] += replayed
@@ -960,7 +1110,7 @@ class Workspace:
                         names=names,
                         typedefs=unit._typedefs,
                         interface=interface,
-                        trees=trees,
+                        lowered=lowered,
                         statements=statements,
                     ),
                 )
@@ -981,7 +1131,8 @@ class Workspace:
         (a blanked body may use one), the interface digest and the
         function names in program order equal the stored ones.
         Returns ``(unit, program, body extents, names of the blanked
-        functions, kept trees, their statement starts)``."""
+        functions, the kept bodies' lowerings, their statement
+        starts)``."""
         result = None
         if pre.defines == state.defines:
             reduced = reduce_text(
@@ -994,6 +1145,9 @@ class Workspace:
                     result = self._parse_reduced(path, state, reduced, quals)
                 else:
                     self.counters["bodies_spliced"] += 1
+                    self.counters["statements_relowered"] += result[4][
+                        reduced.splice.index
+                    ].relowered
         key = "units_reparsed_partially" if result else "partial_fallbacks"
         self.counters[key] += 1
         return result
@@ -1016,35 +1170,37 @@ class Workspace:
         extents, blanked = found
         # The definitions, in the order the parser recorded their bodies.
         defs = [f for f in unit.functions if f.body is not None]
+        blanked_set = set(reduced.blanked)
+        kept = {
+            index: None
+            for index, extent in enumerate(extents)
+            if extent not in blanked_set
+        }
         splice = reduced.splice
         if splice is not None:
             index = splice.index
+            last = state.lowered[index]
             if (
                 len(extents) != len(state.bodies)
                 or extents[index] != splice.extent
-                or not splice_statements(
-                    reduced.text, splice, defs[index], state.trees[index]
-                )
+                or not splice_statements(reduced.text, splice, defs[index], last.tree)
             ):
                 return None
+            kept[index] = (last, splice.head, splice.tail)
         with obs.span("lower", unit=path, reduced=True):
-            program = lower_unit(unit)
+            program = lower_unit(unit, kept=kept)
         if (
             _fingerprint.interface_digest(program) != state.interface
             or [f.name for f in program.functions] != list(state.functions)
         ):
             return None
-        blanked_set = set(reduced.blanked)
-        trees = {
-            index: defs[index]
-            for index, extent in enumerate(extents)
-            if extent not in blanked_set
-        }
         statements = {
-            index: statement_starts(reduced.text, extents[index][0], tree.body.stmts)
-            for index, tree in trees.items()
+            index: statement_starts(
+                reduced.text, extents[index][0], body.tree.body.stmts
+            )
+            for index, body in kept.items()
         }
-        return unit, program, extents, blanked, trees, statements
+        return unit, program, extents, blanked, kept, statements
 
     def _proof_cache(self, request: ProveRequest) -> Optional[ProofCache]:
         """The resident proof cache a prove request should run against

@@ -305,7 +305,9 @@ def function_fingerprint(
 ) -> str:
     """The content fingerprint one function's check verdict is keyed
     by: canonical body + unit interface + qualifier environment +
-    checker mode."""
+    checker mode.  This prints the function whole; the workspace
+    derives the same digest from its text in parts
+    (:func:`unit_function_fingerprints`)."""
     from repro.cil.printer import function_to_c
 
     return _digest(
@@ -321,21 +323,88 @@ def function_fingerprint(
     )
 
 
+class FunctionText(NamedTuple):
+    """A function's :func:`repro.cil.printer.function_to_c` text in
+    parts, UTF-8 encoded: the header (signature and locals) and one
+    entry per top-level statement of its body (empty for a statement
+    that renders no line)."""
+
+    header: bytes
+    statements: "list[bytes]"
+
+
+def function_text(func, earlier=None) -> FunctionText:
+    """``func``'s text in parts.  ``earlier`` is None or ``(function,
+    text)`` for an earlier lowering of it: a top-level statement that is
+    the same object as one of ``function``'s keeps that one's text
+    instead of being printed again (a statement prints the same
+    wherever it stands)."""
+    from repro.cil.printer import function_header, statement_text
+
+    known = {}
+    if earlier is not None:
+        old, text = earlier
+        known = {id(stmt): part for stmt, part in zip(old.body, text.statements)}
+    get = known.get
+    return FunctionText(
+        function_header(func).encode("utf-8"),
+        [
+            part if part is not None else statement_text(stmt).encode("utf-8")
+            for stmt in func.body
+            for part in (get(id(stmt)),)
+        ],
+    )
+
+
+def text_fingerprint(
+    name: str,
+    text: FunctionText,
+    interface: str,
+    env: str,
+    flow_sensitive: bool = False,
+) -> str:
+    """:func:`function_fingerprint` of the function named ``name`` whose
+    text is ``text``: the hash is fed the same bytes, without printing
+    the function again."""
+    body = b"\n".join([text.header, *filter(None, text.statements), b"}"])
+    h = hashlib.sha256()
+    for part in ("fn", CHECKER_SALT, name):
+        h.update(part.encode("utf-8"))
+        h.update(b"\x00")
+    h.update(body)
+    h.update(b"\x00")
+    for part in (interface, env, "flow" if flow_sensitive else "noflow"):
+        h.update(part.encode("utf-8"))
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
 def unit_function_fingerprints(
     program,
     env: str,
     flow_sensitive: bool = False,
     interface: str = "",
     functions=None,
+    texts=None,
+    earlier=None,
 ) -> "dict[str, str]":
     """Fingerprint every function in a lowered unit (name -> digest),
     or only those named in ``functions``.  ``interface`` is the unit's
-    :func:`interface_digest` when the caller already has it."""
+    :func:`interface_digest` when the caller already has it.
+
+    Each digest is derived from the function's :class:`FunctionText`
+    (:func:`text_fingerprint`); with a ``texts`` dict, that text is
+    stored in it under the function's name.  ``earlier`` maps a name to
+    the ``earlier`` argument of :func:`function_text` for it."""
     interface = interface or interface_digest(program)
-    return {
-        f.name: function_fingerprint(
-            f, interface, env, flow_sensitive=flow_sensitive
+    out = {}
+    for f in program.functions:
+        if functions is not None and f.name not in functions:
+            continue
+        text = function_text(f, earlier.get(f.name) if earlier else None)
+        if texts is not None:
+            texts[f.name] = text
+        out[f.name] = text_fingerprint(
+            f.name, text, interface, env, flow_sensitive=flow_sensitive
         )
-        for f in program.functions
-        if functions is None or f.name in functions
-    }
+    return out

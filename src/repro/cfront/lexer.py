@@ -114,6 +114,11 @@ class Lexer:
         # token instead of raising, so the parser can flag it as a
         # syntax error, synchronize, and keep going.
         self.tolerant = tolerant
+        # One string per distinct identifier or punctuator spelling, as
+        # trees keep them.  A table per text rather than sys.intern: the
+        # interpreter's table never shrinks, and a long-lived process
+        # sees many names.
+        self._spelled: dict = {}
 
     def tokens(self) -> List[Token]:
         source = self.source
@@ -121,6 +126,7 @@ class Lexer:
         match = _TOKEN_RE.match
         toks: List[Token] = []
         append = toks.append
+        spelled = self._spelled
         pos = 0
         line = 1
         line_start = 0  # offset of the first character of ``line``
@@ -130,7 +136,8 @@ class Lexer:
             start, pos = pos, m.end()
             col = start - line_start + 1
             if kind == "id" or kind == "punct":
-                append(Token(kind, m.group(), line, col))
+                text = m.group()
+                append(Token(kind, spelled.setdefault(text, text), line, col))
                 continue
             if kind == "int":
                 append(Token(kind, m.group().rstrip("uUlL"), line, col))
@@ -164,7 +171,8 @@ class Lexer:
         source = self.source
         if ch.isalpha():
             end = _WORD_RE.match(source, pos + 1).end()
-            toks.append(Token("id", source[pos:end], line, col))
+            text = source[pos:end]
+            toks.append(Token("id", self._spelled.setdefault(text, text), line, col))
             return end
         if ch.isdigit():
             end = pos + 1

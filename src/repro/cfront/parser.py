@@ -88,6 +88,10 @@ class Parser:
     ):
         self.tokens = tokenize(source, tolerant=recover)
         self.pos = 0
+        # The Loc of the token asked for last: the nodes that start at
+        # one token are built one after another, and share it.
+        self._loc_index = -1
+        self._last_loc = A.NO_LOC
         self.qualifier_names: Set[str] = set(qualifier_names)
         self.typedefs: dict = {}
         self.recover = recover
@@ -129,8 +133,14 @@ class Parser:
         return self._advance()
 
     def _loc(self, offset: int = 0) -> A.Loc:
-        tok = self._peek(offset)
-        return A.Loc(tok.line, tok.col, self.filename)
+        return self._loc_at(min(self.pos + offset, len(self.tokens) - 1))
+
+    def _loc_at(self, index: int) -> A.Loc:
+        if index != self._loc_index:
+            tok = self.tokens[index]
+            self._last_loc = A.Loc(tok.line, tok.col, self.filename)
+            self._loc_index = index
+        return self._last_loc
 
     # A literal the lexer accepts by shape but that has no value (``09``,
     # ``0x``, ``''``) is a syntax error at that token, so recovery can
@@ -643,7 +653,7 @@ class Parser:
         left = self._parse_conditional()
         tok = self._peek()
         if tok.kind == "punct" and tok.text in _ASSIGN_OPS:
-            loc = A.Loc(tok.line, tok.col, self.filename)
+            loc = self._loc()
             self._advance()
             right = self._parse_assignment_expr()
             return A.Assign(op=tok.text, target=left, value=right, loc=loc)
@@ -669,15 +679,14 @@ class Parser:
             level = _BINARY_LEVELS.get(tok.text, -1)
             if level < min_level:
                 return left
+            loc = self._loc_at(self.pos)
             self.pos += 1
             right = self._parse_binary(level + 1)
-            left = A.Binary(
-                op=tok.text, left=left, right=right, loc=A.Loc(tok.line, tok.col, self.filename)
-            )
+            left = A.Binary(op=tok.text, left=left, right=right, loc=loc)
 
     def _parse_unary(self) -> A.Expr:
         tok = self._peek()
-        loc = A.Loc(tok.line, tok.col, self.filename)
+        loc = self._loc_at(self.pos)
         if tok.kind == "punct" and tok.text in ("-", "!", "~", "*", "&", "+"):
             self._advance()
             operand = self._parse_unary()
@@ -715,7 +724,7 @@ class Parser:
             tok = self._peek()
             if tok.text not in _POSTFIX_OPS:
                 return expr
-            loc = A.Loc(tok.line, tok.col, self.filename)
+            loc = self._loc()
             if tok.text == "[":
                 self._advance()
                 index = self._parse_expr()
@@ -745,7 +754,7 @@ class Parser:
 
     def _parse_primary(self) -> A.Expr:
         tok = self._peek()
-        loc = A.Loc(tok.line, tok.col, self.filename)
+        loc = self._loc_at(self.pos)
         if tok.kind == "int":
             self._advance()
             return A.IntLit(value=self._int_value(tok), loc=loc)

@@ -33,6 +33,32 @@ class LowerError(Exception):
 
 
 @dataclass
+class Lowered:
+    """One body lowered statement by statement, kept so that an edit of
+    some of its top-level statements re-lowers only those.
+
+    ``tree`` is the definition as parsed and ``function`` its lowering.
+    Top-level statement ``i`` of ``tree.body.stmts`` lowered to
+    ``function.body[starts[i]:starts[i + 1]]``; before it,
+    ``function.locals`` held ``locals[i]`` entries and the temporary
+    counter read ``temps[i]``.  Each list has one entry more than there
+    are statements, for the state after the last.  The rest of the
+    lowering state before a statement follows from these: the names in
+    use are the formals' and those of the locals so far, the typing
+    context adds those locals to the globals and formals, and the
+    body's scope maps each top-level declaration so far to the local it
+    declared.  ``relowered`` counts the statements this lowering
+    lowered (the rest it took from an earlier one)."""
+
+    tree: A.FuncDef
+    function: ir.Function
+    starts: List[int]
+    locals: List[int]
+    temps: List[int]
+    relowered: int
+
+
+@dataclass
 class _FuncState:
     """Mutable per-function lowering state."""
 
@@ -79,7 +105,7 @@ class _Lowerer:
                 if any(p.name for p in f.params):
                     self.program.formal_names[f.name] = [p.name for p in f.params]
 
-    def lower(self) -> ir.Program:
+    def lower(self, kept: Optional[Dict[int, object]] = None) -> ir.Program:
         # Every initializer lowers into the one __global_init__
         # function, so they share one state: temporaries stay distinct
         # and each is declared with its own type.
@@ -102,29 +128,92 @@ class _Lowerer:
             )
             self.program.signatures[ir.Program.GLOBAL_INIT] = FuncType(ret=VoidType())
 
-        for f in self.unit.functions:
-            if f.is_prototype:
-                continue
-            self.program.functions.append(self._lower_function(f))
+        definitions = (f for f in self.unit.functions if not f.is_prototype)
+        for index, f in enumerate(definitions):
+            reuse = kept.get(index) if kept is not None else None
+            lowered = self._lower_definition(f, reuse)
+            if kept is not None and index in kept:
+                kept[index] = lowered
+            self.program.functions.append(lowered.function)
         return self.program
 
-    def _lower_function(self, f: A.FuncDef) -> ir.Function:
+    def _lower_definition(self, f: A.FuncDef, reuse=None) -> Lowered:
+        """Lower ``f`` statement by statement, recording a
+        :class:`Lowered`.  ``reuse`` is None, or ``(old, head, tail)``:
+        ``f``'s statements are ``old.tree``'s with those between the
+        first ``head`` and the last ``tail`` replaced.  Then the head's
+        IR is taken from ``old`` and lowering starts from the state
+        before it; the tail's IR is taken too if the replaced statements
+        leave the state ``old`` had before the tail, and lowered again
+        otherwise."""
         formals = [
             (p.name or f"__anon{i}", p.ctype) for i, p in enumerate(f.params)
         ]
         self._begin_function(formals)
+        state = self.state
         for name, _ in formals:
-            self.state.scopes[0][name] = name
-            self.state.used_names.add(name)
-        body = self._lower_block(f.body)
-        return ir.Function(
+            state.scopes[0][name] = name
+            state.used_names.add(name)
+        stmts = f.body.stmts
+        body: List[ir.Stmt] = []
+        starts: List[int] = []
+        local_counts: List[int] = []
+        temps: List[int] = []
+        old, first, tail = reuse or (None, 0, 0)
+        rest = len(stmts) - tail if old is not None else -1
+        scope: Dict[str, str] = {}
+        if old is not None:
+            scope = _body_scope(old, first)
+            for name, ctype in old.function.locals[: old.locals[first]]:
+                state.locals.append((name, ctype))
+                state.used_names.add(name)
+                self._ctx.var_types[name] = ctype
+            state.temp_count = old.temps[first]
+            body = old.function.body[: old.starts[first]]
+            starts = old.starts[:first]
+            local_counts = old.locals[:first]
+            temps = old.temps[:first]
+        state.scopes.append(scope)
+        index = first
+        while index < len(stmts):
+            if index == rest and self._same_state(old, len(old.starts) - 1 - tail):
+                k = len(old.starts) - 1 - tail
+                shift = len(body) - old.starts[k]
+                body.extend(old.function.body[old.starts[k] :])
+                starts.extend(s + shift for s in old.starts[k:-1])
+                local_counts.extend(old.locals[k:-1])
+                temps.extend(old.temps[k:-1])
+                state.locals.extend(old.function.locals[old.locals[k] :])
+                state.temp_count = old.temps[-1]
+                break
+            starts.append(len(body))
+            local_counts.append(len(state.locals))
+            temps.append(state.temp_count)
+            body.extend(self._lower_stmt(stmts[index]))
+            index += 1
+        starts.append(len(body))
+        local_counts.append(len(state.locals))
+        temps.append(state.temp_count)
+        state.scopes.pop()
+        function = ir.Function(
             name=f.name,
             ret=f.ret,
             formals=formals,
-            locals=self.state.locals,
+            locals=state.locals,
             body=body,
             varargs=f.varargs,
             loc=f.loc,
+        )
+        return Lowered(f, function, starts, local_counts, temps, index - first)
+
+    def _same_state(self, old: Lowered, k: int) -> bool:
+        """Is the lowering state now what ``old`` had before its
+        statement ``k``?"""
+        state = self.state
+        return (
+            state.temp_count == old.temps[k]
+            and state.locals == old.function.locals[: old.locals[k]]
+            and state.scopes[-1] == _body_scope(old, k)
         )
 
     # ----------------------------------------------------------- environment
@@ -516,9 +605,28 @@ class _Lowerer:
         raise LowerError(f"expression is not an l-value: {expr!r}", expr.loc)
 
 
-def lower_unit(unit: A.TranslationUnit) -> ir.Program:
-    """Lower a parsed translation unit into a CIL-style :class:`Program`."""
-    return _Lowerer(unit).lower()
+def lower_unit(
+    unit: A.TranslationUnit, kept: Optional[Dict[int, object]] = None
+) -> ir.Program:
+    """Lower a parsed translation unit into a CIL-style :class:`Program`.
+
+    ``kept`` maps the index of a definition (in the order of the
+    definitions with a body) to None or to ``(old, head, tail)`` (see
+    :meth:`_Lowerer._lower_definition`); each entry is replaced with the
+    :class:`Lowered` record of that definition's lowering."""
+    return _Lowerer(unit).lower(kept)
+
+
+def _body_scope(old: Lowered, k: int) -> Dict[str, str]:
+    """The scope of ``old``'s body before its top-level statement
+    ``k``: each declaration before it names the local it declared
+    first."""
+    names = old.function.locals
+    return {
+        stmt.name: names[old.locals[i]][0]
+        for i, stmt in enumerate(old.tree.body.stmts[:k])
+        if isinstance(stmt, A.Decl)
+    }
 
 
 def _has_quals(sig: FuncType) -> bool:

@@ -38,17 +38,36 @@ def function_to_c(f: ir.Function) -> str:
     return "\n".join(_function(f))
 
 
+def function_header(f: ir.Function) -> str:
+    """The lines of :func:`function_to_c` before the statements: the
+    signature and one line per local.  The function's text is this, each
+    top-level statement's :func:`statement_text` that is not empty, and
+    ``}``, joined by newlines."""
+    return "\n".join(_header(f))
+
+
+def statement_text(stmt: ir.Stmt) -> str:
+    """The lines of :func:`function_to_c` one top-level statement
+    renders, joined by newlines (empty if it renders none)."""
+    return "\n".join(_stmts([stmt], indent=1))
+
+
 def _decl(ctype: CType, name: str) -> str:
     return f"{type_to_str(ctype)} {name}"
 
 
-def _function(f: ir.Function) -> List[str]:
+def _header(f: ir.Function) -> List[str]:
     params = ", ".join(_decl(t, n) for n, t in f.formals)
     if f.varargs:
         params = f"{params}, ..." if params else "..."
     out = [f"{type_to_str(f.ret)} {f.name}({params}) {{"]
     for name, ctype in f.locals:
         out.append(f"  {_decl(ctype, name)};")
+    return out
+
+
+def _function(f: ir.Function) -> List[str]:
+    out = _header(f)
     out.extend(_stmts(f.body, indent=1))
     out.append("}")
     return out

@@ -98,6 +98,10 @@ class Report:
     # from the shared dataflow engine — additive report data, keyed by
     # function name.
     dataflow: Dict[str, dict] = field(default_factory=dict)
+    # Per top-level statement results of the functions checked statement
+    # by statement (``QualifierChecker._check_statements``), keyed by
+    # function name; not part of the report's payload.
+    statements: Dict[str, list] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:

@@ -101,20 +101,42 @@ class QualifierChecker:
         self.ctx: Optional[TypingContext] = None
         self._memo: Dict[Tuple[ir.Expr, str], bool] = {}
         self._in_progress: Set[Tuple[ir.Expr, str]] = set()
+        # The (cast, qualifier) pairs whose run-time check the current
+        # statement recorded, when checking statement by statement.
+        self._casts: Optional[Set[Tuple[ir.Expr, str]]] = None
+        #: Can a function be checked one top-level statement at a time,
+        #: each statement apart from the others (see
+        #: :meth:`_check_statements`)?  Only with flow sensitivity off,
+        #: where nothing flows between statements, and only if no
+        #: judgment can ask about itself, so that its answer does not
+        #: depend on what was asked before it.
+        self.statement_wise = not flow_sensitive and not _asks_about_itself(quals)
 
     # -------------------------------------------------------------- driver
 
-    def check(self, functions: Optional[Set[str]] = None) -> Report:
+    def check(
+        self,
+        functions: Optional[Set[str]] = None,
+        statements: Optional[Dict[str, Set[int]]] = None,
+    ) -> Report:
         """Check the program (or, with ``functions``, only the named
         subset — the incremental re-check path, which replays cached
-        verdicts for everything else; see ``repro.api.Workspace``)."""
+        verdicts for everything else; see ``repro.api.Workspace``).
+
+        ``statements`` (only if :attr:`statement_wise`) maps the name of
+        a function to check statement by statement to the indices of the
+        top-level statements of its body to skip; the results land in
+        ``report.statements`` (see :meth:`_check_statements`)."""
         for func in self.program.functions:
             if functions is not None and func.name not in functions:
                 continue
-            self._check_function(func)
+            skip = statements.get(func.name) if statements else None
+            self._check_function(func, skip)
         return self.report
 
-    def _check_function(self, func: ir.Function) -> None:
+    def _check_function(
+        self, func: ir.Function, skip: Optional[Set[int]] = None
+    ) -> None:
         self.func = func
         self.ctx = TypingContext.for_function(
             self.program, func, ref_quals=self.ref_qual_names
@@ -134,6 +156,8 @@ class QualifierChecker:
         graph = build_cfg(func)
         solution = solve_guard_facts(graph, guards, self._addr_taken)
         self.report.dataflow[func.name] = solution.stats.to_dict()
+        if skip is not None and self._check_statements(func, graph, skip):
+            return
         # Blocks are numbered in syntactic order, so iterating them in
         # index order reports diagnostics in source order.
         for block in graph.blocks:
@@ -147,6 +171,77 @@ class QualifierChecker:
                 self._scan_expr(term.stmt.cond, term.stmt.loc)
             elif term.kind == RETURN:
                 self._check_return(term.stmt)
+
+    def _check_statements(self, func: ir.Function, graph, skip: Set[int]) -> bool:
+        """Check ``func`` one top-level statement of its body at a time,
+        skipping those whose index is in ``skip``, and set
+        ``report.statements[func.name]``: per statement, None if skipped,
+        else its diagnostics, how many run-time checks its calls need
+        and the (cast, qualifier) pairs whose run-time checks it needs.
+
+        Each statement starts from an empty memo, so it is judged apart
+        from the others, and its cast pairs are all those it asks about.
+        A cast's check is counted once per function, so the function's
+        count is its calls' checks plus the size of the union of its
+        statements' cast pairs, which a whole check also gets.  The
+        blocks are walked as a whole check walks them; a statement's
+        instructions, branches and returns come one after another, in
+        statement order.  If they do not, nothing is recorded, the
+        report is left as it was, and False is returned."""
+        owner = _owners(func.body)
+        results: List[Optional[tuple]] = [None] * len(func.body)
+        diagnostics = self.report.diagnostics
+        checks = self.report.runtime_checks
+        marks = (len(diagnostics), len(checks))
+        current, begun = -1, marks
+
+        def close() -> None:
+            if current >= 0 and current not in skip:
+                results[current] = (
+                    diagnostics[begun[0]:],
+                    len(checks) - begun[1] - len(self._casts),
+                    frozenset(self._casts) if self._casts else _NO_CASTS,
+                )
+
+        ok = True
+        for block in graph.blocks:
+            term = block.terminator
+            nodes = block.instrs
+            if term.kind == BRANCH or term.kind == RETURN:
+                nodes = [*nodes, term.stmt]
+            for node in nodes:
+                index = owner.get(id(node))
+                if index != current:
+                    if index is None or index < current:
+                        ok = False
+                        break
+                    close()
+                    current, begun = index, (len(diagnostics), len(checks))
+                    self._memo = {}
+                    self._casts = set()
+                if index in skip:
+                    continue
+                if isinstance(node, ir.Instruction):
+                    self._check_instruction(node)
+                elif term.kind == BRANCH:
+                    self._scan_expr(node.cond, node.loc)
+                else:
+                    self._check_return(node)
+            if not ok:
+                break
+        if ok:
+            close()
+        self._casts = None
+        self._memo = {}
+        if not ok:
+            del diagnostics[marks[0]:]
+            del checks[marks[1]:]
+            return False
+        for index, result in enumerate(results):
+            if result is None and index not in skip:
+                results[index] = ((), 0, _NO_CASTS)
+        self.report.statements[func.name] = results
+        return True
 
     # -------------------------------------------------------- instructions
 
@@ -320,6 +415,8 @@ class QualifierChecker:
             self.report.runtime_checks.append(
                 RuntimeCheck(qual, Loc(), self.func.name)
             )
+            if self._casts is not None:
+                self._casts.add((expr, qual))
             return True
         # Declared type carries the qualifier.
         try:
@@ -635,11 +732,83 @@ class QualifierChecker:
             )
 
 
+def _owners(body: List[ir.Stmt]) -> Dict[int, int]:
+    """For each instruction, branching statement and return within
+    ``body`` (what a checker walking the CFG judges), keyed by ``id``:
+    the index of the top-level statement holding it."""
+    owner: Dict[int, int] = {}
+    for index, stmt in enumerate(body):
+        stack = [stmt]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is ir.Instr:
+                for instr in node.instrs:
+                    owner[id(instr)] = index
+            elif kind is ir.If:
+                owner[id(node)] = index
+                stack += node.then
+                stack += node.otherwise
+            elif kind is ir.While:
+                owner[id(node)] = index
+                for instr in node.cond_instrs:
+                    owner[id(instr)] = index
+                stack += node.body
+            elif kind is ir.Return:
+                owner[id(node)] = index
+    return owner
+
+
+def _asks_about_itself(quals: QualifierSet) -> bool:
+    """Can :meth:`QualifierChecker.has_qual` come back to the judgment
+    it is making?  Every built-in rule asks about a smaller expression,
+    and so does a ``case`` clause whose pattern takes the expression
+    apart.  A clause whose pattern is a bare variable binds the whole
+    expression, and asks about it under each qualifier its predicate
+    names; so a judgment can meet itself only through a cycle of such
+    clauses."""
+    asks: Dict[str, Set[str]] = {}
+    for qdef in quals.value_qualifiers():
+        for clause in qdef.cases:
+            if isinstance(clause.pattern, Q.PVar):
+                asks.setdefault(qdef.name, set()).update(
+                    _named_qualifiers(clause.predicate)
+                )
+    done: Set[str] = set()
+
+    def cycles(name: str, path: Set[str]) -> bool:
+        if name in path:
+            return True
+        if name in done:
+            return False
+        path.add(name)
+        found = any(cycles(nxt, path) for nxt in asks.get(name, ()))
+        path.discard(name)
+        done.add(name)
+        return found
+
+    return any(cycles(name, set()) for name in list(asks))
+
+
+def _named_qualifiers(pred: Q.Pred):
+    if isinstance(pred, Q.PredQual):
+        yield pred.qualifier
+    elif isinstance(pred, (Q.PredAnd, Q.PredOr)):
+        yield from _named_qualifiers(pred.left)
+        yield from _named_qualifiers(pred.right)
+    elif isinstance(pred, Q.PredNot):
+        yield from _named_qualifiers(pred.operand)
+
+
 def _admitting(rules: List[_Rule], kind: type) -> Tuple[_Rule, ...]:
     """The rules whose pattern root can match a node of ``kind``, in
     clause order (so diagnostics keep their order)."""
     return tuple(rule for rule in rules if can_match(rule[1].pattern, kind))
 
+
+#: The cast pairs of a statement that needs no cast's run-time check,
+#: shared by all of them.
+_NO_CASTS: FrozenSet[Tuple[ir.Expr, str]] = frozenset()
 
 #: Guard analysis over the empty qualifier set: derives no facts.
 #: Used when flow sensitivity is off, so the same solver runs (and the

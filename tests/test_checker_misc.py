@@ -215,3 +215,98 @@ def test_report_errors_for_filter():
     assert report.errors_for("pos")
     assert report.errors_for("nonnull")
     assert not report.errors_for("unique")
+
+
+# ------------------------------------------------- statement-wise checking
+
+#: Two qualifiers whose bare-variable clauses ask about each other: a
+#: judgment can meet itself, so its answer depends on what was asked
+#: first.
+ASKING_EACH_OTHER = """
+value qualifier ping(int Expr E)
+  case E of
+      decl int Expr E1:
+        E1, where pong(E1)
+  invariant value(E) > 0
+
+value qualifier pong(int Expr E)
+  case E of
+      decl int Expr E1:
+        E1, where ping(E1)
+    | decl int Const C:
+        C, where C > 0
+  invariant value(E) > 0
+"""
+
+
+def _programs():
+    import glob
+    import os
+    import random
+
+    from repro.corpus import generate_bftpd, generate_dfa_module
+    from repro.difftest.generator import GenConfig, ProgramGenerator
+
+    root = os.path.join(os.path.dirname(__file__), "..", "examples")
+    texts = [open(p, encoding="utf-8").read() for p in sorted(glob.glob(f"{root}/*.c"))]
+    texts += [generate_dfa_module(3, 3, 3, 2, 8, seed=5), generate_bftpd(4, 3, 3)]
+    texts += [
+        ProgramGenerator(random.Random(f"statements:{i}"), GenConfig(size=80, n_qualifiers=0), []).generate()
+        for i in range(8)
+    ]
+    for text in texts:
+        yield lower_unit(parse_c(text, qualifier_names=QUALS.names, filename="u.c"))
+
+
+@pytest.mark.parametrize("trust_constants", [False, True])
+def test_statement_wise_check_equals_a_whole_check(trust_constants):
+    """With nothing skipped, a function's statements' diagnostics, in
+    order, are a whole check's, and its calls' run-time checks plus
+    the union of its cast pairs count a whole check's; a statement's
+    results do not depend on which others are skipped."""
+    import random
+
+    from repro.core.checker.typecheck import QualifierChecker
+
+    quals = standard_qualifiers(trust_constants=trust_constants)
+    rng = random.Random(7)
+    functions = diagnostics = casts = 0
+    for program in _programs():
+        whole = QualifierChecker(program, quals).check()
+        checker = QualifierChecker(program, quals)
+        assert checker.statement_wise
+        report = checker.check(statements={f.name: set() for f in program.functions})
+        assert report.dataflow.keys() == whole.dataflow.keys()
+        for func in program.functions:
+            results = report.statements[func.name]
+            assert len(results) == len(func.body)
+            found = [d for diagnostics, _calls, _casts in results for d in diagnostics]
+            assert found == [d for d in whole.diagnostics if d.function == func.name]
+            counted = sum(calls for _d, calls, _c in results) + len(
+                frozenset().union(*(casts for _d, _calls, casts in results))
+            )
+            assert counted == sum(1 for c in whole.runtime_checks if c.function == func.name)
+            skip = {i for i in range(len(func.body)) if rng.random() < 0.5}
+            partial = QualifierChecker(program, quals).check(
+                functions={func.name}, statements={func.name: skip}
+            )
+            assert partial.statements[func.name] == [
+                None if i in skip else result for i, result in enumerate(results)
+            ]
+            functions += 1
+            diagnostics += len(found)
+            casts += counted
+    assert functions > 80 and diagnostics > 20 and casts > 0
+
+
+def test_statement_wise_needs_flow_insensitivity_and_no_self_asking_clause():
+    from repro.core.checker.typecheck import QualifierChecker
+    from repro.core.qualifiers.parser import parse_qualifiers
+
+    program = lower_unit(parse_c("int f(int a) { return a; }"))
+    # nonneg's bare-variable clause asks about pos, which asks nothing
+    # of the whole expression back.
+    assert QualifierChecker(program, QUALS).statement_wise
+    assert not QualifierChecker(program, QUALS, flow_sensitive=True).statement_wise
+    cyclic = QualifierSet(list(QUALS) + parse_qualifiers(ASKING_EACH_OTHER))
+    assert not QualifierChecker(program, cyclic).statement_wise

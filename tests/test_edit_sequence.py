@@ -15,7 +15,14 @@ incremental report is compared with:
   incremental bookkeeping, diagnostic locations included (replayed
   diagnostics move with the text);
 * the path the workspace counters say ran, for every edit whose path
-  is determined.
+  is determined;
+* the function fingerprints of a full parse and lower printed whole:
+  the stored ones, derived from per-statement texts, are equal.
+
+Edits that add a temporary or a local, drop a statement, or move a
+statement with a diagnostic exercise the statement-level re-lower and
+re-check, and the same sequence runs through a process-mode daemon
+with two workers against cold checks.
 """
 
 import copy
@@ -27,6 +34,7 @@ import re
 import pytest
 
 from repro import api
+from repro.cache import fingerprint
 from repro.cfront import bodies
 from repro.cfront.parser import parse_c
 from repro.cfront.preprocess import preprocess
@@ -34,6 +42,8 @@ from repro.cil.lower import lower_unit
 from repro.core.qualifiers.library import standard_qualifiers
 from repro.corpus import generate_bftpd, generate_dfa_module
 from repro.difftest.generator import GenConfig, ProgramGenerator
+from repro.serve import connect
+from tests.test_serve_multiproc import _strip_volatile, procdaemon  # noqa: F401
 
 EXAMPLES = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "..", "examples", "*.c"))
@@ -226,6 +236,87 @@ class Editor:
             return self.again()
         return PARTIAL
 
+    def _append_to_statement(self, text):
+        """Append ``text`` to a simple statement line of the body edited
+        last: the newline count stays, so the edit can splice."""
+        first, end = self._last_body()
+        lines = self._lines()
+        spots = [i for i in range(first, end) if _SIMPLE.fullmatch(lines[i])]
+        if not spots:
+            return False
+        i = self.rng.choice(spots)
+        lines[i] += " " + text
+        self.text = "\n".join(lines)
+        return True
+
+    def temporary(self):
+        """A call inside an expression after a statement: lowering adds
+        a temporary, so every later temporary of the body is renamed,
+        and the locals (the function's header) grow."""
+        name = self._fresh("g")
+        if not self._append_to_statement(f"{name}(2) + 1;"):
+            return self.again()
+        return PARTIAL
+
+    def local(self):
+        """A local declared after a statement, or one in a block whose
+        name some local or parameter of the body already has (it is
+        lowered as ``name__2``)."""
+        first, end = self._last_body()
+        lines = self._lines()
+        head = lines[first - 1]
+        taken = [
+            name
+            for name in re.findall(r"\bint (?:pos )?(\w+)", "\n".join([head, *lines[first:end]]))
+            if name not in NAMES
+        ]
+        if taken and self.rng.random() < 0.6:
+            text = f"{{ int {self.rng.choice(taken)} = 2; }}"
+        else:
+            text = f"int pos {self._fresh('e')} = -{self.rng.randrange(1, 9)};"
+        if not self._append_to_statement(text):
+            return self.again()
+        return PARTIAL
+
+    def drop(self):
+        """Delete a top-level statement of the body edited last, keeping
+        its line (so the edit can splice)."""
+        first, end = self._last_body()
+        lines = self._lines()
+        spots = [
+            i for i in range(first, end)
+            if _SIMPLE.fullmatch(lines[i]) and not re.match(r"  (int|else)\b", lines[i])
+        ]
+        if not spots:
+            return self.again()
+        lines[self.rng.choice(spots)] = ""
+        self.text = "\n".join(lines)
+        return PARTIAL
+
+    def condition(self):
+        """A literal in a loop's or an ``if``'s condition."""
+        if not self._literal_in(
+            self._last_body(), lambda line: re.search(r"\b(while|for|if) \(", line)
+        ):
+            return self.nested()
+        return PARTIAL
+
+    def move(self):
+        """Move a statement that has a diagnostic (an inserted ``int
+        pos`` local) down a line, and edit a literal above it in the
+        same body: the body is checked again, and the moved statement's
+        diagnostic moves with it.  With no such statement, add one."""
+        first, end = self._last_body()
+        lines = self._lines()
+        spots = [i for i in range(first, end) if "int pos __e" in lines[i]]
+        if not spots:
+            return self.local()
+        i = self.rng.choice(spots)
+        lines.insert(i, "")
+        self.text = "\n".join(lines)
+        self._literal_in((first, i))
+        return PARTIAL
+
     def one_line(self):
         """Two statements on one line: join two simple statement lines
         of the body edited last (a newline goes, so no splice), or, once
@@ -413,6 +504,9 @@ SEQUENCE = (
     "after_decl", "rename", "one_line", "again", "one_line", "again",
     "insert", "local_decl", "repair", "delete", "param", "syntax", "repair",
     "remove", "two_bodies", "literal", "again", "newline", "again", "again",
+    "local", "again", "temporary", "again", "condition", "again", "drop",
+    "again", "move", "move", "again", "nested", "condition", "temporary",
+    "drop", "again",
 )
 
 
@@ -458,6 +552,21 @@ def _path(before, after):
     return FALLBACK if fallback else FULL
 
 
+def _full_fingerprints(path, text, flow, env):
+    """Each function's fingerprint, from a full parse and lower of
+    ``text`` printed whole (``function_fingerprint``)."""
+    unit = parse_c(
+        preprocess(text).text, qualifier_names=NAMES, run_preprocessor=False,
+        recover=True, filename=path,
+    )
+    program = lower_unit(unit)
+    interface = fingerprint.interface_digest(program)
+    return {
+        f.name: fingerprint.function_fingerprint(f, interface, env, flow_sensitive=flow)
+        for f in program.functions
+    }
+
+
 def _run_sequences(tmp_path, seeds):
     ws = api.Workspace(incremental=True)
     full = api.Workspace(incremental=True)
@@ -493,6 +602,14 @@ def _run_sequences(tmp_path, seeds):
                     where = f"seed {seed}, {name}, step {step} ({kind})"
                     assert _timeless(warm) == _timeless(reference), where
                     assert _cold_shape(warm) == _cold_shape(cold), where
+                    state = ws._units.get((path, flow))
+                    if state is not None:
+                        # The stored digests, derived from kept
+                        # statement texts, are a full print's.
+                        digests = {n: r.fingerprint for n, r in state.functions.items()}
+                        assert digests == _full_fingerprints(
+                            path, editor.text, flow, ws._env_digest
+                        ), where
                     broken = cold["units"][0]["verdict"] == "ERROR"
                     if broken and expect in (PARTIAL, BODY):
                         expect = FALLBACK
@@ -504,6 +621,9 @@ def _run_sequences(tmp_path, seeds):
                     elif expect is not None:
                         assert took == expect, where
                     paths_seen.add(took)
+        # Some edits re-lowered and re-checked single statements.
+        assert ws.counters["statements_relowered"] > 0
+        assert ws.counters["statements_rechecked"] > 0
     finally:
         ws.close()
         full.close()
@@ -512,6 +632,42 @@ def _run_sequences(tmp_path, seeds):
 
 def test_edit_sequences_match_full_and_cold_checks(tmp_path):
     assert _run_sequences(tmp_path, seeds=(0, 1)) == {SPLICE, BODY, FALLBACK, FULL}
+
+
+def test_served_edit_sequence_matches_cold_checks(procdaemon, tmp_path):
+    """The edit sequence through a process-mode daemon with two
+    workers, the units taking turns between two configurations (so
+    both workers serve): after every step the served report equals a
+    cold one-shot check of the same text."""
+    sock, server = procdaemon
+    configs = ({}, {"trust_constants": True})
+    with connect(sock) as client:
+        for number, (name, text, flow) in enumerate(_sources()):
+            config = configs[number % 2]
+            path = str(tmp_path / name)
+            params = {"files": [path], "flow_sensitive": flow, **config}
+            request = api.CheckRequest(files=(path,), flow_sensitive=flow)
+            editor = Editor(text, random.Random(f"served:{name}"))
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            client.request("check", params)
+            for step, kind in enumerate(SEQUENCE):
+                getattr(editor, kind)()
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(editor.text)
+                served = client.request("check", params)["report"]
+                with api.Workspace(api.SessionConfig(**config)) as cold_ws:
+                    cold = cold_ws.check(request).to_dict()
+                where = f"{name}, step {step} ({kind})"
+                assert _strip_volatile(served) == _strip_volatile(cold), where
+        status = client.status()
+    assert len({block["worker"]["pid"] for block in status["workspaces"]}) == 2
+    totals = {
+        key: sum(block["counters"][key] for block in status["workspaces"])
+        for key in ("bodies_spliced", "statements_relowered", "statements_rechecked")
+    }
+    assert all(totals.values()), totals
+    assert server.counters["workers_crashed"] == 0
 
 
 def test_counters_reach_workspace_stats(tmp_path):
@@ -652,6 +808,70 @@ def test_replayed_diagnostics_move_with_the_text(tmp_path, edits, rechecked):
     assert warm["units"][0]["detail"]["incremental"]["rechecked"] == rechecked
 
 
+STATEMENTS = """\
+int pos twice(int pos a) {
+  int pos b = a + 1;
+  int c = 3;
+  c = c + 4;
+  int pos d = -5;
+  return b;
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "edits, work",
+    [
+        # A literal twice: the first edit re-checks one statement; the
+        # second also splices it, so lowers only it.
+        ([("c + 4", "c + 5"), ("c + 5", "c + 6")], [(0, 1), (1, 1)]),
+        # A literal edit, then one that adds a line after its
+        # statement: d moves down, and its diagnostic moves with it,
+        # without a check.
+        ([("c + 4", "c + 5"), ("c = 3;\n", "c = 2;\n\n")], [(0, 1), (0, 1)]),
+        # A call in an expression adds a temporary: the locals (the
+        # function's header) change, so the body is checked whole; the
+        # next edit splices both statements of that line back in, and
+        # finds the same header, so re-checks one statement.
+        (
+            [("c = c + 4;", "c = c + 4; g(1) + 1;"), ("c + 4", "c + 5")],
+            [(0, 0), (2, 1)],
+        ),
+        # A block declaring another b (lowered as b__2): same.
+        (
+            [("c = c + 4;", "c = c + 4; { int b = 1; }"), ("c + 4", "c + 5")],
+            [(0, 0), (2, 1)],
+        ),
+        # A statement dropped: nothing is left to lower or check.
+        ([("c + 4", "c + 5"), ("c = c + 5;", "")], [(0, 1), (0, 0)]),
+    ],
+)
+def test_a_statement_edit_redoes_only_that_statement(tmp_path, edits, work):
+    """(statements re-lowered, statements re-checked) per edit, and
+    every report equals a cold one."""
+    path = tmp_path / "u.c"
+    text = STATEMENTS
+    path.write_text(text, encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+    done = []
+    with api.Workspace(incremental=True) as ws:
+        ws.check(request)
+        for old, new in edits:
+            text = text.replace(old, new, 1)
+            path.write_text(text, encoding="utf-8")
+            before = dict(ws.counters)
+            warm = ws.check(request).to_dict()
+            with api.Workspace() as cold_ws:
+                cold = cold_ws.check(request).to_dict()
+            assert _cold_shape(warm) == _cold_shape(cold), new
+            done.append(tuple(
+                ws.counters[key] - before[key]
+                for key in ("statements_relowered", "statements_rechecked")
+            ))
+    assert cold["units"][0]["diagnostics"], "d's initializer is reported"
+    assert done == work
+
+
 @pytest.mark.parametrize("kind", ["literal", "two_bodies"])
 def test_in_body_edit_rechecks_only_the_edited_functions(tmp_path, kind):
     text = generate_bftpd(4, 3, 3)
@@ -767,6 +987,56 @@ def test_a_spliced_body_equals_a_full_parse():
             ) == full_starts[index]
             spliced += 1
     assert spliced >= 40
+
+
+def test_a_relowered_body_equals_a_full_lowering():
+    """Seeded in-body edits of every source, literal edits and ones that
+    add a temporary or a local or drop a statement: wherever the splice
+    holds, lowering only the spliced statements from the kept lowering
+    gives the function, and the per-statement record, that lowering the
+    full parse does."""
+    relowered = reused = 0
+    for name, text, _flow in _sources():
+        rng = random.Random(f"relower:{name}")
+        editor = Editor(text, rng)
+        for _ in range(12):
+            old = preprocess(editor.text).text
+            old_unit, extents, defs, starts = _trees(old)
+            getattr(editor, rng.choice(
+                ["again", "nested", "temporary", "local", "drop", "condition"]
+            ))()
+            new = preprocess(editor.text).text
+            reduced = bodies.reduce_text(old, new, extents, starts)
+            if reduced.splice is None:
+                continue
+            splice = reduced.splice
+            index = splice.index
+            kept = {index: None}
+            lower_unit(old_unit, kept=kept)
+            last = kept[index]
+            parsed, _found, parsed_defs, _starts = _trees(reduced.text)
+            if not bodies.splice_statements(
+                reduced.text, splice, parsed_defs[index], defs[index]
+            ):
+                continue
+            kept = {index: (last, splice.head, splice.tail)}
+            lower_unit(parsed, kept=kept)
+            spliced = kept[index]
+            full, _extents, _full_defs, _full_starts = _trees(new)
+            fresh = {index: None}
+            lower_unit(full, kept=fresh)
+            assert spliced.function == fresh[index].function, (name, spliced.function.name)
+            assert (spliced.starts, spliced.locals, spliced.temps) == (
+                fresh[index].starts, fresh[index].locals, fresh[index].temps
+            ), name
+            relowered += 1
+            tail = len(last.function.body) - last.starts[-1 - splice.tail]
+            reused += bool(splice.tail) and (
+                spliced.function.body[-tail:] == last.function.body[-tail:]
+                and spliced.function.body[-1] is last.function.body[-1]
+            )
+    assert relowered >= 40
+    assert 0 < reused < relowered
 
 
 def test_a_splice_declines_edits_it_cannot_stand_for():
