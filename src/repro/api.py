@@ -523,12 +523,15 @@ class _StatementChecks:
     """What each top-level statement of a function contributed to its
     check, in the order of ``_FunctionRecord.text.statements``: how many
     of the record's diagnostics are its, how many run-time checks its
-    calls need, and the (cast, qualifier) pairs whose run-time checks it
-    needs (counted once per function)."""
+    calls need, the (cast, qualifier) pairs whose run-time checks it
+    needs (counted once per function), and where it starts in the
+    unit's text (``(line, column)``, ``(0, 0)`` if nowhere).  The places
+    move with the text, as the diagnostics do."""
 
     counts: List[int]
     calls: List[int]
     casts: List[frozenset]
+    places: List[Tuple[int, int]]
 
 
 @dataclass
@@ -625,7 +628,8 @@ def _replayed(
     joins ``changed`` instead: only a re-check knows where it went.  A
     function printed again (in ``texts``) whose statements now split its
     unchanged text differently keeps the new parts and drops its
-    per-statement results."""
+    per-statement results, as does one with a statement that has no new
+    place."""
     stored = dict(zip(state.names, state.bodies))
     replay: Dict[str, _FunctionRecord] = {}
     for func in program.functions:
@@ -638,12 +642,14 @@ def _replayed(
             record.text is None or record.text.statements != text.statements
         ):
             record = replace(record, text=text, statements=None)
-        if record.diagnostics:
+        if record.diagnostics or record.statements is not None:
             moved = _relocated(record, relocation)
             if moved is None and name in stored and name in bodies:
                 whole = relocation.moved(stored[name], bodies[name])
                 if whole is not None:
                     moved = _relocated(record, whole)
+            if moved is None and record.statements is not None:
+                moved = _relocated(replace(record, statements=None), relocation)
             if moved is None:
                 changed.add(name)
                 continue
@@ -653,14 +659,39 @@ def _replayed(
 
 
 def _relocated(record: _FunctionRecord, where) -> Optional[_FunctionRecord]:
-    """``record`` with its diagnostics moved by ``where``
-    (:func:`_moved`); None if one has no new place."""
+    """``record`` with its diagnostics (:func:`_moved`) and its
+    statements' places moved by ``where``; None if one has no new
+    place."""
     diagnostics = _moved(record.diagnostics, where)
     if diagnostics is None:
         return None
-    if diagnostics == record.diagnostics:
+    statements = record.statements
+    if statements is not None:
+        places = _moved_places(statements.places, where)
+        if places is None:
+            return None
+        if places is not statements.places:
+            statements = replace(statements, places=places)
+    if diagnostics == record.diagnostics and statements is record.statements:
         return record
-    return replace(record, diagnostics=diagnostics)
+    return replace(record, diagnostics=diagnostics, statements=statements)
+
+
+def _moved_places(places: List[Tuple[int, int]], where):
+    """``places`` moved by ``where`` (``places`` itself if none moved);
+    None if one has no new place.  ``(0, 0)`` stays as it is."""
+    out = None
+    for index, place in enumerate(places):
+        if place[0] == 0:
+            continue
+        moved = where(*place)
+        if moved is None:
+            return None
+        if moved != place:
+            if out is None:
+                out = list(places)
+            out[index] = moved
+    return places if out is None else out
 
 
 def _moved(diagnostics: List[dict], where) -> Optional[List[dict]]:
@@ -685,27 +716,45 @@ def _moved(diagnostics: List[dict], where) -> Optional[List[dict]]:
 
 
 def _statement_plan(
-    record: _FunctionRecord, text: "_fingerprint.FunctionText", relocation
+    record: _FunctionRecord,
+    text: "_fingerprint.FunctionText",
+    func,
+    relocation,
 ) -> Optional[Dict[int, tuple]]:
-    """For a function to check again: the top-level statements of its
-    new ``text`` that need no check, by index, each with the stored
-    record's results for it (its diagnostics moved by ``relocation``,
-    its calls' run-time checks, its cast pairs).  A statement needs no
-    check if it lies in the run of statements the old and new texts
-    start with, or in the run they end with, and each of its
-    diagnostics has a new place.  None if the record has no
+    """For a function to check again, lowered as ``func``: the top-level
+    statements of its new ``text`` that need no check, by index, each
+    with the stored record's results for it (its diagnostics moved by
+    ``relocation``, its calls' run-time checks, its cast pairs).  A new
+    statement is an old one if both have the same text and the old one's
+    place, moved by ``relocation``, is where the new one starts: equal
+    texts alone do not tell repeated statements apart.  A statement
+    needs no check if it is its old one in the run of statements the
+    old and new bodies start with, or in the run they end with, and
+    each of its diagnostics has a new place.  None if the record has no
     per-statement results or the header (signature and locals, so the
     typing context) changed: then the function is checked whole."""
     checks = record.statements
     if checks is None or record.text.header != text.header:
         return None
     old, new = record.text.statements, text.statements
+    places, body = checks.places, func.body
+
+    def same(i: int, j: int) -> bool:
+        place, loc = places[j], body[i].loc
+        return (
+            old[j] == new[i]
+            and place[0] > 0
+            and relocation(*place) == (loc.line, loc.col)
+        )
+
     shortest = min(len(old), len(new))
     head = 0
-    while head < shortest and old[head] == new[head]:
+    while head < shortest and same(head, head):
         head += 1
     tail = 0
-    while tail < shortest - head and old[-1 - tail] == new[-1 - tail]:
+    while tail < shortest - head and same(
+        len(new) - 1 - tail, len(old) - 1 - tail
+    ):
         tail += 1
     offsets = [0]
     for count in checks.counts:
@@ -729,12 +778,15 @@ def _statement_record(
     plan: Dict[int, tuple],
     dataflow: dict,
     text: "_fingerprint.FunctionText",
+    func,
 ) -> _FunctionRecord:
-    """A function's record from its statement-by-statement check: each
-    statement's ``results`` entry or, for one it skipped, its ``plan``
-    entry (:func:`_statement_plan`)."""
+    """A function's record from its statement-by-statement check of
+    ``func``: each statement's ``results`` entry or, for one it skipped,
+    its ``plan`` entry (:func:`_statement_plan`)."""
     diagnostics: List[dict] = []
-    checks = _StatementChecks([], [], [])
+    checks = _StatementChecks(
+        [], [], [], [(stmt.loc.line, stmt.loc.col) for stmt in func.body]
+    )
     for index, result in enumerate(results):
         if result is None:
             found, calls, casts = plan[index]
@@ -1044,9 +1096,13 @@ class Workspace:
                     )
                     if statement_wise and interface == state.interface:
                         plans = {
-                            name: _statement_plan(old[name], texts[name], relocation)
-                            for name in changed
-                            if name in old and name in texts
+                            func.name: _statement_plan(
+                                old[func.name], texts[func.name], func, relocation
+                            )
+                            for func in program.functions
+                            if func.name in changed
+                            and func.name in old
+                            and func.name in texts
                         }
             else:
                 changed = {f.name for f in program.functions}
@@ -1074,7 +1130,7 @@ class Workspace:
                     plan = plans.get(name)
                     records[name] = _statement_record(
                         fingerprints[name], results, plan or {},
-                        check_report.dataflow[name], texts[name],
+                        check_report.dataflow[name], texts[name], func,
                     )
                     if plan is not None:
                         self.counters["statements_rechecked"] += sum(

@@ -156,7 +156,8 @@ class QualifierChecker:
         graph = build_cfg(func)
         solution = solve_guard_facts(graph, guards, self._addr_taken)
         self.report.dataflow[func.name] = solution.stats.to_dict()
-        if skip is not None and self._check_statements(func, graph, skip):
+        if skip is not None:
+            self._check_statements(func, graph, skip)
             return
         # Blocks are numbered in syntactic order, so iterating them in
         # index order reports diagnostics in source order.
@@ -172,7 +173,7 @@ class QualifierChecker:
             elif term.kind == RETURN:
                 self._check_return(term.stmt)
 
-    def _check_statements(self, func: ir.Function, graph, skip: Set[int]) -> bool:
+    def _check_statements(self, func: ir.Function, graph, skip: Set[int]) -> None:
         """Check ``func`` one top-level statement of its body at a time,
         skipping those whose index is in ``skip``, and set
         ``report.statements[func.name]``: per statement, None if skipped,
@@ -184,16 +185,15 @@ class QualifierChecker:
         A cast's check is counted once per function, so the function's
         count is its calls' checks plus the size of the union of its
         statements' cast pairs, which a whole check also gets.  The
-        blocks are walked as a whole check walks them; a statement's
+        blocks are walked as a whole check walks them: ``build_cfg``
+        makes blocks in the order it walks the body, so a statement's
         instructions, branches and returns come one after another, in
-        statement order.  If they do not, nothing is recorded, the
-        report is left as it was, and False is returned."""
+        statement order."""
         owner = _owners(func.body)
         results: List[Optional[tuple]] = [None] * len(func.body)
         diagnostics = self.report.diagnostics
         checks = self.report.runtime_checks
-        marks = (len(diagnostics), len(checks))
-        current, begun = -1, marks
+        current, begun = -1, (len(diagnostics), len(checks))
 
         def close() -> None:
             if current >= 0 and current not in skip:
@@ -203,18 +203,14 @@ class QualifierChecker:
                     frozenset(self._casts) if self._casts else _NO_CASTS,
                 )
 
-        ok = True
         for block in graph.blocks:
             term = block.terminator
             nodes = block.instrs
             if term.kind == BRANCH or term.kind == RETURN:
                 nodes = [*nodes, term.stmt]
             for node in nodes:
-                index = owner.get(id(node))
+                index = owner[id(node)]
                 if index != current:
-                    if index is None or index < current:
-                        ok = False
-                        break
                     close()
                     current, begun = index, (len(diagnostics), len(checks))
                     self._memo = {}
@@ -227,21 +223,13 @@ class QualifierChecker:
                     self._scan_expr(node.cond, node.loc)
                 else:
                     self._check_return(node)
-            if not ok:
-                break
-        if ok:
-            close()
+        close()
         self._casts = None
         self._memo = {}
-        if not ok:
-            del diagnostics[marks[0]:]
-            del checks[marks[1]:]
-            return False
         for index, result in enumerate(results):
             if result is None and index not in skip:
                 results[index] = ((), 0, _NO_CASTS)
         self.report.statements[func.name] = results
-        return True
 
     # -------------------------------------------------------- instructions
 

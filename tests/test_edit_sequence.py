@@ -22,7 +22,9 @@ incremental report is compared with:
 Edits that add a temporary or a local, drop a statement, or move a
 statement with a diagnostic exercise the statement-level re-lower and
 re-check, and the same sequence runs through a process-mode daemon
-with two workers against cold checks.
+with two workers against cold checks.  Random edits to lines of equal
+statements check that a statement's stored results go only to the
+statement at its place.
 """
 
 import copy
@@ -844,6 +846,17 @@ int pos twice(int pos a) {
         ),
         # A statement dropped: nothing is left to lower or check.
         ([("c + 4", "c + 5"), ("c = c + 5;", "")], [(0, 1), (0, 0)]),
+        # Two equal statements with a diagnostic each, then a third
+        # appended to the first one's line: the texts alone would take
+        # the new middle statement for the old second one and replay
+        # its diagnostic at the old place.  Only the new one is checked.
+        (
+            [
+                ("  return b;", "  d = -5;\n  d = -5;\n  return b;"),
+                ("  d = -5;\n", "  d = -5; d = -5;\n"),
+            ],
+            [(0, 2), (2, 1)],
+        ),
     ],
 )
 def test_a_statement_edit_redoes_only_that_statement(tmp_path, edits, work):
@@ -870,6 +883,56 @@ def test_a_statement_edit_redoes_only_that_statement(tmp_path, edits, work):
             ))
     assert cold["units"][0]["diagnostics"], "d's initializer is reported"
     assert done == work
+
+
+#: Statements for :func:`test_repeated_statements_match_cold_checks`,
+#: most of them reported and several equal, so the same statement text
+#: stands at more than one place.
+REPEATED = [
+    "d = -5;", "d = -5;", "c = c + 4;", "d = 3;", "c = -1;",
+    "{ int pos e = -2; }", "if (c) d = -5;", "g(1) + 1;", "",
+]
+
+
+def _repeated_unit(lines) -> str:
+    body = "".join(f"  {line}\n" for line in lines)
+    return (
+        "int g(int x);\nint pos f(int pos a) {\n  int pos d = 1;\n"
+        f"  int c = 3;\n{body}  return d;\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repeated_statements_match_cold_checks(tmp_path, seed):
+    """Lines of equal statements: append a statement to a line, insert,
+    delete, replace or join lines, and after each edit the report
+    equals a cold one.  Equal statement texts at different places must
+    not share their results."""
+    rng = random.Random(seed)
+    lines = [rng.choice(REPEATED) for _ in range(6)]
+    path = tmp_path / "u.c"
+    path.write_text(_repeated_unit(lines), encoding="utf-8")
+    request = api.CheckRequest(files=(str(path),))
+    with api.Workspace(incremental=True) as ws:
+        ws.check(request)
+        for _ in range(30):
+            roll, i = rng.random(), rng.randrange(len(lines))
+            if roll < 0.3:
+                lines[i] = f"{lines[i]} {rng.choice(REPEATED)}".strip()
+            elif roll < 0.5:
+                lines.insert(i, rng.choice(REPEATED))
+            elif roll < 0.65 and len(lines) > 1:
+                del lines[i]
+            elif roll < 0.8 or i + 1 == len(lines):
+                lines[i] = rng.choice(REPEATED)
+            else:
+                lines[i : i + 2] = [f"{lines[i]} {lines[i + 1]}".strip()]
+            path.write_text(_repeated_unit(lines), encoding="utf-8")
+            warm = ws.check(request).to_dict()
+            with api.Workspace() as cold_ws:
+                cold = cold_ws.check(request).to_dict()
+            assert _cold_shape(warm) == _cold_shape(cold), lines
+    assert ws.counters["statements_rechecked"] > 0
 
 
 @pytest.mark.parametrize("kind", ["literal", "two_bodies"])
